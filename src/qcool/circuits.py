@@ -135,11 +135,14 @@ def gate_counts(circuit: Circuit) -> GateCounts:
 def embed(circuit: Circuit, n_total: int, qubit_map: Sequence[int]) -> Circuit:
     """Place a circuit onto chosen qubits of a wider register.
 
-    qubit_map[j-1] is the physical qubit playing local role j.
+    qubit_map[j-1] is the physical qubit playing local role j.  The
+    identity map onto a register of the same width returns the circuit.
     """
     if len(qubit_map) != circuit.n_qubits:
         raise ValueError("qubit_map length must equal the circuit width")
     phys = [int(q) for q in qubit_map]
+    if n_total == circuit.n_qubits and phys == list(range(1, n_total + 1)):
+        return circuit
     if len(set(phys)) != len(phys):
         raise ValueError("qubit_map must be injective")
     if any(not 1 <= q <= n_total for q in phys):

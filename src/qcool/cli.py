@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from pathlib import Path
 import click
 
 from . import __version__, methods
-from .circuits import gate_counts, simplify_adjacent
+from .circuits import simplify_adjacent
 from .errors import QcoolError, ResourceLimitError
 from .qasm import export_qasm
 from .sim import NoiseModel, marginal, simulate
@@ -121,19 +122,30 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
         Path(out).write_text(text)
 
 
-def _analysis_row(config, initial_p, gap) -> dict:
-    rep = methods.report(config, initial_p=initial_p, gap=gap, include_circuit=True)
+def _row(task) -> dict:
+    """One result row; with a noise level, final_p is simulated."""
+    config, initial_p, gap, noise_p, placement = task
+    rep = methods.report(config, initial_p=initial_p, gap=gap)
+    final_p = rep.final_excitation
+    if noise_p is not None:
+        v = simulate(
+            rep.circuit,
+            thermal_product_vector(initial_p, rep.total_qubits),
+            noise=NoiseModel(noise_p, placement),
+            bath_excitation=initial_p,
+        )
+        final_p = marginal(v, 1)
     physical = gap is not None and not gap.dimensionless
+    # Work is the noiseless driving cost; depolarizing exchanges heat,
+    # not work, in this model.
     return {
         "method": rep.method,
         "total_qubits": rep.total_qubits,
         "initial_temp_mk": _temp_mk_or_none(initial_p, gap if physical else None),
-        "final_temp_mk": _temp_mk_or_none(
-            rep.final_excitation, gap if physical else None
-        ),
+        "final_temp_mk": _temp_mk_or_none(final_p, gap if physical else None),
         "initial_p": rep.initial_excitation,
-        "final_p": rep.final_excitation,
-        "noise_p": None,
+        "final_p": final_p,
+        "noise_p": noise_p,
         "work": rep.work_in_gap_units,
         "work_joules": rep.work_joules,
         "total_gates": rep.gate_counts.total,
@@ -141,56 +153,12 @@ def _analysis_row(config, initial_p, gap) -> dict:
     }
 
 
-def _noise_row(config, initial_p, gap, noise_p, placement) -> dict:
-    width = methods.total_qubits(config)
-    circuit = methods.build_circuit(config, initial_p)
-    v0 = thermal_product_vector(initial_p, width)
-    v = simulate(
-        circuit,
-        v0,
-        noise=NoiseModel(noise_p, placement),
-        bath_excitation=initial_p,
-    )
-    final_p = marginal(v, 1)
-    physical = gap is not None and not gap.dimensionless
-    counts = gate_counts(circuit)
-    # Work is the noiseless driving cost; depolarizing exchanges heat,
-    # not work, in this model.
-    work = methods.total_work_cost(config, initial_p)
-    return {
-        "method": methods.method_label(config),
-        "total_qubits": width,
-        "initial_temp_mk": _temp_mk_or_none(initial_p, gap if physical else None),
-        "final_temp_mk": _temp_mk_or_none(final_p, gap if physical else None),
-        "initial_p": initial_p,
-        "final_p": final_p,
-        "noise_p": noise_p,
-        "work": work,
-        "work_joules": work * gap.value if physical else None,
-        "total_gates": counts.total,
-        "resets": counts.resets,
-    }
-
-
-def _sweep_task(args) -> dict:
-    config_doc, initial_p, freq_ghz = args
-    config = methods.config_from_json(config_doc)
-    gap = EnergyGap.from_frequency_ghz(freq_ghz) if freq_ghz else None
-    return _analysis_row(config, initial_p, gap)
-
-
-def _noise_task(args) -> dict:
-    config_doc, initial_p, freq_ghz, noise_p, placement = args
-    config = methods.config_from_json(config_doc)
-    gap = EnergyGap.from_frequency_ghz(freq_ghz) if freq_ghz else None
-    return _noise_row(config, initial_p, gap, noise_p, placement)
-
-
-def _run_tasks(worker, tasks: list, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _run_tasks(tasks: list, jobs: int) -> list[dict]:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_row(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_row, tasks))
 
 
 def _load_config_doc(path: str) -> dict:
@@ -246,7 +214,7 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
     config = methods.config_from_json(_load_config_doc(config_path))
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
-    rows = [_analysis_row(config, p, gap)]
+    rows = [_row((config, p, gap, None, None))]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -255,7 +223,7 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
 @click.option("--probs", help="Comma-separated initial excitation probabilities.")
 @click.option("--temps-mk", help="Comma-separated initial temperatures (needs --freq-ghz).")
 @click.option("--freq-ghz", type=float)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes, at most one per task and CPU.")
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @_handled
@@ -263,21 +231,19 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
     """Analyze configs across initial temperatures; rows in given order."""
     if (probs is None) == (temps_mk is None):
         raise click.UsageError("give exactly one of --probs or --temps-mk")
-    docs = [_load_config_doc(p) for p in config_paths]
-    for doc in docs:
-        methods.config_from_json(doc)
+    configs = [methods.config_from_json(_load_config_doc(p)) for p in config_paths]
+    gap = None if freq_ghz is None else EnergyGap.from_frequency_ghz(freq_ghz)
     if temps_mk is not None:
-        if freq_ghz is None:
+        if gap is None:
             raise click.UsageError("--temps-mk needs --freq-ghz")
-        gap = EnergyGap.from_frequency_ghz(freq_ghz)
         ps = [
             probability_from_temperature(Temperature.from_millikelvin(t), gap)
             for t in _parse_float_list(temps_mk, "--temps-mk")
         ]
     else:
         ps = _parse_float_list(probs, "--probs")
-    tasks = [(doc, p, freq_ghz) for doc in docs for p in ps]
-    rows = _run_tasks(_sweep_task, tasks, jobs)
+    tasks = [(config, p, gap, None, None) for config in configs for p in ps]
+    rows = _run_tasks(tasks, jobs)
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -288,24 +254,22 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
 @click.option("--freq-ghz", type=float)
 @click.option("--noise-probs", required=True, help="Comma-separated depolarizing probabilities.")
 @click.option("--placement", type=click.Choice(["per-gate", "per-layer"]), default="per-gate", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes, at most one per task and CPU.")
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @_handled
 def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placement, jobs, as_csv, out):
     """Simulate configs under gate noise; final column is per noise level."""
-    docs = [_load_config_doc(p) for p in config_paths]
-    for doc in docs:
-        methods.config_from_json(doc)
-    p, _ = _resolve_initial(initial_p, temp_mk, freq_ghz)
+    configs = [methods.config_from_json(_load_config_doc(p)) for p in config_paths]
+    p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
     noise = _parse_float_list(noise_probs, "--noise-probs")
     for np_ in noise:
         if not 0.0 <= np_ <= 1.0:
             raise click.UsageError("noise probabilities must lie in [0, 1]")
     tasks = [
-        (doc, p, freq_ghz, np_, placement) for doc in docs for np_ in noise
+        (config, p, gap, np_, placement) for config in configs for np_ in noise
     ]
-    rows = _run_tasks(_noise_task, tasks, jobs)
+    rows = _run_tasks(tasks, jobs)
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 

@@ -22,12 +22,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-import jsonschema
 import numpy as np
 
 from . import sim
@@ -48,7 +45,7 @@ from .thermo import (
     temperature_from_probability,
     thermal_product_vector,
 )
-from .unitary import CoolingUnitary
+from .unitary import CoolingUnitary, _parse_cycles, _validate
 
 __all__ = [
     "CoolingReport",
@@ -88,8 +85,15 @@ class CustomProtocol:
 ProtocolChoice = Union[str, CustomProtocol]
 
 
-def _check_protocol(choice: ProtocolChoice) -> None:
+def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
+    """Reject unknown protocols and custom labels not on n_qubits qubits."""
     if isinstance(choice, CustomProtocol):
+        try:
+            _parse_cycles(choice.cycles, n_qubits)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(
+                f"custom cycles on {n_qubits} qubits: {exc}"
+            ) from exc
         return
     if choice not in BUILTIN_PROTOCOLS:
         raise ConfigError(
@@ -114,7 +118,7 @@ class Dynamic:
     def __post_init__(self) -> None:
         if self.n_qubits < 2:
             raise ConfigError("dynamic cooling needs at least 2 qubits")
-        _check_protocol(self.protocol)
+        _check_protocol(self.protocol, self.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class SubOptimal:
             raise ConfigError("cluster size must be >= 2")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        _check_protocol(self.protocol)
+        _check_protocol(self.protocol, self.cluster_size)
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ class HBAC:
             raise ConfigError("cluster size must be >= 2")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        _check_protocol(self.protocol)
+        _check_protocol(self.protocol, self.cluster_size)
         qs = tuple(sorted(int(q) for q in self.reset_qubits))
         if not qs:
             qs = tuple(range(2, self.cluster_size + 1))
@@ -183,7 +187,7 @@ class SemiOpen:
             raise ConfigError("at least one round required")
         if any(n < 2 for n in sizes):
             raise ConfigError("every cluster must have >= 2 qubits")
-        _check_protocol(self.protocol)
+        _check_protocol(self.protocol, sizes[0])
 
 
 MethodConfig = Union[Dynamic, SubOptimal, HBAC, SemiOpen]
@@ -357,117 +361,149 @@ def work_cost(
         raise ValueError(
             f"state length {v.size} does not match {unitary.dim} basis states"
         )
-    after = unitary.apply_to_prob_vector(v)
+    return _energy_change(v, unitary.apply_to_prob_vector(v), gap)
+
+
+def _energy_change(before: np.ndarray, after: np.ndarray, gap: EnergyGap) -> float:
     weights = np.bitwise_count(
-        np.arange(unitary.dim, dtype=np.uint32)
+        np.arange(before.size, dtype=np.uint32)
     ).astype(np.float64)
-    return float(gap.value * np.dot(weights, after - v))
+    return float(gap.value * np.dot(weights, after - before))
 
 
-def _semi_open_rounds(
-    config: SemiOpen, p: float
-) -> list[tuple[ThermalSpec, CoolingUnitary]]:
-    out = []
-    t = p
-    for i, n in enumerate(config.cluster_sizes):
-        spec = ThermalSpec((t,) + (p,) * (n - 1))
-        if i == 0:
-            u = _resolve_protocol(config.protocol, n)
-        else:
-            u = heterogeneous_max_cooling(spec)
-        out.append((spec, u))
-        t = sim.marginal(
-            u.apply_to_prob_vector(thermal_product_vector(spec)), 1
+@dataclass(frozen=True)
+class _Round:
+    """One round of a method: a unitary applied to parallel cluster copies.
+
+    clusters holds one physical qubit map per copy (local qubit j sits on
+    clusters[i][j-1]).  spec is the product state every copy starts from;
+    None carries the previous round's cluster state on, with the local
+    qubits in resets first returned to the bath.
+    """
+
+    unitary: CoolingUnitary
+    clusters: tuple[tuple[int, ...], ...]
+    spec: ThermalSpec | None
+    resets: tuple[int, ...] = ()
+
+
+def _cooled(u: CoolingUnitary, spec: ThermalSpec) -> float:
+    return sim.marginal(u.apply_to_prob_vector(thermal_product_vector(spec)), 1)
+
+
+def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
+    """The method as a list of rounds at bath excitation p.
+
+    With p None only the unitaries and qubit maps are planned (specs are
+    None); that suffices for circuits unless the unitaries depend on p.
+    """
+    width = total_qubits(config)
+    _check_cap(width)
+    if isinstance(config, SemiOpen):
+        out, t, free = [], p, 2
+        for i, n in enumerate(config.cluster_sizes):
+            spec = None if p is None else ThermalSpec((t,) + (p,) * (n - 1))
+            if i == 0:
+                u = _resolve_protocol(config.protocol, n)
+            else:
+                u = heterogeneous_max_cooling(spec)
+            out.append(_Round(u, ((1, *range(free, free + n - 1)),), spec))
+            free += n - 1
+            if p is not None:
+                t = _cooled(u, spec)
+        return out
+    if isinstance(config, Dynamic):
+        n, rounds = config.n_qubits, 1
+    else:
+        n, rounds = config.cluster_size, config.rounds
+    u = _resolve_protocol(config.protocol, n)
+    spec = None if p is None else ThermalSpec.homogeneous(p, n)
+    if isinstance(config, HBAC):
+        first = _Round(u, (tuple(range(1, n + 1)),), spec)
+        again = _Round(u, first.clusters, None, config.reset_qubits)
+        return [first] + [again] * (rounds - 1)
+    out, survivors = [], tuple(range(1, width + 1))
+    for k in range(rounds):
+        if k and p is not None:
+            spec = ThermalSpec.homogeneous(_cooled(u, spec), n)
+        clusters = tuple(
+            survivors[i : i + n] for i in range(0, len(survivors), n)
         )
+        out.append(_Round(u, clusters, spec))
+        survivors = tuple(c[0] for c in clusters)
     return out
+
+
+def _walk(
+    rounds: list[_Round], p: float, gap: EnergyGap = EnergyGap.unit()
+) -> tuple[float, float]:
+    """(target excitation, work) after running the rounds from a bath at p.
+
+    Resets exchange heat with the bath, not work, so they contribute
+    nothing.  Parallel copies in one round each pay the same cost.
+    """
+    work = 0.0
+    v = None
+    for rnd in rounds:
+        if rnd.spec is None:
+            v = sim.reset_qubits(v, rnd.resets, p)
+        else:
+            v = thermal_product_vector(rnd.spec)
+        after = rnd.unitary.apply_to_prob_vector(v)
+        work += len(rnd.clusters) * _energy_change(v, after, gap)
+        v = after
+    return sim.marginal(v, 1), work
+
+
+def _closed_form(config: MethodConfig, p: float) -> float | None:
+    # Built-in protocols all cool maximally, so their final excitation
+    # has a closed form; heat-bath rounds are defined by the walk.
+    if isinstance(config.protocol, CustomProtocol) or isinstance(config, HBAC):
+        return None
+    if isinstance(config, Dynamic):
+        return dynamic_final_p(p, config.n_qubits)
+    if isinstance(config, SubOptimal):
+        return sub_optimal_final_p(p, config.cluster_size, config.rounds)
+    return semi_open_final_p(p, config.cluster_sizes)
 
 
 def final_probability(config: MethodConfig, p: float) -> float:
     """Target excitation the method reaches from a homogeneous bath at p."""
     p = _check_p(p)
     _check_cap(total_qubits(config))
-    custom = isinstance(config.protocol, CustomProtocol)
-    if isinstance(config, Dynamic):
-        if custom:
-            u = _resolve_protocol(config.protocol, config.n_qubits)
-            v = thermal_product_vector(p, config.n_qubits)
-            return sim.marginal(u.apply_to_prob_vector(v), 1)
-        return dynamic_final_p(p, config.n_qubits)
-    if isinstance(config, SubOptimal):
-        if custom:
-            u = _resolve_protocol(config.protocol, config.cluster_size)
-            t = p
-            for _ in range(config.rounds):
-                v = thermal_product_vector(t, config.cluster_size)
-                t = sim.marginal(u.apply_to_prob_vector(v), 1)
-            return t
-        return sub_optimal_final_p(p, config.cluster_size, config.rounds)
-    if isinstance(config, HBAC):
-        return hbac_final_p(
-            p,
-            config.cluster_size,
-            config.rounds,
-            reset_qubits=config.reset_qubits,
-            protocol=config.protocol,
-        )
-    if isinstance(config, SemiOpen):
-        if custom:
-            rounds = _semi_open_rounds(config, p)
-            spec, u = rounds[0]
-            t = sim.marginal(
-                u.apply_to_prob_vector(thermal_product_vector(spec)), 1
-            )
-            for n in config.cluster_sizes[1:]:
-                t = _hetero_round_final_p(t, p, n)
-            return t
-        return semi_open_final_p(p, config.cluster_sizes)
-    raise TypeError(f"not a method config: {config!r}")
+    closed = _closed_form(config, p)
+    if closed is not None:
+        return closed
+    return _walk(_rounds(config, p), p)[0]
 
 
 def total_work_cost(
     config: MethodConfig, p: float, gap: EnergyGap = EnergyGap.unit()
 ) -> float:
-    """Work drawn over every unitary the method applies.
-
-    Resets exchange heat with the bath, not work, so they contribute
-    nothing.  Parallel cluster copies in one round each pay the same
-    cost, hence the n**(r-1-k) multiplicity for clustered rounds.
-    """
+    """Work drawn over every unitary the method applies."""
     p = _check_p(p)
-    _check_cap(total_qubits(config))
-    if isinstance(config, Dynamic):
-        u = _resolve_protocol(config.protocol, config.n_qubits)
-        return work_cost(u, thermal_product_vector(p, config.n_qubits), gap)
-    if isinstance(config, SubOptimal):
-        n, r = config.cluster_size, config.rounds
-        u = _resolve_protocol(config.protocol, n)
-        t = p
-        total = 0.0
-        for k in range(r):
-            v = thermal_product_vector(t, n)
-            total += n ** (r - 1 - k) * work_cost(u, v, gap)
-            t = sim.marginal(u.apply_to_prob_vector(v), 1)
-        return total
-    if isinstance(config, HBAC):
-        n = config.cluster_size
-        u = _resolve_protocol(config.protocol, n)
-        v = thermal_product_vector(p, n)
-        total = 0.0
-        for k in range(config.rounds):
-            if k:
-                v = sim.reset_qubits(v, config.reset_qubits, p)
-            total += work_cost(u, v, gap)
-            v = u.apply_to_prob_vector(v)
-        return total
-    if isinstance(config, SemiOpen):
-        total = 0.0
-        for spec, u in _semi_open_rounds(config, p):
-            total += work_cost(u, thermal_product_vector(spec), gap)
-        return total
-    raise TypeError(f"not a method config: {config!r}")
+    return _walk(_rounds(config, p), p, gap)[1]
 
 
 # -- circuits -------------------------------------------------------------
+
+
+def _circuit(width: int, rounds: list[_Round]) -> Circuit:
+    """Synthesize each distinct unitary once and embed it per cluster."""
+    synthesized: dict[int, Circuit] = {}
+    parts: list[Circuit] = []
+    for rnd in rounds:
+        key = id(rnd.unitary)
+        if key not in synthesized:
+            synthesized[key] = synthesize_circuit(rnd.unitary)
+        for phys in rnd.clusters:
+            if rnd.resets:
+                reset = ResetInstr(tuple(phys[q - 1] for q in rnd.resets))
+                parts.append(Circuit(width, (reset,)))
+            parts.append(embed(synthesized[key], width, phys))
+    if len(parts) == 1:
+        return parts[0]
+    return Circuit(width, tuple(i for part in parts for i in part.instructions))
 
 
 def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circuit:
@@ -477,51 +513,15 @@ def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circu
     already is, so initial_p is required for multi-round semi-open
     configs and ignored elsewhere.
     """
-    width = total_qubits(config)
-    _check_cap(width)
-    if isinstance(config, Dynamic):
-        return synthesize_circuit(_resolve_protocol(config.protocol, config.n_qubits))
-    if isinstance(config, SubOptimal):
-        n = config.cluster_size
-        base = synthesize_circuit(_resolve_protocol(config.protocol, n))
-        survivors = list(range(1, width + 1))
-        instructions: list = []
-        for _ in range(config.rounds):
-            next_survivors = []
-            for i in range(0, len(survivors), n):
-                chunk = survivors[i : i + n]
-                instructions.extend(embed(base, width, chunk).instructions)
-                next_survivors.append(chunk[0])
-            survivors = next_survivors
-        return Circuit(width, tuple(instructions))
-    if isinstance(config, HBAC):
-        base = synthesize_circuit(
-            _resolve_protocol(config.protocol, config.cluster_size)
+    if not isinstance(config, SemiOpen):
+        initial_p = None
+    elif initial_p is None and len(config.cluster_sizes) > 1:
+        raise ConfigError(
+            "semi-open circuits need initial_p: later rounds "
+            "depend on the reached temperature"
         )
-        instructions = list(base.instructions)
-        for _ in range(config.rounds - 1):
-            instructions.append(ResetInstr(config.reset_qubits))
-            instructions.extend(base.instructions)
-        return Circuit(width, tuple(instructions))
-    if isinstance(config, SemiOpen):
-        if initial_p is None:
-            if len(config.cluster_sizes) > 1:
-                raise ConfigError(
-                    "semi-open circuits need initial_p: later rounds "
-                    "depend on the reached temperature"
-                )
-            initial_p = 0.0
-        rounds = _semi_open_rounds(config, _check_p(initial_p))
-        instructions = []
-        next_free = 2
-        for (spec, u), n in zip(rounds, config.cluster_sizes):
-            members = [1] + list(range(next_free, next_free + n - 1))
-            next_free += n - 1
-            instructions.extend(
-                embed(synthesize_circuit(u), width, members).instructions
-            )
-        return Circuit(width, tuple(instructions))
-    raise TypeError(f"not a method config: {config!r}")
+    p = None if initial_p is None else _check_p(initial_p)
+    return _circuit(total_qubits(config), _rounds(config, p))
 
 
 # -- reporting ------------------------------------------------------------
@@ -563,14 +563,12 @@ def report(
     elif temperature is not None:
         raise ValueError("give initial_p or temperature, not both")
     initial_p = _check_p(initial_p)
-    work_gap = gap if gap is not None else EnergyGap.unit()
-    final_p = final_probability(config, initial_p)
-    work_units = total_work_cost(config, initial_p, EnergyGap.unit())
+    rounds = _rounds(config, initial_p)
+    walked_p, work_units = _walk(rounds, initial_p)
+    closed = _closed_form(config, initial_p)
+    final_p = walked_p if closed is None else closed
+    circuit = _circuit(total_qubits(config), rounds)
     physical = gap is not None and not gap.dimensionless
-    circuit = build_circuit(config, initial_p) if include_circuit else None
-    counts = gate_counts(circuit) if circuit is not None else gate_counts(
-        build_circuit(config, initial_p)
-    )
     return CoolingReport(
         method=method_label(config),
         total_qubits=total_qubits(config),
@@ -584,20 +582,12 @@ def report(
         final_temperature=(
             temperature_from_probability(final_p, gap) if physical else None
         ),
-        gate_counts=counts,
-        circuit=circuit,
+        gate_counts=gate_counts(circuit),
+        circuit=circuit if include_circuit else None,
     )
 
 
 # -- configuration documents ----------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def _method_schema() -> dict:
-    text = resources.files("qcool.schemas").joinpath(
-        "method_config.schema.json"
-    ).read_text()
-    return json.loads(text)
 
 
 def config_from_json(source: str | Path | dict) -> MethodConfig:
@@ -612,10 +602,7 @@ def config_from_json(source: str | Path | dict) -> MethodConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
     else:
         doc = source
-    try:
-        jsonschema.validate(doc, _method_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    _validate(doc, "method_config.schema.json", "config")
     protocol: ProtocolChoice = doc.get("protocol", "minimal-work")
     if protocol == "custom":
         protocol = CustomProtocol(tuple(tuple(c) for c in doc["cycles"]))

@@ -343,10 +343,21 @@ def random_permutation_unitary(
     return CoolingUnitary.from_permutation(perm, n_qubits, value_dtype=value_dtype)
 
 
-@lru_cache(maxsize=1)
-def _cycles_schema() -> dict:
-    text = resources.files("qcool.schemas").joinpath("cycles.schema.json").read_text()
-    return json.loads(text)
+@lru_cache(maxsize=None)
+def _validator(schema_file: str) -> jsonschema.protocols.Validator:
+    # Checking the schema itself is the slow part, so do it once.
+    text = resources.files("qcool.schemas").joinpath(schema_file).read_text()
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc: object, schema_file: str, what: str) -> None:
+    """Raise ConfigError with the most relevant schema violation, if any."""
+    error = jsonschema.exceptions.best_match(_validator(schema_file).iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"invalid {what}: {error.message}") from error
 
 
 def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLabel]]]:
@@ -363,10 +374,7 @@ def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLab
             raise ConfigError(f"cannot read cycle list: {exc}") from exc
     else:
         doc = source
-    try:
-        jsonschema.validate(doc, _cycles_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid cycle list: {exc.message}") from exc
+    _validate(doc, "cycles.schema.json", "cycle list")
     return int(doc["n"]), [list(c) for c in doc["cycles"]]
 
 

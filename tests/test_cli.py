@@ -187,6 +187,68 @@ def test_sweep_jobs_equivalence(runner, tmp_path):
     assert serial == parallel
 
 
+def test_jobs_bounded(runner, tmp_path, monkeypatch):
+    import qcool.cli as cli_module
+
+    sizes = []
+
+    class SerialPool:
+        # records the requested pool size and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 3)
+    c1 = write_config(tmp_path, DYN3, "a.json")
+    c2 = write_config(tmp_path, SUBOPT, "b.json")
+    six = ["sweep", "--config", c1, "--config", c2, "--probs", "0.05,0.1,0.2"]
+    serial = run_ok(runner, six)
+    assert run_ok(runner, six + ["--jobs", "8"]) == serial  # cpu bound
+    assert run_ok(runner, six + ["--jobs", "2"]) == serial  # jobs bound
+    two = ["sweep", "--config", c1, "--probs", "0.05,0.1", "--jobs", "8"]
+    run_ok(runner, two)  # task bound
+    noisy = ["noise-sweep", "--config", c1, "--initial-p", "0.1",
+             "--noise-probs", "0,0.01,0.02,0.03", "--jobs", "16"]
+    run_ok(runner, noisy)
+    assert sizes == [3, 2, 2, 3]
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
+    run_ok(runner, six + ["--jobs", "8"])  # unknown CPU count: no pool
+    assert sizes == [3, 2, 2, 3]
+    for bad in ("0", "-3"):
+        assert runner.invoke(cli, six + ["--jobs", bad]).exit_code == 2
+        assert runner.invoke(cli, noisy[:-1] + [bad]).exit_code == 2
+
+
+def test_sweep_rejects_bad_custom_labels_before_workers(
+    runner, tmp_path, monkeypatch
+):
+    import qcool.cli as cli_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(
+        tmp_path,
+        {"method": "dynamic", "n_qubits": 3, "protocol": "custom",
+         "cycles": [["0000", "1111"]]},
+    )
+    result = runner.invoke(
+        cli, ["sweep", "--config", cfg, "--probs", "0.1,0.2", "--jobs", "2"]
+    )
+    assert result.exit_code == 2
+    assert "custom cycles on 3 qubits" in result.stderr
+
+
 def test_sweep_deterministic(runner, tmp_path):
     cfg = write_config(tmp_path, SUBOPT)
     args = ["sweep", "--config", cfg, "--probs", "0.1,0.3", "--csv"]

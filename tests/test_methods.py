@@ -316,15 +316,21 @@ def test_build_circuit_semi_open():
 
 def test_circuit_matches_closed_form_all_methods():
     p = 0.1
+    swap = CustomProtocol((("011", "100"),))
     cases = [
         (Dynamic(3), None),
         (Dynamic(4, "ppa"), None),
         (SubOptimal(3, 2), None),
         (SubOptimal(2, 3, "mirror"), None),
+        (SubOptimal(3, 2, swap), None),
+        (SubOptimal(2, 4), None),
         (HBAC(3, 6), None),
         (HBAC(4, 3, reset_qubits=(3, 4)), None),
+        (HBAC(3, 7, reset_qubits=(3,), protocol=swap), None),
         (SemiOpen((3, 3)), p),
         (SemiOpen((3, 2, 3)), p),
+        (SemiOpen((3, 4, 3), swap), p),
+        (SemiOpen((5, 5, 5)), p),
     ]
     for config, init in cases:
         circuit = build_circuit(config, init)
@@ -333,6 +339,17 @@ def test_circuit_matches_closed_form_all_methods():
         got = marginal(out, 1)
         want = final_probability(config, p)
         assert got == pytest.approx(want, abs=1e-10), config
+        for include in (True, False):
+            rep = report(config, initial_p=p, include_circuit=include)
+            assert rep.final_excitation == want, config
+            assert rep.work_in_gap_units == pytest.approx(
+                total_work_cost(config, p), rel=1e-12
+            ), config
+            assert rep.gate_counts == gate_counts(circuit), config
+            assert rep.circuit == (circuit if include else None), config
+    assert final_probability(
+        HBAC(3, 7, (3,), swap), p
+    ) == hbac_final_p(p, 3, 7, reset_qubits=(3,), protocol=swap)
 
 
 def test_register_cap_enforced():
@@ -414,8 +431,30 @@ def test_config_from_json_rejects_garbage():
         {"method": "suboptimal", "cluster_size": 3},
         {"method": "semiopen", "cluster_sizes": []},
         [],
+        # custom labels must fit the width the protocol runs on
+        {"method": "dynamic", "n_qubits": 3, "protocol": "custom",
+         "cycles": [["0000", "1111"]]},
+        {"method": "suboptimal", "cluster_size": 3, "rounds": 2,
+         "protocol": "custom", "cycles": [[0, 8]]},
+        {"method": "hbac", "cluster_size": 3, "rounds": 2,
+         "protocol": "custom", "cycles": [["011", "100"], ["100", "001"]]},
+        {"method": "semiopen", "cluster_sizes": [3, 4], "protocol": "custom",
+         "cycles": [["0111", "1000"]]},
     ):
         with pytest.raises(ConfigError):
+            config_from_json(doc)
+    # fields that do not apply to the method are named, not dropped
+    for doc, field in (
+        ({"method": "dynamic", "n_qubits": 3, "rounds": 7}, "rounds"),
+        ({"method": "dynamic", "n_qubits": 3, "cycles": [["011", "100"]]}, "cycles"),
+        ({"method": "suboptimal", "cluster_size": 3, "rounds": 2,
+          "protocol": "ppa", "cycles": [["011", "100"]]}, "cycles"),
+        ({"method": "hbac", "cluster_size": 3, "rounds": 2,
+          "cluster_sizes": [3]}, "cluster_sizes"),
+        ({"method": "semiopen", "cluster_sizes": [3],
+          "reset_qubits": [2]}, "reset_qubits"),
+    ):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
             config_from_json(doc)
 
 
