@@ -28,9 +28,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import sim
-from .circuits import Circuit, GateCounts, ResetInstr, embed, gate_counts
+from .circuits import Circuit, GateCounts, Instruction, ResetInstr, embed, gate_counts
 from .constants import DEFAULT_QUBIT_CAP
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
     BUILTIN_PROTOCOLS,
     heterogeneous_max_cooling,
@@ -387,8 +387,15 @@ class _Round:
     resets: tuple[int, ...] = ()
 
 
-def _cooled(u: CoolingUnitary, spec: ThermalSpec) -> float:
-    return sim.marginal(u.apply_to_prob_vector(thermal_product_vector(spec)), 1)
+def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, spec) -> float:
+    """Target excitation u leaves from spec; round k + 1 needs it below 1/2."""
+    t = sim.marginal(u.apply_to_prob_vector(thermal_product_vector(spec)), 1)
+    if t >= 0.5:
+        raise PopulationInversionError(
+            f"{method_label(config)}: round {k + 1} would start from a hot "
+            f"target (excitation {t} >= 1/2)"
+        )
+    return t
 
 
 def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
@@ -400,17 +407,16 @@ def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
     width = total_qubits(config)
     _check_cap(width)
     if isinstance(config, SemiOpen):
-        out, t, free = [], p, 2
+        out, free = [], 2
         for i, n in enumerate(config.cluster_sizes):
-            spec = None if p is None else ThermalSpec((t,) + (p,) * (n - 1))
+            t = _cooled(config, i, u, spec) if i else p
+            spec = None if t is None else ThermalSpec((t,) + (p,) * (n - 1))
             if i == 0:
                 u = _resolve_protocol(config.protocol, n)
             else:
                 u = heterogeneous_max_cooling(spec)
             out.append(_Round(u, ((1, *range(free, free + n - 1)),), spec))
             free += n - 1
-            if p is not None:
-                t = _cooled(u, spec)
         return out
     if isinstance(config, Dynamic):
         n, rounds = config.n_qubits, 1
@@ -425,7 +431,7 @@ def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
     out, survivors = [], tuple(range(1, width + 1))
     for k in range(rounds):
         if k and p is not None:
-            spec = ThermalSpec.homogeneous(_cooled(u, spec), n)
+            spec = ThermalSpec.homogeneous(_cooled(config, k, u, spec), n)
         clusters = tuple(
             survivors[i : i + n] for i in range(0, len(survivors), n)
         )
@@ -491,7 +497,7 @@ def total_work_cost(
 def _circuit(width: int, rounds: list[_Round]) -> Circuit:
     """Synthesize each distinct unitary once and embed it per cluster."""
     synthesized: dict[int, Circuit] = {}
-    parts: list[Circuit] = []
+    instructions: list[Instruction] = []
     for rnd in rounds:
         key = id(rnd.unitary)
         if key not in synthesized:
@@ -499,11 +505,12 @@ def _circuit(width: int, rounds: list[_Round]) -> Circuit:
         for phys in rnd.clusters:
             if rnd.resets:
                 reset = ResetInstr(tuple(phys[q - 1] for q in rnd.resets))
-                parts.append(Circuit(width, (reset,)))
-            parts.append(embed(synthesized[key], width, phys))
-    if len(parts) == 1:
-        return parts[0]
-    return Circuit(width, tuple(i for part in parts for i in part.instructions))
+                instructions.append(reset)
+            placed = embed(synthesized[key], width, phys)
+            instructions.extend(placed.instructions)
+    if len(rounds) == 1 and len(rounds[0].clusters) == 1:
+        return placed  # already validated; do not check its gates twice
+    return Circuit(width, instructions)
 
 
 def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circuit:
@@ -529,6 +536,9 @@ def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circu
 
 @dataclass(frozen=True)
 class CoolingReport:
+    """Outcome of a method.  Temperatures are None without a physical gap;
+    final_temperature is also None for an inverted target (p > 1/2)."""
+
     method: str
     total_qubits: int
     initial_excitation: float
@@ -580,7 +590,8 @@ def report(
             temperature_from_probability(initial_p, gap) if physical else None
         ),
         final_temperature=(
-            temperature_from_probability(final_p, gap) if physical else None
+            temperature_from_probability(final_p, gap)
+            if physical and final_p <= 0.5 else None
         ),
         gate_counts=gate_counts(circuit),
         circuit=circuit if include_circuit else None,

@@ -58,30 +58,32 @@ def _adjacent_gate(a: int, b: int, n_qubits: int) -> McNot:
     return McNot(n_qubits - pos, controls)
 
 
+def _transposition_gates(x: int, y: int, n_qubits: int) -> list[McNot]:
+    path = gray_path(x, y, n_qubits)
+    steps = [_adjacent_gate(a, b, n_qubits) for a, b in zip(path, path[1:])]
+    return steps + steps[-2::-1]
+
+
+def _cycle_gates(states: tuple[int, ...], n_qubits: int) -> list[McNot]:
+    first, *others = states
+    return [g for y in others for g in _transposition_gates(first, y, n_qubits)]
+
+
 def transposition_circuit(x: int, y: int, n_qubits: int) -> Circuit:
     """Circuit swapping basis states x and y, fixing all others.
 
     Emits 2d - 1 gates for Hamming distance d: the Gray-path ladder, the
     central step, then the ladder reversed.
     """
-    path = gray_path(x, y, n_qubits)
-    ladder = [
-        _adjacent_gate(path[i], path[i + 1], n_qubits)
-        for i in range(len(path) - 2)
-    ]
-    central = _adjacent_gate(path[-2], path[-1], n_qubits)
-    return Circuit(n_qubits, (*ladder, central, *reversed(ladder)))
+    return Circuit(n_qubits, _transposition_gates(x, y, n_qubits))
 
 
 def cycle_circuit(cycle, n_qubits: int) -> Circuit:
     """Circuit applying the cycle s1 -> s2 -> ... -> sm -> s1."""
-    states = [parse_state_label(s, n_qubits) for s in cycle]
+    states = tuple(parse_state_label(s, n_qubits) for s in cycle)
     if len(states) < 2 or len(set(states)) != len(states):
         raise ValueError("cycle must list at least two distinct states")
-    out = Circuit(n_qubits)
-    for other in states[1:]:
-        out = out + transposition_circuit(states[0], other, n_qubits)
-    return out
+    return Circuit(n_qubits, _cycle_gates(states, n_qubits))
 
 
 def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
@@ -97,7 +99,4 @@ def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
             "multi-controlled-NOT circuit"
         )
     n = unitary.n_qubits
-    instructions = []
-    for cycle in unitary.cycles:
-        instructions.extend(cycle_circuit(cycle, n).instructions)
-    return Circuit(n, tuple(instructions))
+    return Circuit(n, [g for c in unitary.cycles for g in _cycle_gates(c, n)])

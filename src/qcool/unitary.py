@@ -140,17 +140,6 @@ class CoolingUnitary:
         return u
 
     @classmethod
-    def from_cycles(
-        cls,
-        cycles: Iterable[Sequence[StateLabel]],
-        n_qubits: int,
-        *,
-        phases: Sequence[complex] | np.ndarray | None = None,
-        value_dtype: np.dtype | type = np.complex128,
-    ) -> "CoolingUnitary":
-        return cls(n_qubits, cycles, phases=phases, value_dtype=value_dtype)
-
-    @classmethod
     def from_permutation(
         cls,
         permutation: np.ndarray | Sequence[int],

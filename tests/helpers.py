@@ -24,6 +24,23 @@ def apply_mcnot_int(state: int, target: int, controls, n: int) -> int:
     return state ^ (1 << (n - target))
 
 
+def apply_mcnot_array(states: np.ndarray, target: int, controls, n: int) -> np.ndarray:
+    """apply_mcnot_int on every entry of an integer array of basis states."""
+    mask = sum(1 << (n - q) for q, _ in controls)
+    fire = sum(pol << (n - q) for q, pol in controls)
+    return np.where(states & mask == fire, states ^ (1 << (n - target)), states)
+
+
+def circuit_permutation_array(circuit: Circuit) -> np.ndarray:
+    """circuit_permutation with all basis states pushed through at once."""
+    n = circuit.n_qubits
+    states = np.arange(1 << n, dtype=np.int64)
+    for gate in circuit.instructions:
+        assert isinstance(gate, McNot), "oracle handles pure NOT circuits"
+        states = apply_mcnot_array(states, gate.target, gate.controls, n)
+    return states
+
+
 def circuit_permutation(circuit: Circuit) -> list[int]:
     """Forward permutation realized by a reset-free circuit."""
     n = circuit.n_qubits

@@ -11,12 +11,14 @@ from helpers import count_ctrl_statements, parse_qasm
 
 import qcool
 from qcool import (
+    CustomProtocol,
     Dynamic,
     EnergyGap,
     SubOptimal,
     Temperature,
     dynamic_final_p,
     probability_from_temperature,
+    report,
     sub_optimal_final_p,
     total_work_cost,
 )
@@ -24,6 +26,8 @@ from qcool.cli import cli
 
 DYN3 = {"method": "dynamic", "n_qubits": 3}
 SUBOPT = {"method": "suboptimal", "cluster_size": 3, "rounds": 2}
+# Custom protocol swapping 000 and 100: it heats the target past 1/2.
+HEAT = {"protocol": "custom", "cycles": [["000", "100"]]}
 
 
 @pytest.fixture()
@@ -149,6 +153,44 @@ def test_analyze_bad_probability_exit_2(runner, tmp_path):
     cfg = write_config(tmp_path, DYN3)
     result = runner.invoke(cli, ["analyze", "--config", cfg, "--initial-p", "0.6"])
     assert result.exit_code == 2
+
+
+def test_hot_target_in_later_round_exit_2(runner, tmp_path):
+    semi = {"method": "semiopen", "cluster_sizes": [3, 3], **HEAT}
+    for doc, label in (
+        ({**SUBOPT, **HEAT}, "suboptimal-n3-r2-custom"),
+        (semi, "semiopen-3+3-custom"),
+    ):
+        cfg = write_config(tmp_path, doc)
+        for args in (
+            ["analyze", "--config", cfg, "--initial-p", "0.1"],
+            ["sweep", "--config", cfg, "--probs", "0.1,0.2", "--jobs", "2"],
+        ):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 2, args
+            assert f"{label}: round 2" in result.stderr, args
+            assert "excitation 0.748" in result.stderr, args
+    # Later semi-open rounds are planned from the reached temperature.
+    cfg = write_config(tmp_path, semi)
+    result = runner.invoke(cli, ["generate", "--config", cfg, "--initial-p", "0.1"])
+    assert result.exit_code == 2
+    assert "semiopen-3+3-custom: round 2" in result.stderr
+
+
+def test_inverted_final_state_leaves_temperature_empty(runner, tmp_path):
+    cfg = write_config(tmp_path, {**DYN3, **HEAT})
+    args = ["--config", cfg, "--freq-ghz", "5"]
+    row = json.loads(run_ok(runner, ["analyze", *args, "--temp-mk", "50"]))[0]
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    p = probability_from_temperature(Temperature.from_millikelvin(50), gap)
+    heat = Dynamic(3, CustomProtocol((("000", "100"),)))
+    assert row["final_p"] == report(heat, initial_p=p).final_excitation > 0.5
+    assert row["final_temp_mk"] is None
+    assert row["initial_temp_mk"] == pytest.approx(50.0, rel=1e-9)
+    jsonschema.validate(row, result_schema())
+    rows = json.loads(run_ok(runner, ["sweep", *args, "--temps-mk", "20,50"]))
+    assert [r["final_temp_mk"] for r in rows] == [None, None]
+    assert rows[1] == row
 
 
 # -- sweep -----------------------------------------------------------------

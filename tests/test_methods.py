@@ -12,6 +12,7 @@ from qcool import (
     Dynamic,
     EnergyGap,
     HBAC,
+    PopulationInversionError,
     ResetInstr,
     ResourceLimitError,
     SemiOpen,
@@ -28,6 +29,7 @@ from qcool import (
     method_label,
     minimal_work_protocol,
     ppa_protocol,
+    probability_from_temperature,
     report,
     semi_open_final_p,
     simulate,
@@ -390,6 +392,44 @@ def test_report_dimensionless():
     assert rep.gate_counts.resets == 0
     rep2 = report(HBAC(3, 3), initial_p=0.1, include_circuit=False)
     assert rep2.circuit is None and rep2.gate_counts.resets == 2
+
+
+def test_report_refuses_hot_target_in_later_rounds():
+    # (000 100) heats the target: 0.1 -> 0.748, past 1/2 before round 2.
+    heat = CustomProtocol(((0b000, 0b100),))
+    for config, label in (
+        (SubOptimal(3, 2, heat), "suboptimal-n3-r2-custom"),
+        (SemiOpen((3, 3), heat), "semiopen-3+3-custom"),
+    ):
+        with pytest.raises(PopulationInversionError) as info:
+            report(config, initial_p=0.1)
+        message = str(info.value)
+        assert label in message and "round 2" in message
+        assert "0.748" in message
+        for evaluate in (final_probability, total_work_cost):
+            with pytest.raises(PopulationInversionError, match="round 2"):
+                evaluate(config, 0.1)
+    with pytest.raises(PopulationInversionError, match="round 2"):
+        build_circuit(SemiOpen((3, 3), heat), 0.1)
+    # One round never starts from the heated target.
+    assert report(SubOptimal(3, 1, heat), initial_p=0.1).final_excitation == (
+        pytest.approx(0.748, abs=1e-15)
+    )
+
+
+def test_report_inverted_final_state_has_no_temperature():
+    heat = Dynamic(3, CustomProtocol((("000", "100"),)))
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    temperature = Temperature.from_millikelvin(50)
+    rep = report(heat, temperature=temperature, gap=gap)
+    p = probability_from_temperature(temperature, gap)
+    assert rep.final_excitation == report(heat, initial_p=p).final_excitation
+    assert rep.final_excitation > 0.5
+    assert rep.final_temperature is None
+    assert rep.initial_temperature.millikelvin == pytest.approx(50, rel=1e-12)
+    assert rep.work_joules == pytest.approx(
+        rep.work_in_gap_units * gap.value, rel=1e-12
+    )
 
 
 def test_report_argument_checks():

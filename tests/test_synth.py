@@ -1,12 +1,22 @@
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
-from helpers import apply_mcnot_int, circuit_permutation
+from helpers import (
+    apply_mcnot_int,
+    circuit_permutation,
+    circuit_permutation_array,
+)
 
 from qcool import (
+    Circuit,
     CoolingUnitary,
+    McNot,
     PhaseSynthesisError,
     cycle_circuit,
+    export_qasm,
     gate_counts,
     gray_path,
     minimal_work_protocol,
@@ -157,3 +167,46 @@ def test_every_gate_reads_all_other_qubits():
     for gate in synthesize_circuit(u).mcnots:
         assert len(gate.touched) == 4
         assert gate.n_controls == 3
+
+
+def test_array_oracle_matches_int_oracle():
+    rng = np.random.default_rng(5)
+    n = 5
+    gates = []
+    for _ in range(60):
+        qubits = [int(q) for q in rng.permutation(n) + 1]
+        k = int(rng.integers(0, n))
+        controls = tuple((q, int(rng.integers(0, 2))) for q in qubits[1 : k + 1])
+        gates.append(McNot(qubits[0], controls))
+    circuit = Circuit(n, tuple(gates))
+    assert list(circuit_permutation_array(circuit)) == circuit_permutation(circuit)
+
+
+# SHA-256 of the exported minimal-work circuit, recorded from the earlier
+# concatenation-based synthesis, and a budget in seconds for synthesis plus
+# export. That synthesis was quadratic in the gates per cycle and took
+# about 25 s at n = 12 and 19 min at n = 14 on a 2-vCPU Xeon.
+LARGE_MINIMAL_WORK = {
+    12: ("fac7cac8b55079792605489a49afdaff4af1db2be5814ef1e4088e964890ca38", 10.0),
+    14: ("86855cf55365f2bea8d9aa052cdf5c34828d0c8f6e39b6c4da4e35d915bde9df", 30.0),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_MINIMAL_WORK))
+def test_minimal_work_synthesis_large_registers(n):
+    golden, budget = LARGE_MINIMAL_WORK[n]
+    u = minimal_work_protocol(n)
+    start = time.perf_counter()
+    circuit = synthesize_circuit(u)
+    text = export_qasm(circuit)
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
+    expected = sum(
+        2 * hamming(cycle[0], other) - 1
+        for cycle in u.cycles
+        for other in cycle[1:]
+    )
+    assert gate_counts(circuit).total == expected
+    if n == 12:
+        assert np.array_equal(circuit_permutation_array(circuit), u.permutation)
+    assert elapsed < budget, f"n = {n}: {elapsed:.1f} s over {budget} s"
