@@ -242,6 +242,8 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
         ]
     else:
         ps = _parse_float_list(probs, "--probs")
+    # Checked here so a bad value exits 2 before any worker starts.
+    ps = [methods.check_excitation(p) for p in ps]
     tasks = [(config, p, gap, None, None) for config in configs for p in ps]
     rows = _run_tasks(tasks, jobs)
     _emit(rows, RESULT_COLUMNS, as_csv, out)
@@ -262,6 +264,7 @@ def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placeme
     """Simulate configs under gate noise; final column is per noise level."""
     configs = [methods.config_from_json(_load_config_doc(p)) for p in config_paths]
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
+    p = methods.check_excitation(p)
     noise = _parse_float_list(noise_probs, "--noise-probs")
     for np_ in noise:
         if not 0.0 <= np_ <= 1.0:

@@ -234,7 +234,8 @@ def _check_cap(n: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
         )
 
 
-def _check_p(p: float) -> float:
+def check_excitation(p: float) -> float:
+    """Return p as a float, or raise ValueError unless 0 <= p < 1/2."""
     p = float(p)
     if not 0.0 <= p < 0.5 or math.isnan(p):
         raise ValueError(f"excitation probability {p} outside [0, 1/2)")
@@ -251,7 +252,7 @@ def dynamic_final_p(p: float, n_qubits: int) -> float:
     states: the binomial tail above excitation number n/2, plus half of
     the middle class when n is even.  Terms are added smallest first.
     """
-    p = _check_p(p)
+    p = check_excitation(p)
     n = int(n_qubits)
     if n < 1:
         raise ValueError("n_qubits must be >= 1")
@@ -266,7 +267,7 @@ def dynamic_final_p(p: float, n_qubits: int) -> float:
 
 def sub_optimal_final_p(p: float, cluster_size: int, rounds: int) -> float:
     """Iterate the n-qubit dynamic map r times."""
-    p = _check_p(p)
+    p = check_excitation(p)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     t = p
@@ -286,7 +287,7 @@ def _hetero_round_final_p(t: float, p: float, n_qubits: int) -> float:
 
 def semi_open_final_p(p: float, cluster_sizes: Sequence[int]) -> float:
     """Target excitation after successive rounds on fresh auxiliaries."""
-    p = _check_p(p)
+    p = check_excitation(p)
     sizes = [int(n) for n in cluster_sizes]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("cluster sizes must be positive")
@@ -313,7 +314,7 @@ def hbac_final_p(
     argument is ignored); circuits built for this method always use the
     fixed permutation.
     """
-    p = _check_p(p)
+    p = check_excitation(p)
     n = int(cluster_size)
     if n < 2:
         raise ValueError("cluster size must be >= 2")
@@ -475,7 +476,7 @@ def _closed_form(config: MethodConfig, p: float) -> float | None:
 
 def final_probability(config: MethodConfig, p: float) -> float:
     """Target excitation the method reaches from a homogeneous bath at p."""
-    p = _check_p(p)
+    p = check_excitation(p)
     _check_cap(total_qubits(config))
     closed = _closed_form(config, p)
     if closed is not None:
@@ -487,7 +488,7 @@ def total_work_cost(
     config: MethodConfig, p: float, gap: EnergyGap = EnergyGap.unit()
 ) -> float:
     """Work drawn over every unitary the method applies."""
-    p = _check_p(p)
+    p = check_excitation(p)
     return _walk(_rounds(config, p), p, gap)[1]
 
 
@@ -527,7 +528,7 @@ def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circu
             "semi-open circuits need initial_p: later rounds "
             "depend on the reached temperature"
         )
-    p = None if initial_p is None else _check_p(initial_p)
+    p = None if initial_p is None else check_excitation(initial_p)
     return _circuit(total_qubits(config), _rounds(config, p))
 
 
@@ -572,7 +573,7 @@ def report(
         initial_p = probability_from_temperature(temperature, gap)
     elif temperature is not None:
         raise ValueError("give initial_p or temperature, not both")
-    initial_p = _check_p(initial_p)
+    initial_p = check_excitation(initial_p)
     rounds = _rounds(config, initial_p)
     walked_p, work_units = _walk(rounds, initial_p)
     closed = _closed_form(config, initial_p)

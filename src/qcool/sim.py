@@ -10,6 +10,10 @@ touched qubit subset is depolarized with probability p, meaning the state
 of those qubits is replaced by the uniform mixture:
 
     v' = (1 - p) v + p (marginal over untouched) x (uniform on touched)
+
+One gate kernel and one depolarizing kernel update a (2,)*n view of the
+vector in place; `simulate` runs them on a single working copy, and the
+public `apply_mcnot` and `depolarize` run them on a copy of their input.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ def validate_prob_vector(v: np.ndarray, *, atol: float = 1e-12) -> None:
     """Raise unless v is nonnegative and sums to 1 within atol."""
     v = np.asarray(v)
     _register_size(v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("probability vector has a non-finite entry")
     if np.any(v < 0.0):
         raise ValueError("probability vector has a negative entry")
     total = float(v.sum())
@@ -70,26 +76,47 @@ class NoiseModel:
             raise ValueError(f"unknown placement {self.placement!r}")
 
 
+def _swap_target(t: np.ndarray, gate: McNot) -> None:
+    """Apply one gate in place to the (2,)*n view of a diagonal.
+
+    Each control axis is fixed at its polarity and the target's 0 and 1
+    slices are exchanged, so only the 2**(n-k) entries the gate moves
+    are read or written.  The trailing None keeps a fully controlled
+    gate's slices views rather than scalars.
+    """
+    index = [slice(None)] * t.ndim
+    for q, pol in gate.controls:
+        index[q - 1] = pol
+    index[gate.target - 1] = 0
+    low = t[(*index, None)]
+    index[gate.target - 1] = 1
+    high = t[(*index, None)]
+    saved = low.copy()
+    low[...] = high
+    high[...] = saved
+
+
+def _mix_toward_uniform(
+    t: np.ndarray, axes: tuple[int, ...], probability: float
+) -> None:
+    """Depolarize the given axes of the (2,)*n view t in place."""
+    uniform = t.mean(axis=axes, keepdims=True)
+    uniform *= probability
+    t *= 1.0 - probability
+    t += uniform
+
+
 def apply_mcnot(v: np.ndarray, gate: McNot) -> np.ndarray:
     """Pushforward of the diagonal under one multi-controlled NOT.
 
     Swaps the probabilities of every basis-state pair related by the
-    gate, leaves the rest alone.
+    gate, leaves the rest alone.  The input is not modified.
     """
-    v = np.asarray(v)
-    n = _register_size(v)
+    out = np.array(v, order="C")
+    n = _register_size(out)
     if max(gate.touched) > n:
         raise ValueError(f"gate touches qubit {max(gate.touched)} of {n}")
-    idx = np.arange(v.size)
-    sel = np.ones(v.size, dtype=bool)
-    for q, pol in gate.controls:
-        sel &= ((idx >> (n - q)) & 1) == pol
-    tmask = 1 << (n - gate.target)
-    lo = idx[sel & ((idx & tmask) == 0)]
-    hi = lo | tmask
-    out = v.copy()
-    out[lo] = v[hi]
-    out[hi] = v[lo]
+    _swap_target(out.reshape((2,) * n), gate)
     return out
 
 
@@ -97,17 +124,15 @@ def depolarize(v: np.ndarray, qubits: Sequence[int], probability: float) -> np.n
     """Mix the listed qubits toward uniform with the given probability."""
     if not 0.0 <= probability <= 1.0:
         raise ValueError("noise probability must lie in [0, 1]")
-    v = np.asarray(v, dtype=np.float64)
-    n = _register_size(v)
+    out = np.array(v, dtype=np.float64, order="C").ravel()
+    n = _register_size(out)
     qs = sorted(set(int(q) for q in qubits))
     if not qs or qs[0] < 1 or qs[-1] > n:
         raise ValueError(f"qubits {qubits!r} invalid for {n}-qubit register")
-    if probability == 0.0:
-        return v.copy()
-    t = v.reshape((2,) * n)
-    axes = tuple(q - 1 for q in qs)
-    uniform = t.mean(axis=axes, keepdims=True)
-    return ((1.0 - probability) * t + probability * uniform).ravel()
+    if probability > 0.0:
+        axes = tuple(q - 1 for q in qs)
+        _mix_toward_uniform(out.reshape((2,) * n), axes, probability)
+    return out
 
 
 def reset_qubits(v: np.ndarray, qubits: Sequence[int], bath_excitation: float) -> np.ndarray:
@@ -135,8 +160,9 @@ def marginal(v: np.ndarray, qubit: int = 1) -> float:
     n = _register_size(v)
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} outside 1..{n}")
-    idx = np.arange(v.size)
-    return float(v[((idx >> (n - qubit)) & 1) == 1].sum())
+    # Summing one contiguous run keeps the result bit-identical to a sum
+    # over the masked entries in index order.
+    return float(v.reshape(1 << (qubit - 1), 2, -1)[:, 1, :].ravel().sum())
 
 
 def simulate(
@@ -151,35 +177,38 @@ def simulate(
     Resets retensor their qubits at bath_excitation.  Noise (if any)
     strikes per gate or per layer according to the model.
     """
-    v = np.array(v0, dtype=np.float64)
+    v = np.array(v0, dtype=np.float64, order="C").ravel()
     n = _register_size(v)
     if circuit.n_qubits != n:
         raise ValueError(
             f"circuit width {circuit.n_qubits} does not match vector ({n} qubits)"
         )
+    shape = (2,) * n
+    t = v.reshape(shape)
     p = noise.probability if noise is not None else 0.0
     per_layer = noise is not None and noise.placement == "per-layer"
     layer: set[int] = set()
 
     def close_layer() -> None:
-        nonlocal v
         if layer:
-            v = depolarize(v, sorted(layer), p)
+            _mix_toward_uniform(t, tuple(q - 1 for q in sorted(layer)), p)
             layer.clear()
 
     for ins in circuit.instructions:
         if isinstance(ins, McNot):
-            if per_layer and layer.intersection(ins.touched):
+            touched = ins.touched
+            if per_layer and layer.intersection(touched):
                 close_layer()
-            v = apply_mcnot(v, ins)
+            _swap_target(t, ins)
             if p > 0.0:
                 if per_layer:
-                    layer.update(ins.touched)
+                    layer.update(touched)
                 else:
-                    v = depolarize(v, ins.touched, p)
+                    _mix_toward_uniform(t, tuple(q - 1 for q in touched), p)
         elif isinstance(ins, ResetInstr):
             close_layer()
             v = reset_qubits(v, ins.qubits, bath_excitation)
+            t = v.reshape(shape)
         else:
             raise TypeError(f"not an instruction: {ins!r}")
     close_layer()

@@ -14,6 +14,7 @@ import re
 import numpy as np
 
 from qcool.circuits import Circuit, McNot, ResetInstr
+from qcool.sim import NoiseModel, reset_qubits
 
 
 def apply_mcnot_int(state: int, target: int, controls, n: int) -> int:
@@ -52,6 +53,82 @@ def circuit_permutation(circuit: Circuit) -> list[int]:
             cur = apply_mcnot_int(cur, gate.target, gate.controls, n)
         out.append(cur)
     return out
+
+
+# -- stepwise simulation oracle ----------------------------------------------
+#
+# The mask-over-all-states kernels the package used before it moved to
+# in-place support-only updates.  Every step allocates a fresh vector, so
+# the package's kernels must reproduce these results bit for bit.
+
+
+def apply_mcnot_mask(v: np.ndarray, gate: McNot) -> np.ndarray:
+    """Swap every basis-state pair related by the gate, via index masks."""
+    v = np.asarray(v)
+    n = v.size.bit_length() - 1
+    idx = np.arange(v.size)
+    sel = np.ones(v.size, dtype=bool)
+    for q, pol in gate.controls:
+        sel &= ((idx >> (n - q)) & 1) == pol
+    tmask = 1 << (n - gate.target)
+    lo = idx[sel & ((idx & tmask) == 0)]
+    hi = lo | tmask
+    out = v.copy()
+    out[lo] = v[hi]
+    out[hi] = v[lo]
+    return out
+
+
+def depolarize_copy(v: np.ndarray, qubits, probability: float) -> np.ndarray:
+    """(1 - p) v + p (mean over the listed qubits), as a new vector."""
+    v = np.asarray(v, dtype=np.float64)
+    n = v.size.bit_length() - 1
+    if probability == 0.0:
+        return v.copy()
+    t = v.reshape((2,) * n)
+    axes = tuple(q - 1 for q in sorted(set(qubits)))
+    uniform = t.mean(axis=axes, keepdims=True)
+    return ((1.0 - probability) * t + probability * uniform).ravel()
+
+
+def marginal_mask(v: np.ndarray, qubit: int = 1) -> float:
+    """Probability that the qubit reads 1, summed through an index mask."""
+    v = np.asarray(v)
+    n = v.size.bit_length() - 1
+    idx = np.arange(v.size)
+    return float(v[((idx >> (n - qubit)) & 1) == 1].sum())
+
+
+def simulate_stepwise(
+    circuit: Circuit,
+    v0: np.ndarray,
+    noise: NoiseModel | None = None,
+    bath_excitation: float = 0.0,
+) -> np.ndarray:
+    """simulate() with a fresh vector per gate, noise step and reset."""
+    v = np.array(v0, dtype=np.float64)
+    p = noise.probability if noise is not None else 0.0
+    per_layer = noise is not None and noise.placement == "per-layer"
+    layer: set[int] = set()
+    for ins in circuit.instructions:
+        if isinstance(ins, McNot):
+            if per_layer and layer.intersection(ins.touched):
+                v = depolarize_copy(v, layer, p)
+                layer.clear()
+            v = apply_mcnot_mask(v, ins)
+            if p > 0.0:
+                if per_layer:
+                    layer.update(ins.touched)
+                else:
+                    v = depolarize_copy(v, ins.touched, p)
+        else:
+            if layer:
+                v = depolarize_copy(v, layer, p)
+                layer.clear()
+            v = reset_qubits(v, ins.qubits, bath_excitation)
+    if layer:
+        v = depolarize_copy(v, layer, p)
+    return v
 
 
 def sorted_half_sum(v: np.ndarray) -> float:

@@ -291,6 +291,31 @@ def test_sweep_rejects_bad_custom_labels_before_workers(
     assert "custom cycles on 3 qubits" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["sweep", "--probs", "0.1,0.7", "--jobs", "2"], "0.7"),
+        (["sweep", "--temps-mk", "10,inf", "--freq-ghz", "5", "--jobs", "2"],
+         "0.5"),
+        (["noise-sweep", "--initial-p", "0.5", "--noise-probs", "0.1,0.2",
+          "--jobs", "2"], "0.5"),
+    ],
+)
+def test_sweeps_reject_bad_excitation_before_workers(
+    runner, tmp_path, monkeypatch, args, bad
+):
+    import qcool.cli as cli_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path, {"method": "dynamic", "n_qubits": 4})
+    result = runner.invoke(cli, [args[0], "--config", cfg, *args[1:]])
+    assert result.exit_code == 2
+    assert f"excitation probability {bad} outside [0, 1/2)" in result.stderr
+
+
 def test_sweep_deterministic(runner, tmp_path):
     cfg = write_config(tmp_path, SUBOPT)
     args = ["sweep", "--config", cfg, "--probs", "0.1,0.3", "--csv"]

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import apply_mcnot_int
+from helpers import apply_mcnot_int, marginal_mask, simulate_stepwise
 
 from qcool import (
+    HBAC,
     Circuit,
     McNot,
     NoiseModel,
     ResetInstr,
+    SemiOpen,
+    SubOptimal,
+    build_circuit,
     apply_mcnot,
     depolarize,
     marginal,
@@ -233,6 +239,12 @@ def test_validate_prob_vector():
         validate_prob_vector(np.array([1.1, -0.1]))
     with pytest.raises(ValueError):
         validate_prob_vector(np.ones(3) / 3)
+    with pytest.raises(ValueError):
+        validate_prob_vector(np.full(4, np.nan))
+    with pytest.raises(ValueError):
+        validate_prob_vector(np.array([np.inf, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        validate_prob_vector(np.array([1.0, 0.0, 0.0, -np.inf]))
 
 
 def test_noise_model_validation():
@@ -240,3 +252,101 @@ def test_noise_model_validation():
         NoiseModel(-0.1)
     with pytest.raises(ValueError):
         NoiseModel(0.1, "per-shot")
+
+
+# -- kernels at the sizes the CLI simulates ---------------------------------
+
+
+def test_simulate_noiseless_equals_unitary_n12():
+    u = minimal_work_protocol(12)
+    v = thermal_product_vector(0.1, 12)
+    got = simulate(synthesize_circuit(u), v)
+    assert np.array_equal(got, u.apply_to_prob_vector(v))
+
+
+@pytest.mark.parametrize(
+    "config", [SemiOpen((5, 5, 5, 5)), SubOptimal(4, 2), HBAC(5, 20, (2, 3))]
+)
+def test_simulate_matches_stepwise_oracle_large(config):
+    p = 0.07
+    circuit = build_circuit(config, p)
+    v = thermal_product_vector(p, circuit.n_qubits)
+    for noise_p in (1e-12, 1e-2, 0.4999):
+        for placement in ("per-gate", "per-layer"):
+            noise = NoiseModel(noise_p, placement)
+            got = simulate(circuit, v, noise=noise, bath_excitation=p)
+            want = simulate_stepwise(circuit, v, noise, bath_excitation=p)
+            assert np.array_equal(got, want), (noise_p, placement)
+            assert marginal(got, 1) == marginal_mask(want, 1)
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@st.composite
+def registers(draw, max_n=14):
+    """(n, probability vector) with a seeded random vector."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.random(1 << n)
+    return n, v / v.sum()
+
+
+@st.composite
+def gates(draw, n):
+    qubits = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n - 1))
+    polarities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return McNot(qubits[0], tuple(zip(qubits[1 : 1 + k], polarities)))
+
+
+@st.composite
+def instructions(draw, n):
+    if draw(st.integers(0, 3)) == 0:
+        qubits = draw(st.sets(st.integers(1, n), min_size=1))
+        return ResetInstr(tuple(qubits))
+    return draw(gates(n))
+
+
+noise_probabilities = st.sampled_from([0.0, 1e-12, 0.4999, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_mcnot_matches_bit_oracle_property(data):
+    n, v = data.draw(registers())
+    gate = data.draw(gates(n))
+    out = apply_mcnot(v, gate)
+    dest = [apply_mcnot_int(s, gate.target, gate.controls, n) for s in range(1 << n)]
+    assert np.array_equal(out[dest], v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    noise_probabilities,
+    st.sampled_from(["per-gate", "per-layer"]),
+    st.floats(0.0, 0.5),
+)
+def test_simulate_conserves_probability_and_matches_oracle(data, noise_p, placement, bath):
+    n, v = data.draw(registers())
+    program = data.draw(st.lists(instructions(n), min_size=1, max_size=24))
+    circuit = Circuit(n, tuple(program))
+    noise = NoiseModel(noise_p, placement)
+    out = simulate(circuit, v, noise=noise, bath_excitation=bath)
+    validate_prob_vector(out)
+    assert np.array_equal(out, simulate_stepwise(circuit, v, noise, bath))
+    for q in range(1, n + 1):
+        assert marginal(out, q) == marginal_mask(out, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), noise_probabilities)
+def test_public_kernels_leave_input_unmodified(data, noise_p):
+    n, v = data.draw(registers())
+    before = v.copy()
+    apply_mcnot(v, data.draw(gates(n)))
+    assert np.array_equal(v, before)
+    qubits = data.draw(st.sets(st.integers(1, n), min_size=1))
+    depolarize(v, sorted(qubits), noise_p)
+    assert np.array_equal(v, before)
