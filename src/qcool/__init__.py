@@ -48,6 +48,7 @@ from .methods import (
     final_probability,
     hbac_final_p,
     method_label,
+    noisy_final_probability,
     report,
     semi_open_final_p,
     sub_optimal_final_p,
@@ -73,7 +74,13 @@ from .sim import (
     simulate,
     validate_prob_vector,
 )
-from .synth import cycle_circuit, gray_path, synthesize_circuit, transposition_circuit
+from .synth import (
+    cycle_circuit,
+    gray_path,
+    synthesize_circuit,
+    synthesized_gate_count,
+    transposition_circuit,
+)
 from .thermo import (
     EnergyGap,
     Temperature,
@@ -134,6 +141,7 @@ __all__ = [
     "method_label",
     "minimal_work_protocol",
     "mirror_protocol",
+    "noisy_final_probability",
     "parse_state_label",
     "ppa_protocol",
     "probability_from_temperature",
@@ -146,6 +154,7 @@ __all__ = [
     "simulate",
     "sub_optimal_final_p",
     "synthesize_circuit",
+    "synthesized_gate_count",
     "temperature_from_probability",
     "thermal_order",
     "thermal_product_vector",

@@ -24,14 +24,13 @@ from . import __version__, methods
 from .circuits import simplify_adjacent
 from .errors import QcoolError, ResourceLimitError
 from .qasm import export_qasm
-from .sim import NoiseModel, marginal, simulate
+from .sim import NoiseModel
 from .synth import synthesize_circuit
 from .thermo import (
     EnergyGap,
     Temperature,
     probability_from_temperature,
     temperature_from_probability,
-    thermal_product_vector,
 )
 from .unitary import unitary_from_json
 
@@ -123,18 +122,16 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
 
 
 def _row(task) -> dict:
-    """One result row; with a noise level, final_p is simulated."""
+    """One result row; with a noise level, final_p is the noisy circuit's."""
     config, initial_p, gap, noise_p, placement = task
-    rep = methods.report(config, initial_p=initial_p, gap=gap)
+    rep = methods.report(
+        config, initial_p=initial_p, gap=gap, include_circuit=False
+    )
     final_p = rep.final_excitation
     if noise_p is not None:
-        v = simulate(
-            rep.circuit,
-            thermal_product_vector(initial_p, rep.total_qubits),
-            noise=NoiseModel(noise_p, placement),
-            bath_excitation=initial_p,
+        final_p = methods.noisy_final_probability(
+            config, initial_p, NoiseModel(noise_p, placement)
         )
-        final_p = marginal(v, 1)
     physical = gap is not None and not gap.dimensionless
     # Work is the noiseless driving cost; depolarizing exchanges heat,
     # not work, in this model.

@@ -18,9 +18,11 @@ probabilities, which stays accurate deep into the low-temperature regime.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -28,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import sim
-from .circuits import Circuit, GateCounts, Instruction, ResetInstr, embed, gate_counts
+from .circuits import Circuit, GateCounts, Instruction, ResetInstr, embed
 from .constants import DEFAULT_QUBIT_CAP
 from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
@@ -36,12 +38,13 @@ from .protocols import (
     heterogeneous_max_cooling,
     protocol_unitary,
 )
-from .synth import synthesize_circuit
+from .synth import synthesize_circuit, synthesized_gate_count
 from .thermo import (
     EnergyGap,
     Temperature,
     ThermalSpec,
     probability_from_temperature,
+    product_diagonal,
     temperature_from_probability,
     thermal_product_vector,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "final_probability",
     "hbac_final_p",
     "method_label",
+    "noisy_final_probability",
     "report",
     "semi_open_final_p",
     "sub_optimal_final_p",
@@ -102,7 +106,10 @@ def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=16)
 def _resolve_protocol(choice: ProtocolChoice, n_qubits: int) -> CoolingUnitary:
+    # Cached so that sweeps build each unitary, and its cycles, once per
+    # process; CoolingUnitary is immutable, so sharing it is safe.
     if isinstance(choice, CustomProtocol):
         return CoolingUnitary(n_qubits, choice.cycles)
     return protocol_unitary(choice, n_qubits)
@@ -377,9 +384,10 @@ class _Round:
     """One round of a method: a unitary applied to parallel cluster copies.
 
     clusters holds one physical qubit map per copy (local qubit j sits on
-    clusters[i][j-1]).  spec is the product state every copy starts from;
-    None carries the previous round's cluster state on, with the local
-    qubits in resets first returned to the bath.
+    clusters[i][j-1]).  spec is the noiseless product state every copy
+    starts from, which the unitary was planned for; None carries the
+    previous round's cluster state on, with the local qubits in resets
+    first returned to the bath.
     """
 
     unitary: CoolingUnitary
@@ -442,24 +450,55 @@ def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
 
 
 def _walk(
-    rounds: list[_Round], p: float, gap: EnergyGap = EnergyGap.unit()
+    rounds: list[_Round],
+    p: float,
+    gap: EnergyGap = EnergyGap.unit(),
+    noise: float = 0.0,
 ) -> tuple[float, float]:
     """(target excitation, work) after running the rounds from a bath at p.
 
-    Resets exchange heat with the bath, not work, so they contribute
-    nothing.  Parallel copies in one round each pay the same cost.
+    Parallel copies are identical and independent, so one cluster-wide
+    vector stands for all of them, and each copy pays the same cost.  A
+    qubit that enters a later round was an earlier round's target and
+    brings the excitation it reached; any other qubit comes from the
+    bath.  Resets exchange heat with the bath, not work, so they
+    contribute nothing.  With noise, every synthesized gate depolarizes
+    its cluster (see _fused_noise); work counts the unitaries alone.
     """
     work = 0.0
+    carried: dict[int, float] = {}
     v = None
     for rnd in rounds:
         if rnd.spec is None:
             v = sim.reset_qubits(v, rnd.resets, p)
         else:
-            v = thermal_product_vector(rnd.spec)
+            v = product_diagonal([carried.get(q, p) for q in rnd.clusters[0]])
         after = rnd.unitary.apply_to_prob_vector(v)
         work += len(rnd.clusters) * _energy_change(v, after, gap)
-        v = after
-    return sim.marginal(v, 1), work
+        v = _fused_noise(after, rnd.unitary, noise)
+        t = sim.marginal(v, 1)
+        carried.update((phys[0], t) for phys in rnd.clusters)
+    return t, work
+
+
+def _fused_noise(
+    after: np.ndarray, unitary: CoolingUnitary, noise: float
+) -> np.ndarray:
+    """The cluster state once each synthesized gate of U depolarizes.
+
+    after is U applied without noise.  Every gate acts on the whole
+    cluster, and depolarizing a cluster commutes with any permutation
+    inside it, so G gates each followed by depolarizing at noise equal U
+    followed by one mix toward uniform with weight 1 - (1 - noise)**G.
+    """
+    gates = synthesized_gate_count(unitary) if noise else 0
+    if gates == 0:
+        return after
+    if noise == 1.0:
+        mixed = 1.0  # log1p(-1) is -inf, and 0 * -inf would be NaN
+    else:
+        mixed = -math.expm1(gates * math.log1p(-noise))
+    return (1.0 - mixed) * after + mixed / after.size
 
 
 def _closed_form(config: MethodConfig, p: float) -> float | None:
@@ -514,6 +553,23 @@ def _circuit(width: int, rounds: list[_Round]) -> Circuit:
     return Circuit(width, instructions)
 
 
+def _gate_counts(rounds: list[_Round]) -> GateCounts:
+    """gate_counts(_circuit(...)) read off the plan, without synthesis.
+
+    Every synthesized gate of a w-qubit unitary has w - 1 controls, and
+    each copy of a round with resets starts with one reset instruction.
+    """
+    by: Counter = Counter()
+    resets = 0
+    for rnd in rounds:
+        gates = synthesized_gate_count(rnd.unitary)
+        if gates:
+            by[rnd.unitary.n_qubits - 1] += len(rnd.clusters) * gates
+        if rnd.resets:
+            resets += len(rnd.clusters)
+    return GateCounts(dict(sorted(by.items())), resets)
+
+
 def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circuit:
     """Full register-wide circuit realizing the method.
 
@@ -530,6 +586,35 @@ def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circu
         )
     p = None if initial_p is None else check_excitation(initial_p)
     return _circuit(total_qubits(config), _rounds(config, p))
+
+
+# -- noise ----------------------------------------------------------------
+
+
+def noisy_final_probability(
+    config: MethodConfig, p: float, noise: sim.NoiseModel
+) -> float:
+    """Target excitation of the method's circuit under depolarizing noise.
+
+    Equals marginal(simulate(build_circuit(config, p), thermal start,
+    noise=noise, bath_excitation=p), 1) up to rounding, computed on
+    vectors only as wide as a cluster.  Only per-layer noise on a round
+    of several parallel copies, where gates of neighbouring copies share
+    a layer, simulates the synthesized circuit gate by gate.
+    """
+    p = check_excitation(p)
+    rounds = _rounds(config, p)
+    shared_layers = any(len(rnd.clusters) > 1 for rnd in rounds)
+    if noise.placement == "per-layer" and shared_layers:
+        width = total_qubits(config)
+        v = sim.simulate(
+            _circuit(width, rounds),
+            thermal_product_vector(p, width),
+            noise=noise,
+            bath_excitation=p,
+        )
+        return sim.marginal(v, 1)
+    return _walk(rounds, p, noise=noise.probability)[0]
 
 
 # -- reporting ------------------------------------------------------------
@@ -564,6 +649,8 @@ def report(
 
     Give either initial_p directly, or a Temperature plus a physical
     EnergyGap.  Temperatures are reported only when the gap is physical.
+    Gate counts are read off the method's rounds; the circuit is
+    synthesized only when include_circuit is set.
     """
     if initial_p is None:
         if temperature is None or gap is None:
@@ -578,7 +665,6 @@ def report(
     walked_p, work_units = _walk(rounds, initial_p)
     closed = _closed_form(config, initial_p)
     final_p = walked_p if closed is None else closed
-    circuit = _circuit(total_qubits(config), rounds)
     physical = gap is not None and not gap.dimensionless
     return CoolingReport(
         method=method_label(config),
@@ -594,8 +680,10 @@ def report(
             temperature_from_probability(final_p, gap)
             if physical and final_p <= 0.5 else None
         ),
-        gate_counts=gate_counts(circuit),
-        circuit=circuit if include_circuit else None,
+        gate_counts=_gate_counts(rounds),
+        circuit=(
+            _circuit(total_qubits(config), rounds) if include_circuit else None
+        ),
     )
 
 

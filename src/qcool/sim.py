@@ -177,6 +177,8 @@ def simulate(
     Resets retensor their qubits at bath_excitation.  Noise (if any)
     strikes per gate or per layer according to the model.
     """
+    if not 0.0 <= bath_excitation <= 0.5:
+        raise ValueError("bath excitation must lie in [0, 1/2]")
     v = np.array(v0, dtype=np.float64, order="C").ravel()
     n = _register_size(v)
     if circuit.n_qubits != n:

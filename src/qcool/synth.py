@@ -22,6 +22,7 @@ __all__ = [
     "cycle_circuit",
     "gray_path",
     "synthesize_circuit",
+    "synthesized_gate_count",
     "transposition_circuit",
 ]
 
@@ -100,3 +101,16 @@ def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
         )
     n = unitary.n_qubits
     return Circuit(n, [g for c in unitary.cycles for g in _cycle_gates(c, n)])
+
+
+def synthesized_gate_count(unitary: CoolingUnitary) -> int:
+    """Gates synthesize_circuit emits for unitary, without building them.
+
+    Every one is controlled on the other n - 1 qubits; the cycle
+    (s1 ... sm) costs 2 popcount(s1 ^ sk) - 1 gates for each k > 1.
+    """
+    return sum(
+        2 * (first ^ s).bit_count() - 1
+        for first, *others in unitary.cycles
+        for s in others
+    )

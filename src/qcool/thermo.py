@@ -181,7 +181,16 @@ def thermal_product_vector(
         raise ResourceLimitError(
             f"register of {n} qubits exceeds the cap of {cap}"
         )
+    return product_diagonal(spec.excitations)
+
+
+def product_diagonal(excitations) -> np.ndarray:
+    """Diagonal of a product state with the given per-qubit excitations.
+
+    Unlike thermal_product_vector this takes any excitation in [0, 1]
+    unchecked, such as a target depolarized to 1/2.
+    """
     v = np.ones(1, dtype=np.float64)
-    for p in spec.excitations:
+    for p in excitations:
         v = np.kron(v, np.array([1.0 - p, p]))
     return v

@@ -7,19 +7,28 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from helpers import count_ctrl_statements, parse_qasm
+from helpers import (
+    count_ctrl_statements,
+    marginal_mask,
+    parse_qasm,
+    simulate_stepwise,
+)
 
 import qcool
 from qcool import (
     CustomProtocol,
     Dynamic,
     EnergyGap,
+    NoiseModel,
     SubOptimal,
     Temperature,
+    build_circuit,
+    config_from_json,
     dynamic_final_p,
     probability_from_temperature,
     report,
     sub_optimal_final_p,
+    thermal_product_vector,
     total_work_cost,
 )
 from qcool.cli import cli
@@ -414,6 +423,80 @@ def test_noise_sweep_jobs_equivalence(runner, tmp_path):
         "--csv",
     ]
     assert run_ok(runner, args) == run_ok(runner, args + ["--jobs", "2"])
+
+
+ORACLE_CONFIGS = {
+    "dyn8": {"method": "dynamic", "n_qubits": 8},
+    "hbac3x20": {"method": "hbac", "cluster_size": 3, "rounds": 20},
+    "hbac5x10-r23": {
+        "method": "hbac", "cluster_size": 5, "rounds": 10, "reset_qubits": [2, 3],
+    },
+    "sub3x2": {"method": "suboptimal", "cluster_size": 3, "rounds": 2},
+    "sub4x2": {"method": "suboptimal", "cluster_size": 4, "rounds": 2},
+    "sub2x3": {"method": "suboptimal", "cluster_size": 2, "rounds": 3},
+    "sub2x3-swap": {
+        "method": "suboptimal", "cluster_size": 2, "rounds": 3,
+        "protocol": "custom", "cycles": [["10", "01"]],
+    },
+    "semi5555": {"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]},
+    "semi343": {"method": "semiopen", "cluster_sizes": [3, 4, 3]},
+}
+ORACLE_NOISE = (0.0, 1e-12, 1e-4, 1e-2, 0.4999, 1.0)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_noise_sweep_rows_match_stepwise_oracle(runner, tmp_path, name):
+    doc = ORACLE_CONFIGS[name]
+    cfg = write_config(tmp_path, doc)
+    config = config_from_json(doc)
+    for p in (1e-6, 0.07, 0.3):
+        circuit = build_circuit(config, p)
+        v0 = thermal_product_vector(p, circuit.n_qubits)
+        for placement in ("per-gate", "per-layer"):
+            rows = json.loads(run_ok(runner, [
+                "noise-sweep", "--config", cfg, "--initial-p", repr(p),
+                "--noise-probs", ",".join(map(repr, ORACLE_NOISE)),
+                "--placement", placement,
+            ]))
+            assert [r["noise_p"] for r in rows] == list(ORACLE_NOISE)
+            for row in rows:
+                noise = NoiseModel(row["noise_p"], placement)
+                want = marginal_mask(simulate_stepwise(circuit, v0, noise, p))
+                assert row["final_p"] == pytest.approx(want, rel=1e-12, abs=0.0), (
+                    p, placement, row["noise_p"]
+                )
+
+
+def test_sweep_rows_never_synthesize_or_simulate(runner, tmp_path, monkeypatch):
+    import qcool.methods
+    import qcool.sim
+    import qcool.synth
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("synthesized or simulated a row")
+
+    for module, name in (
+        (qcool.synth, "synthesize_circuit"),
+        (qcool.methods, "synthesize_circuit"),
+        (qcool.sim, "simulate"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    paths = {
+        name: write_config(tmp_path, doc, f"{name}.json")
+        for name, doc in ORACLE_CONFIGS.items()
+    }
+    for name, cfg in paths.items():
+        run_ok(runner, ["sweep", "--config", cfg, "--probs", "0.05,0.2", "--csv"])
+        run_ok(runner, ["analyze", "--config", cfg, "--initial-p", "0.1"])
+        noise = ["noise-sweep", "--config", cfg, "--initial-p", "0.1",
+                 "--noise-probs", "0,1e-3,1"]
+        run_ok(runner, noise + ["--placement", "per-gate"])
+        layered = runner.invoke(cli, noise + ["--placement", "per-layer"])
+        # Parallel suboptimal copies share layers; only they need the circuit.
+        if ORACLE_CONFIGS[name]["method"] == "suboptimal":
+            assert isinstance(layered.exception, AssertionError), name
+        else:
+            assert layered.exit_code == 0, layered.output
 
 
 def test_noise_sweep_validation(runner, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from helpers import sorted_half_sum
 
 from qcool import (
+    Circuit,
     ConfigError,
     CoolingUnitary,
     CustomProtocol,
@@ -352,6 +353,46 @@ def test_circuit_matches_closed_form_all_methods():
     assert final_probability(
         HBAC(3, 7, (3,), swap), p
     ) == hbac_final_p(p, 3, 7, reset_qubits=(3,), protocol=swap)
+
+
+ANALYTIC_COUNT_CASES = [
+    *(
+        config
+        for protocol in ("ppa", "mirror", "minimal-work")
+        for config in (
+            Dynamic(5, protocol),
+            SubOptimal(3, 2, protocol),
+            HBAC(4, 3, protocol=protocol),
+            SemiOpen((4, 3, 3), protocol),
+        )
+    ),
+    Dynamic(3, CustomProtocol((("011", "100"), (1, 2, 6)))),
+    SubOptimal(3, 2, CustomProtocol((("011", "100"),))),
+    HBAC(3, 7, reset_qubits=(3,), protocol=CustomProtocol((("011", "100"),))),
+    SemiOpen((3, 4, 3), CustomProtocol((("011", "100"),))),
+    HBAC(5, 4, reset_qubits=(2, 3)),
+    HBAC(4, 3, reset_qubits=(4,)),
+    Dynamic(2),
+    Dynamic(12),
+]
+
+
+@pytest.mark.parametrize("config", ANALYTIC_COUNT_CASES, ids=method_label)
+def test_report_gate_counts_without_synthesis(config, monkeypatch):
+    import qcool.methods as methods_module
+
+    p = 0.1
+    circuit = build_circuit(config, p)
+    want = gate_counts(circuit)
+    # The report must not synthesize to count.
+    monkeypatch.setattr(methods_module, "synthesize_circuit", None)
+    rep = report(config, initial_p=p, include_circuit=False)
+    assert rep.gate_counts == want
+    assert rep.gate_counts.resets == want.resets
+    if config == Dynamic(2):
+        assert want == gate_counts(Circuit(2)) and rep.gate_counts.by_controls == {}
+    if config == Dynamic(12):
+        assert rep.gate_counts.by_controls == {11: 29_234}
 
 
 def test_register_cap_enforced():

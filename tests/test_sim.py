@@ -200,6 +200,23 @@ def test_simulate_reset_uses_bath():
     assert np.allclose(out, [0.7 * 0.75, 0.7 * 0.25, 0.3 * 0.75, 0.3 * 0.25])
 
 
+@pytest.mark.parametrize("bath", [0.9, -0.1, 0.5000001, float("nan")])
+def test_simulate_checks_bath_excitation_on_entry(monkeypatch, bath):
+    import qcool.sim as sim_module
+
+    def no_gate(t, gate):
+        raise AssertionError("a gate ran before the bath was checked")
+
+    monkeypatch.setattr(sim_module, "_swap_target", no_gate)
+    v = np.array([0.7, 0.0, 0.3, 0.0])
+    for circuit in (
+        Circuit(2, (McNot(1),)),  # no reset at all
+        Circuit(2, (McNot(1), ResetInstr((2,)))),  # gate before the reset
+    ):
+        with pytest.raises(ValueError, match="bath excitation"):
+            simulate(circuit, v, bath_excitation=bath)
+
+
 def test_simulate_conservation_under_everything():
     rng = np.random.default_rng(2)
     for _ in range(15):

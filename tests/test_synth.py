@@ -1,8 +1,11 @@
 import hashlib
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     apply_mcnot_int,
@@ -13,17 +16,24 @@ from helpers import (
 from qcool import (
     Circuit,
     CoolingUnitary,
+    CustomProtocol,
+    Dynamic,
+    GateCounts,
     McNot,
     PhaseSynthesisError,
+    SemiOpen,
     cycle_circuit,
     export_qasm,
     gate_counts,
     gray_path,
     minimal_work_protocol,
     random_permutation_unitary,
+    report,
     synthesize_circuit,
+    synthesized_gate_count,
     transposition_circuit,
 )
+from qcool.methods import _rounds
 
 
 def hamming(a: int, b: int) -> int:
@@ -210,3 +220,60 @@ def test_minimal_work_synthesis_large_registers(n):
     if n == 12:
         assert np.array_equal(circuit_permutation_array(circuit), u.permutation)
     assert elapsed < budget, f"n = {n}: {elapsed:.1f} s over {budget} s"
+
+
+# -- properties at large n -----------------------------------------------------
+
+
+@st.composite
+def custom_cycles(draw):
+    """(n, disjoint cycles) at n in [12, 14], cycles of 2..6 states."""
+    n = draw(st.integers(12, 14))
+    states = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=60, unique=True)
+    )
+    cycles = []
+    while len(states) >= 2:
+        k = draw(st.integers(2, min(6, len(states))))
+        cycles.append(tuple(states[:k]))
+        states = states[k:]
+    return n, tuple(cycles)
+
+
+def check_synthesis(u):
+    """The circuit realizes u, and the analytic count is its gate count."""
+    circuit = synthesize_circuit(u)
+    assert np.array_equal(circuit_permutation_array(circuit), u.permutation)
+    counts = gate_counts(circuit)
+    total = synthesized_gate_count(u)
+    assert counts.total == total
+    assert counts.by_controls == ({u.n_qubits - 1: total} if total else {})
+    return counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(custom_cycles())
+def test_custom_cycles_synthesis_property_large_n(drawn):
+    n, cycles = drawn
+    counts = check_synthesis(CoolingUnitary(n, cycles))
+    config = Dynamic(n, CustomProtocol(cycles))
+    assert report(config, initial_p=0.1, include_circuit=False).gate_counts == counts
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(st.integers(2, 12), min_size=1, max_size=2),
+    st.sampled_from([1e-12, 0.4999]),
+)
+@example(2, [12], 0.4999)
+@example(4, [9, 11], 1e-12)
+def test_semiopen_round_synthesis_property(first, later, p):
+    # Later rounds are re-derived for the (t, p, ..., p) profile they see,
+    # so the plan, not the protocol, fixes their unitaries.
+    config = SemiOpen((first, *later))
+    by_controls = Counter()
+    for rnd in _rounds(config, p):
+        by_controls.update(check_synthesis(rnd.unitary).by_controls)
+    rep = report(config, initial_p=p, include_circuit=False)
+    assert rep.gate_counts == GateCounts(dict(by_controls), 0)
