@@ -158,13 +158,6 @@ def _run_tasks(tasks: list, jobs: int) -> list[dict]:
         return list(pool.map(_row, tasks))
 
 
-def _load_config_doc(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config {path}: {exc}")
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="qcool")
 def cli() -> None:
@@ -187,7 +180,7 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
     if cycles_file is not None:
         circuit = synthesize_circuit(unitary_from_json(cycles_file))
     else:
-        config = methods.config_from_json(_load_config_doc(config_path))
+        config = methods.config_from_json(config_path)
         p, _ = _resolve_initial(initial_p, temp_mk, freq_ghz, required=False)
         circuit = methods.build_circuit(config, p)
     if simplify:
@@ -209,7 +202,7 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
 @_handled
 def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
-    config = methods.config_from_json(_load_config_doc(config_path))
+    config = methods.config_from_json(config_path)
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
     rows = [_row((config, p, gap, None, None))]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
@@ -228,7 +221,7 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
     """Analyze configs across initial temperatures; rows in given order."""
     if (probs is None) == (temps_mk is None):
         raise click.UsageError("give exactly one of --probs or --temps-mk")
-    configs = [methods.config_from_json(_load_config_doc(p)) for p in config_paths]
+    configs = [methods.config_from_json(p) for p in config_paths]
     gap = None if freq_ghz is None else EnergyGap.from_frequency_ghz(freq_ghz)
     if temps_mk is not None:
         if gap is None:
@@ -259,7 +252,7 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
 @_handled
 def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placement, jobs, as_csv, out):
     """Simulate configs under gate noise; final column is per noise level."""
-    configs = [methods.config_from_json(_load_config_doc(p)) for p in config_paths]
+    configs = [methods.config_from_json(p) for p in config_paths]
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
     p = methods.check_excitation(p)
     noise = _parse_float_list(noise_probs, "--noise-probs")

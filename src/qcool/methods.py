@@ -19,7 +19,6 @@ probabilities, which stays accurate deep into the low-temperature regime.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from collections import Counter
@@ -31,10 +30,12 @@ import numpy as np
 
 from . import sim
 from .circuits import Circuit, GateCounts, Instruction, ResetInstr, embed
-from .constants import DEFAULT_QUBIT_CAP
-from .errors import ConfigError, PopulationInversionError, ResourceLimitError
+from .constants import check_qubit_cap
+from .errors import ConfigError, PopulationInversionError
 from .protocols import (
     BUILTIN_PROTOCOLS,
+    _sort_unitary,
+    _weights,
     heterogeneous_max_cooling,
     protocol_unitary,
 )
@@ -48,7 +49,7 @@ from .thermo import (
     temperature_from_probability,
     thermal_product_vector,
 )
-from .unitary import CoolingUnitary, _parse_cycles, _validate
+from .unitary import CoolingUnitary, _load_document, _parse_cycles
 
 __all__ = [
     "CoolingReport",
@@ -127,14 +128,29 @@ class Dynamic:
             raise ConfigError("dynamic cooling needs at least 2 qubits")
         _check_protocol(self.protocol, self.n_qubits)
 
+    @property
+    def width(self) -> int:
+        return self.n_qubits
+
+    def label(self) -> str:
+        return f"dynamic-n{self.n_qubits}"
+
+    def closed_form(self, p: float) -> float:
+        return dynamic_final_p(p, self.n_qubits)
+
+    def plan(self, p: float | None) -> list[_Round]:
+        return _cluster_tree(self, self.n_qubits, 1, p)
+
 
 @dataclass(frozen=True)
-class SubOptimal:
-    """Clustered dynamic cooling: n**r qubits in r rounds of n-clusters."""
+class _Clustered:
+    """Checks shared by the methods that repeat one n-qubit cluster.
+
+    Each subclass declares its own protocol field after its other fields.
+    """
 
     cluster_size: int
     rounds: int
-    protocol: ProtocolChoice = "minimal-work"
 
     def __post_init__(self) -> None:
         if self.cluster_size < 2:
@@ -145,24 +161,38 @@ class SubOptimal:
 
 
 @dataclass(frozen=True)
-class HBAC:
+class SubOptimal(_Clustered):
+    """Clustered dynamic cooling: n**r qubits in r rounds of n-clusters."""
+
+    protocol: ProtocolChoice = "minimal-work"
+
+    @property
+    def width(self) -> int:
+        return self.cluster_size**self.rounds
+
+    def label(self) -> str:
+        return f"suboptimal-n{self.cluster_size}-r{self.rounds}"
+
+    def closed_form(self, p: float) -> float:
+        return sub_optimal_final_p(p, self.cluster_size, self.rounds)
+
+    def plan(self, p: float | None) -> list[_Round]:
+        return _cluster_tree(self, self.cluster_size, self.rounds, p)
+
+
+@dataclass(frozen=True)
+class HBAC(_Clustered):
     """Heat-bath cooling: one cluster, reset chosen qubits between rounds.
 
     reset_qubits defaults to every auxiliary (2..n).  Resetting the
     target is permitted but pointless, so it draws a warning.
     """
 
-    cluster_size: int
-    rounds: int
     reset_qubits: tuple[int, ...] = ()
     protocol: ProtocolChoice = "minimal-work"
 
     def __post_init__(self) -> None:
-        if self.cluster_size < 2:
-            raise ConfigError("cluster size must be >= 2")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        _check_protocol(self.protocol, self.cluster_size)
+        super().__post_init__()
         qs = tuple(sorted(int(q) for q in self.reset_qubits))
         if not qs:
             qs = tuple(range(2, self.cluster_size + 1))
@@ -178,6 +208,24 @@ class HBAC:
                 "resetting the target qubit discards its cooling",
                 stacklevel=2,
             )
+
+    @property
+    def width(self) -> int:
+        return self.cluster_size
+
+    def label(self) -> str:
+        base = f"hbac-n{self.cluster_size}-r{self.rounds}"
+        if self.reset_qubits != tuple(range(2, self.cluster_size + 1)):
+            base += "-reset" + "+".join(str(q) for q in self.reset_qubits)
+        return base
+
+    def closed_form(self, p: float) -> None:
+        return None  # heat-bath rounds are defined by the walk
+
+    def plan(self, p: float | None) -> list[_Round]:
+        (first,) = _cluster_tree(self, self.cluster_size, 1, p)
+        again = _Round(first.unitary, first.clusters, None, self.reset_qubits)
+        return [first] + [again] * (self.rounds - 1)
 
 
 @dataclass(frozen=True)
@@ -196,49 +244,56 @@ class SemiOpen:
             raise ConfigError("every cluster must have >= 2 qubits")
         _check_protocol(self.protocol, sizes[0])
 
+    @property
+    def width(self) -> int:
+        return 1 + sum(n - 1 for n in self.cluster_sizes)
+
+    def label(self) -> str:
+        return "semiopen-" + "+".join(str(n) for n in self.cluster_sizes)
+
+    def closed_form(self, p: float) -> float:
+        return semi_open_final_p(p, self.cluster_sizes)
+
+    def plan(self, p: float | None) -> list[_Round]:
+        if p is None and len(self.cluster_sizes) > 1:
+            raise ConfigError(
+                "semi-open circuits need initial_p: later rounds "
+                "depend on the reached temperature"
+            )
+        out, free = [], 2
+        for i, n in enumerate(self.cluster_sizes):
+            t = _cooled(self, i, u, spec) if i else p
+            spec = None if t is None else ThermalSpec((t,) + (p,) * (n - 1))
+            if i == 0:
+                u = _resolve_protocol(self.protocol, n)
+            else:
+                u = heterogeneous_max_cooling(spec)
+            out.append(_Round(u, ((1, *range(free, free + n - 1)),), spec))
+            free += n - 1
+        return out
+
 
 MethodConfig = Union[Dynamic, SubOptimal, HBAC, SemiOpen]
+
+# Registered by the schema's method name; each document's fields are the
+# class's fields, with cycles standing for a CustomProtocol.
+_METHODS = {
+    "dynamic": Dynamic,
+    "suboptimal": SubOptimal,
+    "hbac": HBAC,
+    "semiopen": SemiOpen,
+}
 
 
 def total_qubits(config: MethodConfig) -> int:
     """Physical register width the method occupies."""
-    if isinstance(config, Dynamic):
-        return config.n_qubits
-    if isinstance(config, SubOptimal):
-        return config.cluster_size**config.rounds
-    if isinstance(config, HBAC):
-        return config.cluster_size
-    if isinstance(config, SemiOpen):
-        return 1 + sum(n - 1 for n in config.cluster_sizes)
-    raise TypeError(f"not a method config: {config!r}")
+    return config.width
 
 
 def method_label(config: MethodConfig) -> str:
     """Short deterministic identifier used in result rows."""
-    proto = (
-        "custom" if isinstance(config.protocol, CustomProtocol) else config.protocol
-    )
-    if isinstance(config, Dynamic):
-        base = f"dynamic-n{config.n_qubits}"
-    elif isinstance(config, SubOptimal):
-        base = f"suboptimal-n{config.cluster_size}-r{config.rounds}"
-    elif isinstance(config, HBAC):
-        base = f"hbac-n{config.cluster_size}-r{config.rounds}"
-        default = tuple(range(2, config.cluster_size + 1))
-        if config.reset_qubits != default:
-            base += "-reset" + "+".join(str(q) for q in config.reset_qubits)
-    elif isinstance(config, SemiOpen):
-        base = "semiopen-" + "+".join(str(n) for n in config.cluster_sizes)
-    else:
-        raise TypeError(f"not a method config: {config!r}")
-    return f"{base}-{proto}"
-
-
-def _check_cap(n: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
-    if n > cap:
-        raise ResourceLimitError(
-            f"register of {n} qubits exceeds the cap of {cap}"
-        )
+    custom = isinstance(config.protocol, CustomProtocol)
+    return f"{config.label()}-{'custom' if custom else config.protocol}"
 
 
 def check_excitation(p: float) -> float:
@@ -322,28 +377,17 @@ def hbac_final_p(
     fixed permutation.
     """
     p = check_excitation(p)
-    n = int(cluster_size)
-    if n < 2:
-        raise ValueError("cluster size must be >= 2")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    _check_cap(n)
-    if reset_qubits is None:
-        reset = tuple(range(2, n + 1))
-    else:
-        reset = tuple(sorted(int(q) for q in reset_qubits))
-        if not reset or reset[0] < 1 or reset[-1] > n:
-            raise ValueError(f"reset qubits {reset} outside 1..{n}")
+    # HBAC checks the arguments; reset_qubits None means every auxiliary.
+    resets = () if reset_qubits is None else tuple(reset_qubits)
+    config = HBAC(cluster_size, rounds, resets, protocol)
+    n, reset = config.cluster_size, config.reset_qubits
     v = thermal_product_vector(p, n)
     unitary = None if rederive_each_round else _resolve_protocol(protocol, n)
     for k in range(rounds):
         if k:
             v = sim.reset_qubits(v, reset, p)
         if rederive_each_round:
-            order = np.argsort(-v, kind="stable")
-            perm = np.empty(v.size, dtype=np.int64)
-            perm[order] = np.arange(v.size)
-            unitary = CoolingUnitary.from_permutation(perm)
+            unitary = _sort_unitary(np.argsort(-v, kind="stable"))
         v = unitary.apply_to_prob_vector(v)
     return sim.marginal(v, 1)
 
@@ -373,10 +417,7 @@ def work_cost(
 
 
 def _energy_change(before: np.ndarray, after: np.ndarray, gap: EnergyGap) -> float:
-    weights = np.bitwise_count(
-        np.arange(before.size, dtype=np.uint32)
-    ).astype(np.float64)
-    return float(gap.value * np.dot(weights, after - before))
+    return float(gap.value * np.dot(_weights(before.size), after - before))
 
 
 @dataclass(frozen=True)
@@ -413,31 +454,21 @@ def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
     With p None only the unitaries and qubit maps are planned (specs are
     None); that suffices for circuits unless the unitaries depend on p.
     """
-    width = total_qubits(config)
-    _check_cap(width)
-    if isinstance(config, SemiOpen):
-        out, free = [], 2
-        for i, n in enumerate(config.cluster_sizes):
-            t = _cooled(config, i, u, spec) if i else p
-            spec = None if t is None else ThermalSpec((t,) + (p,) * (n - 1))
-            if i == 0:
-                u = _resolve_protocol(config.protocol, n)
-            else:
-                u = heterogeneous_max_cooling(spec)
-            out.append(_Round(u, ((1, *range(free, free + n - 1)),), spec))
-            free += n - 1
-        return out
-    if isinstance(config, Dynamic):
-        n, rounds = config.n_qubits, 1
-    else:
-        n, rounds = config.cluster_size, config.rounds
+    check_qubit_cap(config.width)
+    return config.plan(p)
+
+
+def _cluster_tree(
+    config: MethodConfig, n: int, rounds: int, p: float | None
+) -> list[_Round]:
+    """Rounds of config's protocol on n-qubit clusters over n**rounds qubits.
+
+    Each round cools disjoint clusters in parallel; their targets form
+    the next round's register.  One round is dynamic cooling.
+    """
     u = _resolve_protocol(config.protocol, n)
     spec = None if p is None else ThermalSpec.homogeneous(p, n)
-    if isinstance(config, HBAC):
-        first = _Round(u, (tuple(range(1, n + 1)),), spec)
-        again = _Round(u, first.clusters, None, config.reset_qubits)
-        return [first] + [again] * (rounds - 1)
-    out, survivors = [], tuple(range(1, width + 1))
+    out, survivors = [], tuple(range(1, n**rounds + 1))
     for k in range(rounds):
         if k and p is not None:
             spec = ThermalSpec.homogeneous(_cooled(config, k, u, spec), n)
@@ -503,20 +534,16 @@ def _fused_noise(
 
 def _closed_form(config: MethodConfig, p: float) -> float | None:
     # Built-in protocols all cool maximally, so their final excitation
-    # has a closed form; heat-bath rounds are defined by the walk.
-    if isinstance(config.protocol, CustomProtocol) or isinstance(config, HBAC):
+    # has a closed form; a custom one is defined by the walk.
+    if isinstance(config.protocol, CustomProtocol):
         return None
-    if isinstance(config, Dynamic):
-        return dynamic_final_p(p, config.n_qubits)
-    if isinstance(config, SubOptimal):
-        return sub_optimal_final_p(p, config.cluster_size, config.rounds)
-    return semi_open_final_p(p, config.cluster_sizes)
+    return config.closed_form(p)
 
 
 def final_probability(config: MethodConfig, p: float) -> float:
     """Target excitation the method reaches from a homogeneous bath at p."""
     p = check_excitation(p)
-    _check_cap(total_qubits(config))
+    check_qubit_cap(config.width)
     closed = _closed_form(config, p)
     if closed is not None:
         return closed
@@ -575,17 +602,10 @@ def build_circuit(config: MethodConfig, initial_p: float | None = None) -> Circu
 
     Semi-open rounds after the first depend on how cold the target
     already is, so initial_p is required for multi-round semi-open
-    configs and ignored elsewhere.
+    configs; elsewhere it only checks that each round starts cold.
     """
-    if not isinstance(config, SemiOpen):
-        initial_p = None
-    elif initial_p is None and len(config.cluster_sizes) > 1:
-        raise ConfigError(
-            "semi-open circuits need initial_p: later rounds "
-            "depend on the reached temperature"
-        )
     p = None if initial_p is None else check_excitation(initial_p)
-    return _circuit(total_qubits(config), _rounds(config, p))
+    return _circuit(config.width, _rounds(config, p))
 
 
 # -- noise ----------------------------------------------------------------
@@ -606,7 +626,7 @@ def noisy_final_probability(
     rounds = _rounds(config, p)
     shared_layers = any(len(rnd.clusters) > 1 for rnd in rounds)
     if noise.placement == "per-layer" and shared_layers:
-        width = total_qubits(config)
+        width = config.width
         v = sim.simulate(
             _circuit(width, rounds),
             thermal_product_vector(p, width),
@@ -668,7 +688,7 @@ def report(
     physical = gap is not None and not gap.dimensionless
     return CoolingReport(
         method=method_label(config),
-        total_qubits=total_qubits(config),
+        total_qubits=config.width,
         initial_excitation=initial_p,
         final_excitation=final_p,
         work_in_gap_units=work_units,
@@ -682,7 +702,7 @@ def report(
         ),
         gate_counts=_gate_counts(rounds),
         circuit=(
-            _circuit(total_qubits(config), rounds) if include_circuit else None
+            _circuit(config.width, rounds) if include_circuit else None
         ),
     )
 
@@ -695,29 +715,8 @@ def config_from_json(source: str | Path | dict) -> MethodConfig:
 
     Raises ConfigError on any structural or semantic problem.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-    else:
-        doc = source
-    _validate(doc, "method_config.schema.json", "config")
-    protocol: ProtocolChoice = doc.get("protocol", "minimal-work")
-    if protocol == "custom":
-        protocol = CustomProtocol(tuple(tuple(c) for c in doc["cycles"]))
-    method = doc["method"]
-    if method == "dynamic":
-        return Dynamic(doc["n_qubits"], protocol)
-    if method == "suboptimal":
-        return SubOptimal(doc["cluster_size"], doc["rounds"], protocol)
-    if method == "hbac":
-        return HBAC(
-            doc["cluster_size"],
-            doc["rounds"],
-            tuple(doc.get("reset_qubits", ())),
-            protocol,
-        )
-    if method == "semiopen":
-        return SemiOpen(tuple(doc["cluster_sizes"]), protocol)
-    raise ConfigError(f"unknown method {method!r}")
+    doc = _load_document(source, "method_config.schema.json", "config")
+    fields = {k: v for k, v in doc.items() if k not in ("method", "cycles")}
+    if fields.get("protocol") == "custom":
+        fields["protocol"] = CustomProtocol(doc["cycles"])
+    return _METHODS[doc["method"]](**fields)

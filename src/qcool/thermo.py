@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import BOLTZMANN_J_PER_K, DEFAULT_QUBIT_CAP, PLANCK_J_S
-from .errors import PopulationInversionError, ResourceLimitError
+from .constants import BOLTZMANN_J_PER_K, DEFAULT_QUBIT_CAP, PLANCK_J_S, check_qubit_cap
+from .errors import PopulationInversionError
 
 __all__ = [
     "EnergyGap",
@@ -176,11 +176,7 @@ def thermal_product_vector(
         spec = ThermalSpec.homogeneous(float(spec), n_qubits)
     elif n_qubits is not None and n_qubits != spec.n_qubits:
         raise ValueError("n_qubits disagrees with the spec length")
-    n = spec.n_qubits
-    if n > cap:
-        raise ResourceLimitError(
-            f"register of {n} qubits exceeds the cap of {cap}"
-        )
+    check_qubit_cap(spec.n_qubits, cap)
     return product_diagonal(spec.excitations)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Union
 import jsonschema
 import numpy as np
 
-from .constants import DEFAULT_DENSE_CAP, DEFAULT_QUBIT_CAP
+from .constants import DEFAULT_DENSE_CAP, check_qubit_cap
 from .errors import (
     ConfigError,
     DegenerateCycleError,
@@ -322,10 +322,7 @@ def random_permutation_unitary(
     value_dtype: np.dtype | type = np.complex128,
 ) -> CoolingUnitary:
     """Uniformly random basis permutation, for benchmarks and tests."""
-    if n_qubits > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"register of {n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
-        )
+    check_qubit_cap(n_qubits)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     perm = rng.permutation(1 << n_qubits)
@@ -342,11 +339,21 @@ def _validator(schema_file: str) -> jsonschema.protocols.Validator:
     return cls(schema)
 
 
-def _validate(doc: object, schema_file: str, what: str) -> None:
-    """Raise ConfigError with the most relevant schema violation, if any."""
-    error = jsonschema.exceptions.best_match(_validator(schema_file).iter_errors(doc))
+def _load_document(source: str | Path | dict, schema_file: str, what: str) -> dict:
+    """The document at a path, or source itself, checked against the schema.
+
+    Raises ConfigError for an unreadable file or with the most relevant
+    schema violation.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            source = json.loads(Path(source).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read {what}: {exc}") from exc
+    error = jsonschema.exceptions.best_match(_validator(schema_file).iter_errors(source))
     if error is not None:
         raise ConfigError(f"invalid {what}: {error.message}") from error
+    return source
 
 
 def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLabel]]]:
@@ -356,14 +363,7 @@ def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLab
     where states are integers or binary strings.  Returns (n, cycles);
     label parsing and overlap checks happen when the unitary is built.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read cycle list: {exc}") from exc
-    else:
-        doc = source
-    _validate(doc, "cycles.schema.json", "cycle list")
+    doc = _load_document(source, "cycles.schema.json", "cycle list")
     return int(doc["n"]), [list(c) for c in doc["cycles"]]
 
 

@@ -171,19 +171,16 @@ def test_hot_target_in_later_round_exit_2(runner, tmp_path):
         (semi, "semiopen-3+3-custom"),
     ):
         cfg = write_config(tmp_path, doc)
+        # generate plans every method at the given p, so it refuses too.
         for args in (
             ["analyze", "--config", cfg, "--initial-p", "0.1"],
             ["sweep", "--config", cfg, "--probs", "0.1,0.2", "--jobs", "2"],
+            ["generate", "--config", cfg, "--initial-p", "0.1"],
         ):
             result = runner.invoke(cli, args)
             assert result.exit_code == 2, args
             assert f"{label}: round 2" in result.stderr, args
             assert "excitation 0.748" in result.stderr, args
-    # Later semi-open rounds are planned from the reached temperature.
-    cfg = write_config(tmp_path, semi)
-    result = runner.invoke(cli, ["generate", "--config", cfg, "--initial-p", "0.1"])
-    assert result.exit_code == 2
-    assert "semiopen-3+3-custom: round 2" in result.stderr
 
 
 def test_inverted_final_state_leaves_temperature_empty(runner, tmp_path):
@@ -562,6 +559,17 @@ def test_generate_semiopen_needs_initial(runner, tmp_path):
         ["generate", "--config", cfg, "--temp-mk", "50", "--freq-ghz", "5"],
     )
     parse_qasm(out2)
+
+
+def test_generate_checks_initial_p_for_every_method(runner, tmp_path):
+    hbac = {"method": "hbac", "cluster_size": 3, "rounds": 2}
+    for doc in (DYN3, SUBOPT, hbac):
+        cfg = write_config(tmp_path, doc)
+        result = runner.invoke(
+            cli, ["generate", "--config", cfg, "--initial-p", "0.7"]
+        )
+        assert result.exit_code == 2, doc
+        assert "excitation probability 0.7 outside [0, 1/2)" in result.stderr
 
 
 def test_generate_simplify_flag(runner, tmp_path):

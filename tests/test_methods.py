@@ -1,3 +1,6 @@
+import dataclasses
+import importlib.resources
+import json
 import math
 
 import numpy as np
@@ -41,6 +44,7 @@ from qcool import (
     work_cost,
 )
 from qcool.constants import BOLTZMANN_J_PER_K
+from qcool.methods import _METHODS
 
 
 # -- closed forms ----------------------------------------------------------
@@ -393,6 +397,44 @@ def test_report_gate_counts_without_synthesis(config, monkeypatch):
         assert want == gate_counts(Circuit(2)) and rep.gate_counts.by_controls == {}
     if config == Dynamic(12):
         assert rep.gate_counts.by_controls == {11: 29_234}
+
+
+def test_method_registry_matches_schema():
+    ref = importlib.resources.files("qcool.schemas") / "method_config.schema.json"
+    schema = json.loads(ref.read_text())
+    assert set(_METHODS) == set(schema["properties"]["method"]["enum"])
+
+
+@pytest.mark.parametrize("config", ANALYTIC_COUNT_CASES, ids=method_label)
+def test_config_document_round_trip(config):
+    name = {cls: key for key, cls in _METHODS.items()}[type(config)]
+    doc = {"method": name}
+    for field in dataclasses.fields(config):
+        doc[field.name] = getattr(config, field.name)
+    if isinstance(config.protocol, CustomProtocol):
+        doc["protocol"], doc["cycles"] = "custom", config.protocol.cycles
+    assert config_from_json(json.loads(json.dumps(doc))) == config
+
+
+@pytest.mark.parametrize("protocol", ("ppa", "mirror", "minimal-work"))
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_dynamic_is_one_round_suboptimal(n, protocol):
+    dyn, sub = Dynamic(n, protocol), SubOptimal(n, 1, protocol)
+    a = report(dyn, initial_p=0.1)
+    b = report(sub, initial_p=0.1)
+    assert a.final_excitation == b.final_excitation
+    assert a.work_in_gap_units == b.work_in_gap_units
+    assert a.gate_counts == b.gate_counts
+    assert a.circuit == b.circuit == build_circuit(dyn) == build_circuit(sub)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in ANALYTIC_COUNT_CASES if not isinstance(c, SemiOpen)],
+    ids=method_label,
+)
+def test_initial_p_does_not_change_fixed_circuits(config):
+    assert build_circuit(config, 0.1) == build_circuit(config)
 
 
 def test_register_cap_enforced():
