@@ -2,13 +2,21 @@
 
 Qubits are 1-based.  A control is a (qubit, polarity) pair; polarity 1
 fires on |1> (closed control), polarity 0 on |0> (open control).
+
+A Circuit holds one integer row per instruction in an (m, 3) int64
+array.  Bit q - 1 of a mask stands for qubit q.  A gate row is
+(target, control mask, polarity mask), the polarity mask holding the
+controls that fire on |1>; a reset row is (0, mask of its qubits, 0).
+McNot and ResetInstr are the per-instruction view of those rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Circuit",
@@ -20,6 +28,9 @@ __all__ = [
     "gate_counts",
     "simplify_adjacent",
 ]
+
+# Masks are int64 and stay nonnegative.
+_MAX_WIDTH = 63
 
 
 @dataclass(frozen=True)
@@ -75,34 +86,144 @@ class ResetInstr:
 Instruction = Union[McNot, ResetInstr]
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    instructions: tuple[Instruction, ...] = ()
+@functools.lru_cache(maxsize=4096)
+def _qubits(mask: int) -> tuple[int, ...]:
+    """Qubits whose bits are set in mask, ascending.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "instructions", tuple(self.instructions))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        for ins in self.instructions:
-            if isinstance(ins, McNot):
-                high = max(ins.touched)
-            elif isinstance(ins, ResetInstr):
-                high = max(ins.qubits)
-            else:
-                raise TypeError(f"not an instruction: {ins!r}")
-            if high > self.n_qubits:
-                raise ValueError(
-                    f"instruction touches qubit {high} of {self.n_qubits}"
-                )
+    Cached: a synthesized circuit repeats the same few masks (all
+    controls but one) on every gate.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _row(ins: Instruction) -> tuple[int, int, int]:
+    if isinstance(ins, McNot):
+        mask = polarity = 0
+        for q, b in ins.controls:
+            mask |= 1 << (q - 1)
+            polarity |= b << (q - 1)
+        return ins.target, mask, polarity
+    if isinstance(ins, ResetInstr):
+        return 0, sum(1 << (q - 1) for q in ins.qubits), 0
+    raise TypeError(f"not an instruction: {ins!r}")
+
+
+def _instruction(target: int, mask: int, polarity: int) -> Instruction:
+    if not target:
+        return ResetInstr(_qubits(mask))
+    return McNot(
+        target, tuple((q, (polarity >> (q - 1)) & 1) for q in _qubits(mask))
+    )
+
+
+def _check_width(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= _MAX_WIDTH:
+        raise ValueError(f"n_qubits must lie in 1..{_MAX_WIDTH}")
+
+
+def _check_rows(n: int, rows: np.ndarray) -> None:
+    """Raise unless every row is a valid instruction on n qubits."""
+    target, mask, polarity = rows.T
+    gate = target != 0
+    outside = (target < 0) | (target > n) | (mask < 0) | ((mask >> n) != 0)
+    if outside.any():
+        i = int(np.argmax(outside))
+        high = max(int(target[i]), int(mask[i]).bit_length())
+        raise ValueError(f"instruction touches qubit {high} of {n}")
+    target_bit = np.left_shift(1, np.maximum(target - 1, 0)) * gate
+    if (mask & target_bit).any():
+        raise ValueError("target cannot also be a control")
+    if (polarity & ~(mask * gate)).any():
+        raise ValueError("control polarity outside the control mask")
+    if not mask[~gate].all():
+        raise ValueError("reset needs at least one qubit")
+
+
+class Circuit:
+    """An n-qubit circuit; see the module docstring for its rows.
+
+    Circuit(n, instructions) builds one from McNot and ResetInstr
+    objects, and `instructions` gives them back.  Circuits are
+    immutable and compare by value.
+    """
+
+    __slots__ = ("n_qubits", "rows")
+
+    def __init__(
+        self, n_qubits: int, instructions: Iterable[Instruction] = ()
+    ) -> None:
+        rows = [_row(ins) for ins in instructions]
+        try:
+            array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise ValueError(
+                f"instruction touches a qubit beyond {_MAX_WIDTH}"
+            ) from None
+        self._fill(n_qubits, array)
+
+    @classmethod
+    def _from_rows(cls, n_qubits: int, rows: np.ndarray) -> "Circuit":
+        circuit = object.__new__(cls)
+        circuit._fill(n_qubits, rows)
+        return circuit
+
+    def _fill(self, n_qubits: int, rows: np.ndarray) -> None:
+        n = int(n_qubits)
+        _check_width(n)
+        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
+        _check_rows(n, rows)
+        rows.flags.writeable = False
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("Circuit is immutable")
+
+    def __reduce__(self):
+        return Circuit._from_rows, (self.n_qubits, self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return self.n_qubits == other.n_qubits and np.array_equal(
+            self.rows, other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self.rows.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"Circuit(n_qubits={self.n_qubits}, "
+            f"instructions={self.instructions!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.rows)
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit(self.n_qubits, self.instructions + other.instructions)
+        return Circuit._from_rows(
+            self.n_qubits, np.concatenate((self.rows, other.rows))
+        )
+
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        # Instructions are immutable, so equal rows share one object.
+        made: dict[tuple[int, int, int], Instruction] = {}
+        out = []
+        for row in zip(*self.rows.T.tolist()):
+            ins = made.get(row)
+            if ins is None:
+                ins = made[row] = _instruction(*row)
+            out.append(ins)
+        return tuple(out)
 
     @property
     def mcnots(self) -> tuple[McNot, ...]:
@@ -122,14 +243,11 @@ class GateCounts:
 
 
 def gate_counts(circuit: Circuit) -> GateCounts:
-    by = Counter()
-    resets = 0
-    for ins in circuit.instructions:
-        if isinstance(ins, McNot):
-            by[ins.n_controls] += 1
-        else:
-            resets += 1
-    return GateCounts(dict(sorted(by.items())), resets)
+    target, mask, _ = circuit.rows.T
+    gate = target != 0
+    k, count = np.unique(np.bitwise_count(mask[gate]), return_counts=True)
+    resets = len(target) - int(np.count_nonzero(gate))
+    return GateCounts(dict(zip(k.tolist(), count.tolist())), resets)
 
 
 def embed(circuit: Circuit, n_total: int, qubit_map: Sequence[int]) -> Circuit:
@@ -143,28 +261,26 @@ def embed(circuit: Circuit, n_total: int, qubit_map: Sequence[int]) -> Circuit:
     phys = [int(q) for q in qubit_map]
     if n_total == circuit.n_qubits and phys == list(range(1, n_total + 1)):
         return circuit
+    _check_width(n_total)
     if len(set(phys)) != len(phys):
         raise ValueError("qubit_map must be injective")
     if any(not 1 <= q <= n_total for q in phys):
         raise ValueError("qubit_map targets outside the register")
-
-    def move(ins: Instruction) -> Instruction:
-        if isinstance(ins, McNot):
-            return McNot(
-                phys[ins.target - 1],
-                tuple((phys[q - 1], b) for q, b in ins.controls),
-            )
-        return ResetInstr(tuple(phys[q - 1] for q in ins.qubits))
-
-    return Circuit(n_total, tuple(move(i) for i in circuit.instructions))
+    target, mask, polarity = circuit.rows.T
+    moved = np.zeros_like(circuit.rows)
+    moved[:, 0] = np.array([0, *phys])[target]  # a reset row keeps target 0
+    for j, q in enumerate(phys):
+        moved[:, 1] |= ((mask >> j) & 1) << (q - 1)
+        moved[:, 2] |= ((polarity >> j) & 1) << (q - 1)
+    return Circuit._from_rows(n_total, moved)
 
 
 def simplify_adjacent(circuit: Circuit) -> Circuit:
     """Cancel equal adjacent NOT gates; resets act as barriers."""
-    out: list[Instruction] = []
-    for ins in circuit.instructions:
-        if out and isinstance(ins, McNot) and out[-1] == ins:
+    out: list[list[int]] = []
+    for row in circuit.rows.tolist():
+        if row[0] and out and out[-1] == row:
             out.pop()
         else:
-            out.append(ins)
-    return Circuit(circuit.n_qubits, tuple(out))
+            out.append(row)
+    return Circuit._from_rows(circuit.n_qubits, np.array(out, dtype=np.int64))

@@ -23,7 +23,7 @@ import click
 from . import __version__, methods
 from .circuits import simplify_adjacent
 from .errors import QcoolError, ResourceLimitError
-from .qasm import export_qasm
+from .qasm import _chunks as _qasm_chunks, write_qasm
 from .sim import NoiseModel
 from .synth import synthesize_circuit
 from .thermo import (
@@ -185,11 +185,11 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
         circuit = methods.build_circuit(config, p)
     if simplify:
         circuit = simplify_adjacent(circuit)
-    text = export_qasm(circuit)
     if out is None:
-        click.echo(text, nl=False)
+        for chunk in _qasm_chunks(circuit):
+            click.echo(chunk, nl=False)
     else:
-        Path(out).write_text(text)
+        write_qasm(circuit, out)
 
 
 @cli.command()

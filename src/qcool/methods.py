@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import sim
-from .circuits import Circuit, GateCounts, Instruction, ResetInstr, embed
+from .circuits import Circuit, GateCounts, ResetInstr, embed
 from .constants import check_qubit_cap
 from .errors import ConfigError, PopulationInversionError
 from .protocols import (
@@ -448,14 +448,17 @@ def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, spec) -> float:
     return t
 
 
-def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
-    """The method as a list of rounds at bath excitation p.
+@functools.lru_cache(maxsize=1)
+def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
+    """The method as a sequence of rounds at bath excitation p.
 
     With p None only the unitaries and qubit maps are planned (specs are
     None); that suffices for circuits unless the unitaries depend on p.
+    The last plan is kept, so that the noiseless and the noisy walk of
+    one result row share it; plans are immutable.
     """
     check_qubit_cap(config.width)
-    return config.plan(p)
+    return tuple(config.plan(p))
 
 
 def _cluster_tree(
@@ -481,7 +484,7 @@ def _cluster_tree(
 
 
 def _walk(
-    rounds: list[_Round],
+    rounds: Sequence[_Round],
     p: float,
     gap: EnergyGap = EnergyGap.unit(),
     noise: float = 0.0,
@@ -561,10 +564,10 @@ def total_work_cost(
 # -- circuits -------------------------------------------------------------
 
 
-def _circuit(width: int, rounds: list[_Round]) -> Circuit:
+def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
     """Synthesize each distinct unitary once and embed it per cluster."""
     synthesized: dict[int, Circuit] = {}
-    instructions: list[Instruction] = []
+    parts: list[Circuit] = []
     for rnd in rounds:
         key = id(rnd.unitary)
         if key not in synthesized:
@@ -572,15 +575,14 @@ def _circuit(width: int, rounds: list[_Round]) -> Circuit:
         for phys in rnd.clusters:
             if rnd.resets:
                 reset = ResetInstr(tuple(phys[q - 1] for q in rnd.resets))
-                instructions.append(reset)
-            placed = embed(synthesized[key], width, phys)
-            instructions.extend(placed.instructions)
-    if len(rounds) == 1 and len(rounds[0].clusters) == 1:
-        return placed  # already validated; do not check its gates twice
-    return Circuit(width, instructions)
+                parts.append(Circuit(width, (reset,)))
+            parts.append(embed(synthesized[key], width, phys))
+    if len(parts) == 1:
+        return parts[0]
+    return Circuit._from_rows(width, np.concatenate([c.rows for c in parts]))
 
 
-def _gate_counts(rounds: list[_Round]) -> GateCounts:
+def _gate_counts(rounds: Sequence[_Round]) -> GateCounts:
     """gate_counts(_circuit(...)) read off the plan, without synthesis.
 
     Every synthesized gate of a w-qubit unitary has w - 1 controls, and

@@ -15,47 +15,69 @@ deterministic: equal circuits produce byte-identical text.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
+from typing import Iterator
 
-from .circuits import Circuit, McNot, ResetInstr
+from .circuits import Circuit, _qubits
 
 __all__ = ["THERMAL_RESET_PRAGMA", "export_qasm", "write_qasm"]
 
 THERMAL_RESET_PRAGMA = "// @thermal_reset"
 
 
-def _gate_lines(gate: McNot) -> list[str]:
-    target = f"q[{gate.target - 1}]"
-    open_controls = [f"q[{q - 1}]" for q, b in gate.controls if b == 0]
-    lines = [f"x {c};" for c in open_controls]
-    if gate.controls:
-        operands = ", ".join(
-            [f"q[{q - 1}]" for q, _ in gate.controls] + [target]
+# Rows per chunk of streamed text; bounds the text held at once (about
+# 1 MB at n = 16).
+_CHUNK_ROWS = 4096
+
+
+def _row_text(target: int, mask: int, polarity: int) -> str:
+    """The statements of one circuit row, each ending in a newline."""
+    if not target:
+        return "".join(
+            f"{THERMAL_RESET_PRAGMA} q[{q - 1}]\nreset q[{q - 1}];\n"
+            for q in _qubits(mask)
         )
-        lines.append(f"ctrl({len(gate.controls)}) @ x {operands};")
-    else:
-        lines.append(f"x {target};")
-    lines.extend(f"x {c};" for c in reversed(open_controls))
-    return lines
+    if not mask:
+        return f"x q[{target - 1}];\n"
+    # Open controls are conjugated by x gates, undone in reverse order.
+    flips = [f"x q[{q - 1}];\n" for q in _qubits(mask & ~polarity)]
+    gate = (
+        f"ctrl({mask.bit_count()}) @ x {_operands(mask)}, q[{target - 1}];\n"
+    )
+    return "".join([*flips, gate, *reversed(flips)])
+
+
+@functools.lru_cache(maxsize=4096)
+def _operands(mask: int) -> str:
+    return ", ".join(f"q[{q - 1}]" for q in _qubits(mask))
+
+
+def _chunks(circuit: Circuit) -> Iterator[str]:
+    """The QASM text of circuit, in pieces of at most _CHUNK_ROWS rows.
+
+    Each distinct row is formatted once and its text reused.
+    """
+    yield (
+        'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
+        f"qubit[{circuit.n_qubits}] q;\n"
+    )
+    text: dict[tuple[int, int, int], str] = {}
+    for start in range(0, len(circuit), _CHUNK_ROWS):
+        columns = circuit.rows[start : start + _CHUNK_ROWS].T.tolist()
+        parts = []
+        for row in zip(*columns):
+            line = text.get(row)
+            if line is None:
+                line = text[row] = _row_text(*row)
+            parts.append(line)
+        yield "".join(parts)
 
 
 def export_qasm(circuit: Circuit) -> str:
-    lines = [
-        "OPENQASM 3.0;",
-        'include "stdgates.inc";',
-        f"qubit[{circuit.n_qubits}] q;",
-    ]
-    for ins in circuit.instructions:
-        if isinstance(ins, McNot):
-            lines.extend(_gate_lines(ins))
-        elif isinstance(ins, ResetInstr):
-            for q in ins.qubits:
-                lines.append(f"{THERMAL_RESET_PRAGMA} q[{q - 1}]")
-                lines.append(f"reset q[{q - 1}];")
-        else:
-            raise TypeError(f"not an instruction: {ins!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(_chunks(circuit))
 
 
 def write_qasm(circuit: Circuit, path: str | Path) -> None:
-    Path(path).write_text(export_qasm(circuit))
+    with open(path, "w") as f:
+        f.writelines(_chunks(circuit))

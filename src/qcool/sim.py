@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, McNot, ResetInstr
+from .circuits import Circuit, McNot, _qubits, _row
 
 __all__ = [
     "NoiseModel",
@@ -76,8 +76,8 @@ class NoiseModel:
             raise ValueError(f"unknown placement {self.placement!r}")
 
 
-def _swap_target(t: np.ndarray, gate: McNot) -> None:
-    """Apply one gate in place to the (2,)*n view of a diagonal.
+def _swap_target(t: np.ndarray, target: int, mask: int, polarity: int) -> None:
+    """Apply one gate row in place to the (2,)*n view of a diagonal.
 
     Each control axis is fixed at its polarity and the target's 0 and 1
     slices are exchanged, so only the 2**(n-k) entries the gate moves
@@ -85,11 +85,11 @@ def _swap_target(t: np.ndarray, gate: McNot) -> None:
     gate's slices views rather than scalars.
     """
     index = [slice(None)] * t.ndim
-    for q, pol in gate.controls:
-        index[q - 1] = pol
-    index[gate.target - 1] = 0
+    for q in _qubits(mask):
+        index[q - 1] = (polarity >> (q - 1)) & 1
+    index[target - 1] = 0
     low = t[(*index, None)]
-    index[gate.target - 1] = 1
+    index[target - 1] = 1
     high = t[(*index, None)]
     saved = low.copy()
     low[...] = high
@@ -106,6 +106,10 @@ def _mix_toward_uniform(
     t += uniform
 
 
+def _axes(mask: int) -> tuple[int, ...]:
+    return tuple(q - 1 for q in _qubits(mask))
+
+
 def apply_mcnot(v: np.ndarray, gate: McNot) -> np.ndarray:
     """Pushforward of the diagonal under one multi-controlled NOT.
 
@@ -116,7 +120,7 @@ def apply_mcnot(v: np.ndarray, gate: McNot) -> np.ndarray:
     n = _register_size(out)
     if max(gate.touched) > n:
         raise ValueError(f"gate touches qubit {max(gate.touched)} of {n}")
-    _swap_target(out.reshape((2,) * n), gate)
+    _swap_target(out.reshape((2,) * n), *_row(gate))
     return out
 
 
@@ -189,29 +193,26 @@ def simulate(
     t = v.reshape(shape)
     p = noise.probability if noise is not None else 0.0
     per_layer = noise is not None and noise.placement == "per-layer"
-    layer: set[int] = set()
+    layer = 0  # mask of the qubits the open layer touched
 
-    def close_layer() -> None:
-        if layer:
-            _mix_toward_uniform(t, tuple(q - 1 for q in sorted(layer)), p)
-            layer.clear()
-
-    for ins in circuit.instructions:
-        if isinstance(ins, McNot):
-            touched = ins.touched
-            if per_layer and layer.intersection(touched):
-                close_layer()
-            _swap_target(t, ins)
-            if p > 0.0:
-                if per_layer:
-                    layer.update(touched)
-                else:
-                    _mix_toward_uniform(t, tuple(q - 1 for q in touched), p)
-        elif isinstance(ins, ResetInstr):
-            close_layer()
-            v = reset_qubits(v, ins.qubits, bath_excitation)
+    for target, mask, polarity in circuit.rows.tolist():
+        if not target:
+            if layer:
+                _mix_toward_uniform(t, _axes(layer), p)
+                layer = 0
+            v = reset_qubits(v, _qubits(mask), bath_excitation)
             t = v.reshape(shape)
-        else:
-            raise TypeError(f"not an instruction: {ins!r}")
-    close_layer()
+            continue
+        touched = mask | 1 << (target - 1)
+        if layer & touched:
+            _mix_toward_uniform(t, _axes(layer), p)
+            layer = 0
+        _swap_target(t, target, mask, polarity)
+        if p > 0.0:
+            if per_layer:
+                layer |= touched
+            else:
+                _mix_toward_uniform(t, _axes(touched), p)
+    if layer:
+        _mix_toward_uniform(t, _axes(layer), p)
     return v

@@ -14,7 +14,12 @@ s1->s2->...->sm->s1 overall.
 
 from __future__ import annotations
 
-from .circuits import Circuit, McNot
+from array import array
+from typing import Sequence
+
+import numpy as np
+
+from .circuits import Circuit
 from .errors import PhaseSynthesisError
 from .unitary import CoolingUnitary, parse_state_label
 
@@ -46,28 +51,44 @@ def gray_path(x: int, y: int, n_qubits: int) -> list[int]:
     return path
 
 
-def _adjacent_gate(a: int, b: int, n_qubits: int) -> McNot:
-    # a and b differ in exactly one bit; the gate swaps them and fixes
-    # every other basis state.
-    diff = a ^ b
-    pos = diff.bit_length() - 1
-    controls = tuple(
-        (n_qubits - p, (a >> p) & 1)
-        for p in range(n_qubits - 1, -1, -1)
-        if p != pos
-    )
-    return McNot(n_qubits - pos, controls)
+def _qubit_order(states: Sequence[int], n_qubits: int) -> list[int]:
+    """Each basis state with bit n - q moved to bit q - 1, as masks use."""
+    s = np.array(states, dtype=np.int64)
+    out = np.zeros_like(s)
+    for pos in range(n_qubits):
+        out |= ((s >> pos) & 1) << (n_qubits - 1 - pos)
+    return out.tolist()
 
 
-def _transposition_gates(x: int, y: int, n_qubits: int) -> list[McNot]:
-    path = gray_path(x, y, n_qubits)
-    steps = [_adjacent_gate(a, b, n_qubits) for a, b in zip(path, path[1:])]
-    return steps + steps[-2::-1]
+def _cycles_circuit(n_qubits: int, cycles: Sequence[Sequence[int]]) -> Circuit:
+    """The rows of every cycle's transpositions, in circuit order.
 
-
-def _cycle_gates(states: tuple[int, ...], n_qubits: int) -> list[McNot]:
-    first, *others = states
-    return [g for y in others for g in _transposition_gates(first, y, n_qubits)]
+    Working in mask order, the Gray path from x to y flips the lowest
+    differing bit first (qubit 1 first).  A step that flips `bit` from
+    path state `cur` is the gate with mask full ^ bit and polarity
+    cur & mask; the ladder of d steps is followed by its first d - 1
+    steps reversed.
+    """
+    full = (1 << n_qubits) - 1
+    states = _qubit_order([s for c in cycles for s in c], n_qubits)
+    rows, start = array("q"), 0
+    for cycle in cycles:
+        first, *others = states[start : start + len(cycle)]
+        start += len(cycle)
+        for y in others:
+            cur, diff = first, first ^ y
+            ladder = []
+            while diff:
+                bit = diff & -diff
+                mask = full ^ bit
+                ladder.append((bit.bit_length(), mask, cur & mask))
+                cur ^= bit
+                diff ^= bit
+            for row in ladder:
+                rows.extend(row)
+            for row in reversed(ladder[:-1]):
+                rows.extend(row)
+    return Circuit._from_rows(n_qubits, np.frombuffer(rows, dtype=np.int64))
 
 
 def transposition_circuit(x: int, y: int, n_qubits: int) -> Circuit:
@@ -76,7 +97,11 @@ def transposition_circuit(x: int, y: int, n_qubits: int) -> Circuit:
     Emits 2d - 1 gates for Hamming distance d: the Gray-path ladder, the
     central step, then the ladder reversed.
     """
-    return Circuit(n_qubits, _transposition_gates(x, y, n_qubits))
+    x = parse_state_label(x, n_qubits)
+    y = parse_state_label(y, n_qubits)
+    if x == y:
+        raise ValueError("endpoints must differ")
+    return _cycles_circuit(n_qubits, [(x, y)])
 
 
 def cycle_circuit(cycle, n_qubits: int) -> Circuit:
@@ -84,7 +109,7 @@ def cycle_circuit(cycle, n_qubits: int) -> Circuit:
     states = tuple(parse_state_label(s, n_qubits) for s in cycle)
     if len(states) < 2 or len(set(states)) != len(states):
         raise ValueError("cycle must list at least two distinct states")
-    return Circuit(n_qubits, _cycle_gates(states, n_qubits))
+    return _cycles_circuit(n_qubits, [states])
 
 
 def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
@@ -99,8 +124,7 @@ def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
             "phase-bearing unitary is not synthesizable as a "
             "multi-controlled-NOT circuit"
         )
-    n = unitary.n_qubits
-    return Circuit(n, [g for c in unitary.cycles for g in _cycle_gates(c, n)])
+    return _cycles_circuit(unitary.n_qubits, unitary.cycles)
 
 
 def synthesized_gate_count(unitary: CoolingUnitary) -> int:

@@ -12,8 +12,10 @@ import math
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qcool.circuits import Circuit, McNot, ResetInstr
+from qcool.qasm import THERMAL_RESET_PRAGMA
 from qcool.sim import NoiseModel, reset_qubits
 
 
@@ -299,3 +301,89 @@ def parse_qasm(text: str) -> Circuit:
 def count_ctrl_statements(text: str) -> int:
     _, items = _tokenize(text)
     return sum(1 for item in items if item[0] == "ctrl")
+
+
+# -- per-instruction references ----------------------------------------------
+#
+# The exporter, embedding and cancellation pass as they were written when a
+# circuit was a tuple of McNot and ResetInstr objects: one object at a time,
+# through the public per-instruction view.
+
+
+def _reference_gate_lines(gate: McNot) -> list[str]:
+    target = f"q[{gate.target - 1}]"
+    open_controls = [f"q[{q - 1}]" for q, b in gate.controls if b == 0]
+    lines = [f"x {c};" for c in open_controls]
+    if gate.controls:
+        operands = ", ".join(
+            [f"q[{q - 1}]" for q, _ in gate.controls] + [target]
+        )
+        lines.append(f"ctrl({len(gate.controls)}) @ x {operands};")
+    else:
+        lines.append(f"x {target};")
+    lines.extend(f"x {c};" for c in reversed(open_controls))
+    return lines
+
+
+def reference_export_qasm(circuit: Circuit) -> str:
+    """export_qasm formatted instruction by instruction."""
+    lines = [
+        "OPENQASM 3.0;",
+        'include "stdgates.inc";',
+        f"qubit[{circuit.n_qubits}] q;",
+    ]
+    for ins in circuit.instructions:
+        if isinstance(ins, McNot):
+            lines.extend(_reference_gate_lines(ins))
+        else:
+            for q in ins.qubits:
+                lines.append(f"{THERMAL_RESET_PRAGMA} q[{q - 1}]")
+                lines.append(f"reset q[{q - 1}];")
+    return "\n".join(lines) + "\n"
+
+
+def reference_embed(circuit: Circuit, n_total: int, qubit_map) -> Circuit:
+    """embed, moving one instruction object at a time."""
+    phys = list(qubit_map)
+
+    def move(ins):
+        if isinstance(ins, McNot):
+            return McNot(
+                phys[ins.target - 1],
+                tuple((phys[q - 1], b) for q, b in ins.controls),
+            )
+        return ResetInstr(tuple(phys[q - 1] for q in ins.qubits))
+
+    return Circuit(n_total, [move(i) for i in circuit.instructions])
+
+
+def reference_simplify(circuit: Circuit) -> Circuit:
+    """simplify_adjacent over instruction objects."""
+    out: list = []
+    for ins in circuit.instructions:
+        if out and isinstance(ins, McNot) and out[-1] == ins:
+            out.pop()
+        else:
+            out.append(ins)
+    return Circuit(circuit.n_qubits, out)
+
+
+# -- hypothesis strategies ---------------------------------------------------
+
+
+@st.composite
+def gates(draw, n):
+    """A NOT gate on n qubits with 0..n-1 open or closed controls."""
+    qubits = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n - 1))
+    polarities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return McNot(qubits[0], tuple(zip(qubits[1 : 1 + k], polarities)))
+
+
+@st.composite
+def instructions(draw, n):
+    """A gate, or (one time in four) a reset of a nonempty qubit set."""
+    if draw(st.integers(0, 3)) == 0:
+        qubits = draw(st.sets(st.integers(1, n), min_size=1))
+        return ResetInstr(tuple(qubits))
+    return draw(gates(n))

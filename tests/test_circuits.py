@@ -1,4 +1,17 @@
+import pickle
+from collections import Counter
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    instructions,
+    reference_embed,
+    reference_export_qasm,
+    reference_simplify,
+)
 
 from qcool import (
     Circuit,
@@ -6,6 +19,7 @@ from qcool import (
     McNot,
     ResetInstr,
     embed,
+    export_qasm,
     gate_counts,
     simplify_adjacent,
 )
@@ -52,6 +66,27 @@ def test_circuit_width_checks():
         Circuit(2) + Circuit(3)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((3, 0, 0), "touches qubit 3 of 2"),
+        ((0, 0b100, 0), "touches qubit 3 of 2"),
+        ((1, 0b101, 0), "touches qubit 3 of 2"),
+        ((-1, 0, 0), "touches qubit"),
+        ((1, 0b01, 0), "target cannot also be a control"),
+        ((1, 0b10, 0b01), "polarity outside"),
+        ((0, 0b10, 0b10), "polarity outside"),
+        ((0, 0, 0), "reset needs at least one qubit"),
+    ],
+)
+def test_row_checks(row, message):
+    # Rows built inside the package skip McNot and ResetInstr, so the
+    # whole-array checks alone must refuse every malformed row.
+    good = np.array([[2, 0b01, 0b01]])
+    with pytest.raises(ValueError, match=message):
+        Circuit._from_rows(2, np.vstack([good, [row]]))
+
+
 def test_gate_counts():
     c = Circuit(
         3,
@@ -92,3 +127,43 @@ def test_simplify_adjacent():
     assert len(kept) == 3
     mixed = simplify_adjacent(Circuit(2, (b, a, a)))
     assert mixed.instructions == (b,)
+
+
+def test_circuit_value_semantics():
+    gates = (McNot(2, ((1, 0),)), ResetInstr((1, 2)), McNot(1))
+    c = Circuit(2, gates)
+    assert c == Circuit(2, list(gates)) and hash(c) == hash(Circuit(2, gates))
+    assert c != Circuit(3, gates) and c != Circuit(2, gates[:2])
+    assert pickle.loads(pickle.dumps(c)) == c
+    with pytest.raises(AttributeError):
+        c.n_qubits = 3
+    with pytest.raises(ValueError):
+        c.rows[0, 0] = 1
+
+
+# -- properties against per-instruction references ----------------------------
+
+
+@st.composite
+def programs(draw, max_n=14):
+    """(n, instruction list) with repeats, so that some gates cancel."""
+    n = draw(st.integers(1, max_n))
+    pool = draw(st.lists(instructions(n), min_size=1, max_size=4))
+    return n, draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs(), st.data())
+def test_rows_match_per_instruction_references(drawn, data):
+    n, program = drawn
+    c = Circuit(n, program)
+    assert c.instructions == tuple(program)
+    assert len(c) == len(program)
+    assert export_qasm(c) == reference_export_qasm(c)
+    assert simplify_adjacent(c) == reference_simplify(c)
+    extra = data.draw(st.integers(0, 2))
+    qubit_map = data.draw(st.permutations(range(1, n + extra + 1)))[:n]
+    assert embed(c, n + extra, qubit_map) == reference_embed(c, n + extra, qubit_map)
+    by = Counter(i.n_controls for i in program if isinstance(i, McNot))
+    resets = sum(isinstance(i, ResetInstr) for i in program)
+    assert gate_counts(c) == GateCounts(dict(sorted(by.items())), resets)

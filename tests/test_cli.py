@@ -1,7 +1,13 @@
 import csv
+import hashlib
 import importlib.resources
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -653,3 +659,36 @@ def test_version_flag(runner):
     out = run_ok(runner, ["--version"])
     assert "qcool" in out
     assert qcool.__version__ in out
+
+
+# SHA-256 of `qcool generate` for dynamic n = 16 (minimal-work, 719,573
+# gates, 194,882,834 bytes of QASM), recorded from the implementation that
+# held one McNot object per gate; it took about 29 s and 1.9 GiB of RSS on
+# a 2-vCPU Xeon, and about 3.7 s and 92 MiB with circuits held as rows.
+DYN16_SHA256 = "88061e3a24bdc7fe5dd5b464c9e0c660dd79be131fdf04909776c01c827f3429"
+
+
+def test_generate_dynamic_16_within_budget(tmp_path):
+    config = write_config(tmp_path, {"method": "dynamic", "n_qubits": 16})
+    out = tmp_path / "dyn16.qasm"
+    src = str(Path(qcool.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    args = ["generate", "--config", config, "--out", str(out)]
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "qcool.cli", *args], env=env)
+    # wait4 gives this child's own peak RSS, whatever ran before it.
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    digest = hashlib.sha256()
+    with open(out, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    out.unlink()
+    assert digest.hexdigest() == DYN16_SHA256
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    peak_mib = usage.ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+    assert elapsed < 10.0, f"{elapsed:.1f} s over 10 s"
+    assert peak_mib < 256, f"peak RSS {peak_mib:.0f} MiB over 256 MiB"

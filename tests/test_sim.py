@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_mcnot_int, marginal_mask, simulate_stepwise
+from helpers import (
+    apply_mcnot_int,
+    gates,
+    instructions,
+    marginal_mask,
+    simulate_stepwise,
+)
 
 from qcool import (
     HBAC,
@@ -307,22 +313,6 @@ def registers(draw, max_n=14):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.random(1 << n)
     return n, v / v.sum()
-
-
-@st.composite
-def gates(draw, n):
-    qubits = draw(st.permutations(range(1, n + 1)))
-    k = draw(st.integers(0, n - 1))
-    polarities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-    return McNot(qubits[0], tuple(zip(qubits[1 : 1 + k], polarities)))
-
-
-@st.composite
-def instructions(draw, n):
-    if draw(st.integers(0, 3)) == 0:
-        qubits = draw(st.sets(st.integers(1, n), min_size=1))
-        return ResetInstr(tuple(qubits))
-    return draw(gates(n))
 
 
 noise_probabilities = st.sampled_from([0.0, 1e-12, 0.4999, 1.0]) | st.floats(0.0, 1.0)
