@@ -12,10 +12,8 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -67,13 +65,13 @@ def _handled(f):
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise click.UsageError(f"{flag} has an empty item")
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        return [float(x) for x in items]
     except ValueError:
         raise click.UsageError(f"{flag} expects comma-separated numbers")
-    if not values:
-        raise click.UsageError(f"{flag} is empty")
-    return values
 
 
 def _resolve_initial(initial_p, temp_mk, freq_ghz, *, required=True):
@@ -121,17 +119,14 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
         Path(out).write_text(text)
 
 
-def _row(task) -> dict:
-    """One result row; with a noise level, final_p is the noisy circuit's."""
-    config, initial_p, gap, noise_p, placement = task
+def _row(config, initial_p, gap, noise: NoiseModel | None) -> dict:
+    """One result row; with a noise model, final_p is the noisy circuit's."""
     rep = methods.report(
         config, initial_p=initial_p, gap=gap, include_circuit=False
     )
     final_p = rep.final_excitation
-    if noise_p is not None:
-        final_p = methods.noisy_final_probability(
-            config, initial_p, NoiseModel(noise_p, placement)
-        )
+    if noise is not None:
+        final_p = methods.noisy_final_probability(config, initial_p, noise)
     physical = gap is not None and not gap.dimensionless
     # Work is the noiseless driving cost; depolarizing exchanges heat,
     # not work, in this model.
@@ -142,20 +137,12 @@ def _row(task) -> dict:
         "final_temp_mk": _temp_mk_or_none(final_p, gap if physical else None),
         "initial_p": rep.initial_excitation,
         "final_p": final_p,
-        "noise_p": noise_p,
+        "noise_p": None if noise is None else noise.probability,
         "work": rep.work_in_gap_units,
         "work_joules": rep.work_joules,
         "total_gates": rep.gate_counts.total,
         "resets": rep.gate_counts.resets,
     }
-
-
-def _run_tasks(tasks: list, jobs: int) -> list[dict]:
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_row, tasks))
 
 
 @click.group()
@@ -178,6 +165,10 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
     if (config_path is None) == (cycles_file is None):
         raise click.UsageError("give exactly one of --config or --cycles-file")
     if cycles_file is not None:
+        if (initial_p, temp_mk, freq_ghz) != (None, None, None):
+            raise click.UsageError(
+                "--cycles-file takes no --initial-p, --temp-mk or --freq-ghz"
+            )
         circuit = synthesize_circuit(unitary_from_json(cycles_file))
     else:
         config = methods.config_from_json(config_path)
@@ -204,7 +195,7 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
     config = methods.config_from_json(config_path)
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
-    rows = [_row((config, p, gap, None, None))]
+    rows = [_row(config, p, gap, None)]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -213,11 +204,12 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
 @click.option("--probs", help="Comma-separated initial excitation probabilities.")
 @click.option("--temps-mk", help="Comma-separated initial temperatures (needs --freq-ghz).")
 @click.option("--freq-ghz", type=float)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes, at most one per task and CPU.")
+# Rows run in this process; --jobs is accepted for old scripts and ignored.
+@click.option("--jobs", type=click.IntRange(min=1), default=1, hidden=True, expose_value=False)
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @_handled
-def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
+def sweep(config_paths, probs, temps_mk, freq_ghz, as_csv, out):
     """Analyze configs across initial temperatures; rows in given order."""
     if (probs is None) == (temps_mk is None):
         raise click.UsageError("give exactly one of --probs or --temps-mk")
@@ -232,10 +224,9 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
         ]
     else:
         ps = _parse_float_list(probs, "--probs")
-    # Checked here so a bad value exits 2 before any worker starts.
+    # Checked here so a bad value exits 2 before any row is computed.
     ps = [methods.check_excitation(p) for p in ps]
-    tasks = [(config, p, gap, None, None) for config in configs for p in ps]
-    rows = _run_tasks(tasks, jobs)
+    rows = [_row(config, p, gap, None) for config in configs for p in ps]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -246,23 +237,19 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, jobs, as_csv, out):
 @click.option("--freq-ghz", type=float)
 @click.option("--noise-probs", required=True, help="Comma-separated depolarizing probabilities.")
 @click.option("--placement", type=click.Choice(["per-gate", "per-layer"]), default="per-gate", show_default=True)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes, at most one per task and CPU.")
+# Rows run in this process; --jobs is accepted for old scripts and ignored.
+@click.option("--jobs", type=click.IntRange(min=1), default=1, hidden=True, expose_value=False)
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @_handled
-def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placement, jobs, as_csv, out):
+def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placement, as_csv, out):
     """Simulate configs under gate noise; final column is per noise level."""
     configs = [methods.config_from_json(p) for p in config_paths]
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
     p = methods.check_excitation(p)
     noise = _parse_float_list(noise_probs, "--noise-probs")
-    for np_ in noise:
-        if not 0.0 <= np_ <= 1.0:
-            raise click.UsageError("noise probabilities must lie in [0, 1]")
-    tasks = [
-        (config, p, gap, np_, placement) for config in configs for np_ in noise
-    ]
-    rows = _run_tasks(tasks, jobs)
+    models = [NoiseModel(q, placement) for q in noise]
+    rows = [_row(config, p, gap, m) for config in configs for m in models]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import sim
-from .circuits import Circuit, GateCounts, ResetInstr, embed
+from .circuits import _MAX_WIDTH, Circuit, GateCounts, ResetInstr, embed
 from .constants import check_qubit_cap
 from .errors import ConfigError, PopulationInversionError
 from .protocols import (
@@ -260,6 +260,7 @@ class SemiOpen:
                 "semi-open circuits need initial_p: later rounds "
                 "depend on the reached temperature"
             )
+        check_qubit_cap(max(self.cluster_sizes))
         out, free = [], 2
         for i, n in enumerate(self.cluster_sizes):
             t = _cooled(self, i, u, spec) if i else p
@@ -455,9 +456,11 @@ def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
     With p None only the unitaries and qubit maps are planned (specs are
     None); that suffices for circuits unless the unitaries depend on p.
     The last plan is kept, so that the noiseless and the noisy walk of
-    one result row share it; plans are immutable.
+    one result row share it; plans are immutable.  Vectors are capped
+    at cluster width by the plans; the register needs only its qubit
+    maps and circuit rows, which hold at most 63 qubits.
     """
-    check_qubit_cap(config.width)
+    check_qubit_cap(config.width, _MAX_WIDTH)
     return tuple(config.plan(p))
 
 
@@ -469,6 +472,7 @@ def _cluster_tree(
     Each round cools disjoint clusters in parallel; their targets form
     the next round's register.  One round is dynamic cooling.
     """
+    check_qubit_cap(n)
     u = _resolve_protocol(config.protocol, n)
     spec = None if p is None else ThermalSpec.homogeneous(p, n)
     out, survivors = [], tuple(range(1, n**rounds + 1))
@@ -546,7 +550,6 @@ def _closed_form(config: MethodConfig, p: float) -> float | None:
 def final_probability(config: MethodConfig, p: float) -> float:
     """Target excitation the method reaches from a homogeneous bath at p."""
     p = check_excitation(p)
-    check_qubit_cap(config.width)
     closed = _closed_form(config, p)
     if closed is not None:
         return closed
@@ -628,10 +631,11 @@ def noisy_final_probability(
     rounds = _rounds(config, p)
     shared_layers = any(len(rnd.clusters) > 1 for rnd in rounds)
     if noise.placement == "per-layer" and shared_layers:
-        width = config.width
+        # Built first, so that its cap refuses before the circuit is.
+        start = thermal_product_vector(p, config.width)
         v = sim.simulate(
-            _circuit(width, rounds),
-            thermal_product_vector(p, width),
+            _circuit(config.width, rounds),
+            start,
             noise=noise,
             bath_excitation=p,
         )

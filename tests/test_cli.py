@@ -164,6 +164,49 @@ def test_analyze_cap_exit_3(runner, tmp_path):
     assert "error" in result.stderr.lower()
 
 
+def test_cap_applies_to_clusters_and_vectors(runner, tmp_path):
+    s33 = write_config(tmp_path, {**SUBOPT, "rounds": 3}, "s33.json")
+    row = json.loads(
+        run_ok(runner, ["analyze", "--config", s33, "--initial-p", "0.1"])
+    )[0]
+    assert row["total_qubits"] == 27 and row["total_gates"] == 65
+    assert row["final_p"] == sub_optimal_final_p(0.1, 3, 3)
+    rows = json.loads(
+        run_ok(runner, ["sweep", "--config", s33, "--probs", "0.1,0.2"])
+    )
+    assert rows[0] == row
+    noise = ["noise-sweep", "--config", s33, "--initial-p", "0.1",
+             "--noise-probs", "0,0.01"]
+    rows = json.loads(run_ok(runner, noise + ["--placement", "per-gate"]))
+    assert rows[0]["final_p"] == pytest.approx(row["final_p"], rel=1e-12)
+    assert rows[1]["final_p"] > row["final_p"]
+    qasm = run_ok(runner, ["generate", "--config", s33, "--initial-p", "0.1"])
+    assert parse_qasm(qasm).n_qubits == 27
+    assert count_ctrl_statements(qasm) == 65
+    # per-layer rows simulate the whole 2**27 vector
+    result = runner.invoke(cli, noise + ["--placement", "per-layer"])
+    assert result.exit_code == 3
+    assert "27 qubits exceeds the cap of 24" in result.stderr
+    for doc, message in (
+        ({"method": "dynamic", "n_qubits": 25}, "25 qubits exceeds the cap of 24"),
+        ({"method": "semiopen", "cluster_sizes": [2, 25]},
+         "25 qubits exceeds the cap of 24"),
+        ({"method": "suboptimal", "cluster_size": 2, "rounds": 6},
+         "64 qubits exceeds the cap of 63"),
+    ):
+        cfg = write_config(tmp_path, doc)
+        for args in (
+            ["analyze", "--config", cfg, "--initial-p", "0.1"],
+            ["sweep", "--config", cfg, "--probs", "0.1"],
+            ["noise-sweep", "--config", cfg, "--initial-p", "0.1",
+             "--noise-probs", "0.01"],
+            ["generate", "--config", cfg, "--initial-p", "0.1"],
+        ):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 3, (doc, args)
+            assert message in result.stderr, (doc, args)
+
+
 def test_analyze_bad_probability_exit_2(runner, tmp_path):
     cfg = write_config(tmp_path, DYN3)
     result = runner.invoke(cli, ["analyze", "--config", cfg, "--initial-p", "0.6"])
@@ -239,58 +282,45 @@ def test_sweep_jobs_equivalence(runner, tmp_path):
     serial = run_ok(runner, args)
     parallel = run_ok(runner, args + ["--jobs", "2"])
     assert serial == parallel
+    noisy = ["noise-sweep", "--config", c1, "--initial-p", "0.1",
+             "--noise-probs", "0,0.01"]
+    for bad in ("0", "-3"):
+        assert runner.invoke(cli, args + ["--jobs", bad]).exit_code == 2
+        assert runner.invoke(cli, noisy + ["--jobs", bad]).exit_code == 2
 
 
-def test_jobs_bounded(runner, tmp_path, monkeypatch):
-    import qcool.cli as cli_module
+def test_sweeps_start_no_process(runner, tmp_path, monkeypatch):
+    import multiprocessing.process
 
-    sizes = []
+    def no_process(self):
+        raise AssertionError("a process was started")
 
-    class SerialPool:
-        # records the requested pool size and maps in this process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     c1 = write_config(tmp_path, DYN3, "a.json")
     c2 = write_config(tmp_path, SUBOPT, "b.json")
-    six = ["sweep", "--config", c1, "--config", c2, "--probs", "0.05,0.1,0.2"]
-    serial = run_ok(runner, six)
-    assert run_ok(runner, six + ["--jobs", "8"]) == serial  # cpu bound
-    assert run_ok(runner, six + ["--jobs", "2"]) == serial  # jobs bound
-    two = ["sweep", "--config", c1, "--probs", "0.05,0.1", "--jobs", "8"]
-    run_ok(runner, two)  # task bound
-    noisy = ["noise-sweep", "--config", c1, "--initial-p", "0.1",
-             "--noise-probs", "0,0.01,0.02,0.03", "--jobs", "16"]
-    run_ok(runner, noisy)
-    assert sizes == [3, 2, 2, 3]
-    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
-    run_ok(runner, six + ["--jobs", "8"])  # unknown CPU count: no pool
-    assert sizes == [3, 2, 2, 3]
-    for bad in ("0", "-3"):
-        assert runner.invoke(cli, six + ["--jobs", bad]).exit_code == 2
-        assert runner.invoke(cli, noisy[:-1] + [bad]).exit_code == 2
+    configs = ["--config", c1, "--config", c2]
+    for args in (
+        ["sweep", *configs, "--probs", "0.05,0.1,0.2"],
+        ["noise-sweep", *configs, "--initial-p", "0.1",
+         "--noise-probs", "0,0.001,0.01", "--placement", "per-layer"],
+    ):
+        serial = run_ok(runner, args + ["--jobs", "1"])
+        assert run_ok(runner, args + ["--jobs", "2"]) == serial, args
 
 
-def test_sweep_rejects_bad_custom_labels_before_workers(
+def no_rows(monkeypatch):
+    import qcool.methods
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(qcool.methods, "report", forbidden)
+
+
+def test_sweep_rejects_bad_custom_labels_before_rows(
     runner, tmp_path, monkeypatch
 ):
-    import qcool.cli as cli_module
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_pool)
+    no_rows(monkeypatch)
     cfg = write_config(
         tmp_path,
         {"method": "dynamic", "n_qubits": 3, "protocol": "custom",
@@ -313,15 +343,10 @@ def test_sweep_rejects_bad_custom_labels_before_workers(
           "--jobs", "2"], "0.5"),
     ],
 )
-def test_sweeps_reject_bad_excitation_before_workers(
+def test_sweeps_reject_bad_excitation_before_rows(
     runner, tmp_path, monkeypatch, args, bad
 ):
-    import qcool.cli as cli_module
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_pool)
+    no_rows(monkeypatch)
     cfg = write_config(tmp_path, {"method": "dynamic", "n_qubits": 4})
     result = runner.invoke(cli, [args[0], "--config", cfg, *args[1:]])
     assert result.exit_code == 2
@@ -356,6 +381,21 @@ def test_sweep_usage_errors(runner, tmp_path):
         ["sweep", "--config", cfg, "--probs", ""],
     ):
         assert runner.invoke(cli, args).exit_code == 2, args
+
+
+def test_list_flags_reject_empty_items(runner, tmp_path):
+    cfg = write_config(tmp_path, DYN3)
+    for flag, args in (
+        ("--probs", ["sweep"]),
+        ("--temps-mk", ["sweep", "--freq-ghz", "5"]),
+        ("--noise-probs", ["noise-sweep", "--initial-p", "0.1"]),
+    ):
+        for items in ("0.1,,0.2", "0.1,", ",0.1", "0.1, ,0.2"):
+            result = runner.invoke(
+                cli, [*args, "--config", cfg, flag, items]
+            )
+            assert result.exit_code == 2, (flag, items)
+            assert f"{flag} has an empty item" in result.stderr
 
 
 # -- noise-sweep -----------------------------------------------------------
@@ -502,7 +542,8 @@ def test_sweep_rows_never_synthesize_or_simulate(runner, tmp_path, monkeypatch):
             assert layered.exit_code == 0, layered.output
 
 
-def test_noise_sweep_validation(runner, tmp_path):
+def test_noise_sweep_validation(runner, tmp_path, monkeypatch):
+    no_rows(monkeypatch)
     cfg = write_config(tmp_path, DYN3)
     result = runner.invoke(
         cli,
@@ -513,10 +554,11 @@ def test_noise_sweep_validation(runner, tmp_path):
             "--initial-p",
             "0.1",
             "--noise-probs",
-            "1.5",
+            "0.1,1.5",
         ],
     )
     assert result.exit_code == 2
+    assert "noise probability must lie in [0, 1]" in result.stderr
     result = runner.invoke(
         cli, ["noise-sweep", "--config", cfg, "--noise-probs", "0.1"]
     )
@@ -604,6 +646,18 @@ def test_generate_source_flags_exclusive(runner, tmp_path):
     assert runner.invoke(cli, ["generate"]).exit_code == 2
     args = ["generate", "--config", cfg, "--cycles-file", str(cycles)]
     assert runner.invoke(cli, args).exit_code == 2
+    # a cycle list fixes every gate, so temperature flags would be dropped
+    args = ["generate", "--cycles-file", str(cycles)]
+    for extra in (
+        ["--initial-p", "0.1"],
+        ["--initial-p", "0.7"],
+        ["--temp-mk", "50", "--freq-ghz", "5"],
+        ["--freq-ghz", "5"],
+        ["--temp-mk", "50"],
+    ):
+        result = runner.invoke(cli, args + extra)
+        assert result.exit_code == 2, extra
+        assert "--cycles-file takes no" in result.stderr, extra
 
 
 def test_generate_cap_exits(runner, tmp_path):

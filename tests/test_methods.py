@@ -16,6 +16,7 @@ from qcool import (
     Dynamic,
     EnergyGap,
     HBAC,
+    NoiseModel,
     PopulationInversionError,
     ResetInstr,
     ResourceLimitError,
@@ -32,6 +33,7 @@ from qcool import (
     marginal,
     method_label,
     minimal_work_protocol,
+    noisy_final_probability,
     ppa_protocol,
     probability_from_temperature,
     report,
@@ -438,15 +440,46 @@ def test_initial_p_does_not_change_fixed_circuits(config):
 
 
 def test_register_cap_enforced():
+    # Clusters and probability vectors are capped at 24 qubits; a closed
+    # form allocates nothing, so it needs no cap.
     big = Dynamic(25)
-    with pytest.raises(ResourceLimitError):
-        build_circuit(big)
-    with pytest.raises(ResourceLimitError):
-        final_probability(big, 0.1)
-    with pytest.raises(ResourceLimitError):
-        total_work_cost(big, 0.1)
-    with pytest.raises(ResourceLimitError):
-        total_qubits(SubOptimal(3, 3)) and build_circuit(SubOptimal(3, 3))
+    assert final_probability(big, 0.1) == dynamic_final_p(0.1, 25)
+    for call in (
+        lambda: build_circuit(big),
+        lambda: total_work_cost(big, 0.1),
+        lambda: report(big, initial_p=0.1),
+        lambda: final_probability(Dynamic(25, CustomProtocol(((0, 1),))), 0.1),
+        lambda: final_probability(SemiOpen((2, 25)), 0.1),
+        lambda: report(SemiOpen((2, 25)), initial_p=0.1),
+        lambda: final_probability(HBAC(25, 2), 0.1),
+        lambda: hbac_final_p(0.1, 25, 2),
+    ):
+        with pytest.raises(ResourceLimitError, match="25 qubits"):
+            call()
+    # SubOptimal(3, 3) builds vectors of 8 entries, except per-layer
+    # noise, which simulates the 27-qubit register.
+    s33 = SubOptimal(3, 3)
+    rep = report(s33, initial_p=0.1)
+    assert rep.total_qubits == 27 and rep.gate_counts.total == 65
+    assert rep.final_excitation == sub_optimal_final_p(0.1, 3, 3)
+    assert rep.circuit.n_qubits == 27 and len(rep.circuit) == 65
+    per_gate = noisy_final_probability(s33, 0.1, NoiseModel(0.01))
+    assert per_gate > rep.final_excitation
+    with pytest.raises(ResourceLimitError, match="27 qubits"):
+        noisy_final_probability(s33, 0.1, NoiseModel(0.01, "per-layer"))
+    # Registers are capped at 63 qubits (64-bit row masks), before any
+    # qubit map is built.
+    for wide in (SubOptimal(2, 6), SubOptimal(2, 30)):
+        assert final_probability(wide, 0.1) == sub_optimal_final_p(
+            0.1, 2, wide.rounds
+        )
+        for call in (
+            lambda: build_circuit(wide),
+            lambda: report(wide, initial_p=0.1),
+            lambda: total_work_cost(wide, 0.1),
+        ):
+            with pytest.raises(ResourceLimitError, match="cap of 63"):
+                call()
 
 
 def test_report_with_physical_gap():
