@@ -31,7 +31,7 @@ import numpy as np
 from . import sim
 from .circuits import _MAX_WIDTH, Circuit, GateCounts, ResetInstr, embed
 from .constants import check_qubit_cap
-from .errors import ConfigError, PopulationInversionError
+from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
     BUILTIN_PROTOCOLS,
     _sort_unitary,
@@ -168,6 +168,14 @@ class SubOptimal(_Clustered):
 
     @property
     def width(self) -> int:
+        # Past six rounds n**r exceeds every register a circuit can
+        # hold; for large r it would also take seconds to compute and
+        # be too long to print, so it is refused unevaluated.
+        if self.rounds > _MAX_WIDTH.bit_length():
+            raise ResourceLimitError(
+                f"register of {self.cluster_size}**{self.rounds} qubits "
+                f"exceeds the cap of {_MAX_WIDTH}"
+            )
         return self.cluster_size**self.rounds
 
     def label(self) -> str:
@@ -224,8 +232,13 @@ class HBAC(_Clustered):
 
     def plan(self, p: float | None) -> list[_Round]:
         (first,) = _cluster_tree(self, self.cluster_size, 1, p)
-        again = _Round(first.unitary, first.clusters, None, self.reset_qubits)
-        return [first] + [again] * (self.rounds - 1)
+        if self.rounds == 1:
+            return [first]
+        again = _Round(
+            first.unitary, first.clusters, None, self.reset_qubits,
+            self.rounds - 1,
+        )
+        return [first, again]
 
 
 @dataclass(frozen=True)
@@ -414,11 +427,15 @@ def work_cost(
         raise ValueError(
             f"state length {v.size} does not match {unitary.dim} basis states"
         )
-    return _energy_change(v, unitary.apply_to_prob_vector(v), gap)
+    after = unitary.apply_to_prob_vector(v)
+    return _energy_change(_weights(v.size), v, after, gap)
 
 
-def _energy_change(before: np.ndarray, after: np.ndarray, gap: EnergyGap) -> float:
-    return float(gap.value * np.dot(_weights(before.size), after - before))
+def _energy_change(
+    weights: np.ndarray, before: np.ndarray, after: np.ndarray, gap: EnergyGap
+) -> float:
+    """Energy after minus before; weights are _weights of the dimension."""
+    return float(gap.value * np.dot(weights, after - before))
 
 
 @dataclass(frozen=True)
@@ -429,13 +446,16 @@ class _Round:
     clusters[i][j-1]).  spec is the noiseless product state every copy
     starts from, which the unitary was planned for; None carries the
     previous round's cluster state on, with the local qubits in resets
-    first returned to the bath.
+    first returned to the bath.  repeat is how many times in a row the
+    round runs, so that a plan holds one entry per distinct round; only
+    rounds that carry their state on (spec None) repeat.
     """
 
     unitary: CoolingUnitary
     clusters: tuple[tuple[int, ...], ...]
     spec: ThermalSpec | None
     resets: tuple[int, ...] = ()
+    repeat: int = 1
 
 
 def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, spec) -> float:
@@ -501,42 +521,48 @@ def _walk(
     brings the excitation it reached; any other qubit comes from the
     bath.  Resets exchange heat with the bath, not work, so they
     contribute nothing.  With noise, every synthesized gate depolarizes
-    its cluster (see _fused_noise); work counts the unitaries alone.
+    its cluster (see _mixing); work counts the unitaries alone.
+
+    What a round needs is prepared once per plan entry, and its repeats
+    run only the reset, the permutation, the energy dot product and the
+    mix, so a repeated round gives the same bits as its unrolled copies.
     """
     work = 0.0
     carried: dict[int, float] = {}
     v = None
     for rnd in rounds:
+        u = rnd.unitary
+        weights = _weights(u.dim)
+        copies = len(rnd.clusters)
+        mixed = _mixing(synthesized_gate_count(u) if noise else 0, noise)
         if rnd.spec is None:
-            v = sim.reset_qubits(v, rnd.resets, p)
+            reset = sim._reset_plan(u.n_qubits, rnd.resets, p)
         else:
             v = product_diagonal([carried.get(q, p) for q in rnd.clusters[0]])
-        after = rnd.unitary.apply_to_prob_vector(v)
-        work += len(rnd.clusters) * _energy_change(v, after, gap)
-        v = _fused_noise(after, rnd.unitary, noise)
+        for _ in range(rnd.repeat):
+            if rnd.spec is None:
+                v = sim._reset(v, *reset)
+            after = u.apply_to_prob_vector(v)
+            work += copies * _energy_change(weights, v, after, gap)
+            v = after if mixed == 0.0 else (1.0 - mixed) * after + mixed / v.size
         t = sim.marginal(v, 1)
         carried.update((phys[0], t) for phys in rnd.clusters)
     return t, work
 
 
-def _fused_noise(
-    after: np.ndarray, unitary: CoolingUnitary, noise: float
-) -> np.ndarray:
-    """The cluster state once each synthesized gate of U depolarizes.
+def _mixing(gates: int, noise: float) -> float:
+    """Weight of the uniform state once each of G gates depolarizes.
 
-    after is U applied without noise.  Every gate acts on the whole
-    cluster, and depolarizing a cluster commutes with any permutation
-    inside it, so G gates each followed by depolarizing at noise equal U
+    Every synthesized gate acts on the whole cluster, and depolarizing a
+    cluster commutes with any permutation inside it, so G gates each
+    followed by depolarizing at noise equal the cluster's permutation
     followed by one mix toward uniform with weight 1 - (1 - noise)**G.
     """
-    gates = synthesized_gate_count(unitary) if noise else 0
-    if gates == 0:
-        return after
+    if gates == 0 or noise == 0.0:
+        return 0.0
     if noise == 1.0:
-        mixed = 1.0  # log1p(-1) is -inf, and 0 * -inf would be NaN
-    else:
-        mixed = -math.expm1(gates * math.log1p(-noise))
-    return (1.0 - mixed) * after + mixed / after.size
+        return 1.0  # log1p(-1) is -inf, and 0 * -inf would be NaN
+    return -math.expm1(gates * math.log1p(-noise))
 
 
 def _closed_form(config: MethodConfig, p: float) -> float | None:
@@ -568,37 +594,46 @@ def total_work_cost(
 
 
 def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
-    """Synthesize each distinct unitary once and embed it per cluster."""
+    """Synthesize each distinct unitary once and embed it per cluster.
+
+    A repeated round's rows (each copy's reset, then its gates) are
+    built once and tiled.
+    """
     synthesized: dict[int, Circuit] = {}
-    parts: list[Circuit] = []
+    blocks: list[np.ndarray] = []
     for rnd in rounds:
         key = id(rnd.unitary)
         if key not in synthesized:
             synthesized[key] = synthesize_circuit(rnd.unitary)
+        once: list[Circuit] = []
         for phys in rnd.clusters:
             if rnd.resets:
                 reset = ResetInstr(tuple(phys[q - 1] for q in rnd.resets))
-                parts.append(Circuit(width, (reset,)))
-            parts.append(embed(synthesized[key], width, phys))
-    if len(parts) == 1:
-        return parts[0]
-    return Circuit._from_rows(width, np.concatenate([c.rows for c in parts]))
+                once.append(Circuit(width, (reset,)))
+            once.append(embed(synthesized[key], width, phys))
+        if len(rounds) == len(once) == rnd.repeat == 1:
+            return once[0]
+        block = np.concatenate([c.rows for c in once])
+        blocks.append(np.tile(block, (rnd.repeat, 1)))
+    return Circuit._from_rows(width, np.concatenate(blocks))
 
 
 def _gate_counts(rounds: Sequence[_Round]) -> GateCounts:
     """gate_counts(_circuit(...)) read off the plan, without synthesis.
 
     Every synthesized gate of a w-qubit unitary has w - 1 controls, and
-    each copy of a round with resets starts with one reset instruction.
+    each copy of a round with resets starts with one reset instruction,
+    every time the round repeats.
     """
     by: Counter = Counter()
     resets = 0
     for rnd in rounds:
+        copies = rnd.repeat * len(rnd.clusters)
         gates = synthesized_gate_count(rnd.unitary)
         if gates:
-            by[rnd.unitary.n_qubits - 1] += len(rnd.clusters) * gates
+            by[rnd.unitary.n_qubits - 1] += copies * gates
         if rnd.resets:
-            resets += len(rnd.clusters)
+            resets += copies
     return GateCounts(dict(sorted(by.items())), resets)
 
 

@@ -148,13 +148,36 @@ def reset_qubits(v: np.ndarray, qubits: Sequence[int], bath_excitation: float) -
     qs = sorted(set(int(q) for q in qubits))
     if not qs or qs[0] < 1 or qs[-1] > n:
         raise ValueError(f"qubits {qubits!r} invalid for {n}-qubit register")
-    t = v.reshape((2,) * n)
-    kept = t.sum(axis=tuple(q - 1 for q in qs), keepdims=True)
+    return _reset(v, *_reset_plan(n, qs, bath_excitation))
+
+
+def _reset_plan(
+    n: int, qubits: Sequence[int], bath_excitation: float
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[np.ndarray, ...]]:
+    """(shape, axes, factors) that _reset needs for sorted, valid qubits.
+
+    Each factor is the bath's (1 - b, b) along one reset qubit's axis.
+    """
     fresh = np.array([1.0 - bath_excitation, bath_excitation])
-    for q in qs:
+    factors = []
+    for q in qubits:
         shape = [1] * n
         shape[q - 1] = 2
-        kept = kept * fresh.reshape(shape)
+        factors.append(fresh.reshape(shape))
+    axes = tuple(q - 1 for q in qubits)
+    return (2,) * n, axes, tuple(factors)
+
+
+def _reset(
+    v: np.ndarray,
+    shape: tuple[int, ...],
+    axes: tuple[int, ...],
+    factors: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Unchecked reset of a float64 diagonal, planned by _reset_plan."""
+    kept = v.reshape(shape).sum(axis=axes, keepdims=True)
+    for factor in factors:
+        kept = kept * factor
     return kept.ravel()
 
 

@@ -193,6 +193,9 @@ def test_cap_applies_to_clusters_and_vectors(runner, tmp_path):
          "25 qubits exceeds the cap of 24"),
         ({"method": "suboptimal", "cluster_size": 2, "rounds": 6},
          "64 qubits exceeds the cap of 63"),
+        # refused without computing or printing 3**3000000
+        ({"method": "suboptimal", "cluster_size": 3, "rounds": 3_000_000},
+         "3**3000000 qubits exceeds the cap of 63"),
     ):
         cfg = write_config(tmp_path, doc)
         for args in (

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qcool import (
     CustomProtocol,
     Dynamic,
     EnergyGap,
+    GateCounts,
     HBAC,
     NoiseModel,
     PopulationInversionError,
@@ -27,6 +29,7 @@ from qcool import (
     build_circuit,
     config_from_json,
     dynamic_final_p,
+    export_qasm,
     final_probability,
     gate_counts,
     hbac_final_p,
@@ -37,6 +40,7 @@ from qcool import (
     ppa_protocol,
     probability_from_temperature,
     report,
+    reset_qubits,
     semi_open_final_p,
     simulate,
     sub_optimal_final_p,
@@ -46,7 +50,8 @@ from qcool import (
     work_cost,
 )
 from qcool.constants import BOLTZMANN_J_PER_K
-from qcool.methods import _METHODS
+from qcool.methods import _METHODS, _circuit, _gate_counts, _rounds, _walk
+from qcool.synth import synthesized_gate_count
 
 
 # -- closed forms ----------------------------------------------------------
@@ -480,6 +485,89 @@ def test_register_cap_enforced():
         ):
             with pytest.raises(ResourceLimitError, match="cap of 63"):
                 call()
+
+
+def test_suboptimal_register_refused_unevaluated():
+    # Past six rounds n**r exceeds 63 for every n >= 2; refusing it must
+    # not compute (or print) the power, which at r = 3,000,000 alone
+    # has over 1.4 million digits.
+    assert SubOptimal(2, 6).width == 64
+    huge = SubOptimal(3, 3_000_000)
+    for call in (
+        lambda: total_qubits(huge),
+        lambda: report(huge, initial_p=0.1),
+        lambda: build_circuit(huge),
+        lambda: total_work_cost(huge, 0.1),
+        lambda: noisy_final_probability(huge, 0.1, NoiseModel(0.01)),
+    ):
+        with pytest.raises(
+            ResourceLimitError, match=r"3\*\*3000000 qubits exceeds the cap of 63"
+        ):
+            call()
+    with pytest.raises(ResourceLimitError, match=r"2\*\*7 qubits"):
+        SubOptimal(2, 7).width
+
+
+def test_hbac_plan_holds_one_entry_per_distinct_round():
+    rounds = 10**6
+    plan = _rounds(HBAC(3, rounds), 0.1)
+    assert len(plan) == 2
+    assert [r.repeat for r in plan] == [1, rounds - 1]
+    per_round = synthesized_gate_count(plan[0].unitary)
+    assert _gate_counts(plan) == GateCounts({2: rounds * per_round}, rounds - 1)
+    assert len(_rounds(HBAC(3, 1), 0.1)) == 1
+
+
+def _unrolled(plan):
+    return tuple(
+        dataclasses.replace(r, repeat=1) for r in plan for _ in range(r.repeat)
+    )
+
+
+def _stepwise_hbac(config, p, gap, noise):
+    """(t, work) of HBAC round by round through the public functions."""
+    u = config.plan(p)[0].unitary
+    gates = synthesized_gate_count(u)
+    if noise in (0.0, 1.0):
+        mixed = noise if gates else 0.0
+    else:
+        mixed = -math.expm1(gates * math.log1p(-noise))
+    v = thermal_product_vector(p, config.cluster_size)
+    work = 0.0
+    for k in range(config.rounds):
+        if k:
+            v = reset_qubits(v, config.reset_qubits, p)
+        work += work_cost(u, v, gap)
+        v = u.apply_to_prob_vector(v)
+        if mixed:
+            v = (1.0 - mixed) * v + mixed / v.size
+    return marginal(v, 1), work
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("rounds", (1, 2, 200))
+@pytest.mark.parametrize(
+    "size, resets", ((3, ()), (5, (2, 3)), (3, (1,))), ids=("default", "23", "1")
+)
+def test_repeated_round_walks_as_unrolled(size, resets, rounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # resetting the target warns
+        config = HBAC(size, rounds, resets)
+    p, gap = 0.1, EnergyGap.from_frequency_ghz(5.0)
+    plan = _rounds(config, p)
+    flat = _unrolled(plan)
+    assert len(plan) == min(rounds, 2) and len(flat) == rounds
+    for noise in (0.0, 1e-3, 1.0):
+        walked = _walk(plan, p, gap, noise)
+        assert _bits(walked) == _bits(_walk(flat, p, gap, noise))
+        assert _bits(walked) == _bits(_stepwise_hbac(config, p, gap, noise))
+    circuit = _circuit(config.width, plan)
+    assert circuit == _circuit(config.width, flat)
+    assert gate_counts(circuit) == _gate_counts(plan) == _gate_counts(flat)
+    assert export_qasm(circuit) == export_qasm(_circuit(config.width, flat))
 
 
 def test_report_with_physical_gap():

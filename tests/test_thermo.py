@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcool import (
     EnergyGap,
@@ -14,6 +16,7 @@ from qcool import (
     thermal_product_vector,
 )
 from qcool.constants import BOLTZMANN_J_PER_K, PLANCK_J_S
+from qcool.thermo import product_diagonal
 
 GAP_5GHZ = EnergyGap.from_frequency_ghz(5.0)
 
@@ -131,3 +134,25 @@ def test_thermal_product_vector_cap():
         thermal_product_vector(0.1)
     with pytest.raises(ValueError):
         thermal_product_vector(ThermalSpec.homogeneous(0.1, 3), 4)
+
+
+excitation_lists = st.lists(
+    st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(excitation_lists)
+@example([0.0] * 16)
+@example([0.5] * 16)
+@example([1.0] * 16)
+@example([0.0, 0.5, 1.0, 1e-300, 0.49999999999999994] * 3 + [0.1])
+def test_product_diagonal_is_the_kron_fold(excitations):
+    want = np.ones(1)
+    for p in excitations:
+        want = np.kron(want, np.array([1.0 - p, p]))
+    got = product_diagonal(excitations)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
