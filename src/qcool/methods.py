@@ -30,7 +30,7 @@ import numpy as np
 
 from . import sim
 from .circuits import _MAX_WIDTH, Circuit, GateCounts, ResetInstr, embed
-from .constants import check_qubit_cap
+from .constants import DEFAULT_QUBIT_CAP, check_qubit_cap
 from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
     BUILTIN_PROTOCOLS,
@@ -394,14 +394,13 @@ def hbac_final_p(
     # HBAC checks the arguments; reset_qubits None means every auxiliary.
     resets = () if reset_qubits is None else tuple(reset_qubits)
     config = HBAC(cluster_size, rounds, resets, protocol)
-    n, reset = config.cluster_size, config.reset_qubits
-    v = thermal_product_vector(p, n)
-    unitary = None if rederive_each_round else _resolve_protocol(protocol, n)
+    if not rederive_each_round:
+        return _walk(_rounds(config, p), p)[0]
+    v = thermal_product_vector(p, config.cluster_size)
     for k in range(rounds):
         if k:
-            v = sim.reset_qubits(v, reset, p)
-        if rederive_each_round:
-            unitary = _sort_unitary(np.argsort(-v, kind="stable"))
+            v = sim.reset_qubits(v, config.reset_qubits, p)
+        unitary = _sort_unitary(np.argsort(-v, kind="stable"))
         v = unitary.apply_to_prob_vector(v)
     return sim.marginal(v, 1)
 
@@ -523,9 +522,11 @@ def _walk(
     contribute nothing.  With noise, every synthesized gate depolarizes
     its cluster (see _mixing); work counts the unitaries alone.
 
-    What a round needs is prepared once per plan entry, and its repeats
-    run only the reset, the permutation, the energy dot product and the
-    mix, so a repeated round gives the same bits as its unrolled copies.
+    What a round needs is prepared once per plan entry.  A repeated
+    round runs as one linear map on the marginal it keeps (see
+    _repeat_map) where that costs less than its repeats; otherwise each
+    repeat runs only the reset, the permutation, the energy dot product
+    and the mix.
     """
     work = 0.0
     carried: dict[int, float] = {}
@@ -535,11 +536,17 @@ def _walk(
         weights = _weights(u.dim)
         copies = len(rnd.clusters)
         mixed = _mixing(synthesized_gate_count(u) if noise else 0, noise)
+        repeat = rnd.repeat
         if rnd.spec is None:
             reset = sim._reset_plan(u.n_qubits, rnd.resets, p)
+            kept = u.n_qubits - len(rnd.resets)
+            if repeat > 1 and _map_pays(u.n_qubits, kept, repeat):
+                v, energy = _repeat_map(u, weights, reset, mixed, v, repeat)
+                work += copies * float(gap.value * energy)
+                repeat = 0
         else:
             v = product_diagonal([carried.get(q, p) for q in rnd.clusters[0]])
-        for _ in range(rnd.repeat):
+        for _ in range(repeat):
             if rnd.spec is None:
                 v = sim._reset(v, *reset)
             after = u.apply_to_prob_vector(v)
@@ -548,6 +555,73 @@ def _walk(
         t = sim.marginal(v, 1)
         carried.update((phys[0], t) for phys in rnd.clusters)
     return t, work
+
+
+def _map_pays(width: int, kept: int, repeats: int) -> bool:
+    """Whether _repeat_map costs less than walking the repeats.
+
+    Building the map costs about 4**k * 2**w for k kept qubits of w,
+    and its powers 8**k per bit of repeats; each walked repeat costs
+    2**w.  The map's array must also fit the vector cap.
+    """
+    build = 4**kept << width
+    powers = 8**kept * repeats.bit_length()
+    return build + powers < repeats << width and kept + width <= DEFAULT_QUBIT_CAP
+
+
+def _repeat_map(
+    u: CoolingUnitary,
+    weights: np.ndarray,
+    reset: tuple,
+    mixed: float,
+    v: np.ndarray,
+    repeats: int,
+) -> tuple[np.ndarray, float]:
+    """(vector, work) after repeats of a round that resets qubits first.
+
+    The reset keeps only the marginal m of the k qubits it does not
+    reset and retensors the others with the bath, so one repeat is a
+    linear map m -> m P on 2**k entries, with row-stochastic P, and its
+    work is g . m.  Running one repeat on every kept basis state at once
+    gives P, g and the vector each kept state leaves behind.  The last
+    repeat starts from m P**(r-1), and the work is g . m S with S the
+    sum of P**j over j < r; both take one squaring per bit of r.
+
+    P, its powers and S are nonnegative, so nothing is subtracted and
+    every entry keeps its relative digits, for any P: no stationary
+    state, uniqueness or aperiodicity is needed.  Each power's rows are
+    rescaled to sum 1, so that rounding does not compound over the
+    squarings.  Only the final dot product with g cancels; its error is
+    a few ulps of the energy the moved states carry over all r repeats,
+    which grows with r even where the steady work is 0.
+    """
+    shape, axes, factors = reset
+    m = v.reshape(shape).sum(axis=axes, keepdims=True)
+    size = m.size
+    rows = np.eye(size).reshape((size, *m.shape))
+    for factor in factors:
+        rows = rows * factor
+    rows = rows.reshape(size, -1)[:, u.indices]
+    # Each state's energy shift under the permutation, rather than the
+    # energy after minus before, so states that stay put add nothing.
+    g = rows @ (weights - weights[u.indices])
+    if mixed:
+        rows = (1.0 - mixed) * rows + mixed / rows.shape[1]
+    power = rows.reshape((size, *shape)).sum(axis=tuple(a + 1 for a in axes))
+    power = power.reshape(size, size)  # P**(2**bit)
+    total = np.eye(size)  # sum of P**j over j < 2**bit
+    m, summed = m.ravel(), np.zeros(size)
+    left = repeats - 1
+    while left:
+        if left & 1:
+            summed += m @ total
+            m = m @ power
+        left >>= 1
+        if left:
+            total = total + total @ power
+            power = power @ power
+            power /= power.sum(axis=1, keepdims=True)
+    return m @ rows, float(g @ (summed + m))
 
 
 def _mixing(gates: int, noise: float) -> float:
@@ -593,12 +667,25 @@ def total_work_cost(
 # -- circuits -------------------------------------------------------------
 
 
+# Most instructions (gates plus resets) a method's circuit may hold;
+# minimal-work dynamic cooling of 18 qubits, 3,432,308 gates, fits.
+_MAX_INSTRUCTIONS = 1 << 22
+
+
 def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
     """Synthesize each distinct unitary once and embed it per cluster.
 
     A repeated round's rows (each copy's reset, then its gates) are
-    built once and tiled.
+    built once and tiled.  A circuit past _MAX_INSTRUCTIONS is refused,
+    from the counts in the plan, before anything is synthesized.
     """
+    counts = _gate_counts(rounds)
+    size = counts.total + counts.resets
+    if size > _MAX_INSTRUCTIONS:
+        raise ResourceLimitError(
+            f"circuit of {size} instructions exceeds the cap of "
+            f"{_MAX_INSTRUCTIONS}"
+        )
     synthesized: dict[int, Circuit] = {}
     blocks: list[np.ndarray] = []
     for rnd in rounds:

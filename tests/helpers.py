@@ -7,9 +7,11 @@ arithmetic, explicit enumeration), so agreement is meaningful.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -179,6 +181,91 @@ def pairing_work_values(n: int, p: float) -> list[float]:
             perm[a], perm[b] = perm[b], perm[a]
         works.append(work_of_permutation(perm, v))
     return works
+
+
+# -- exact walk over a round plan -------------------------------------------
+#
+# _walk's arithmetic in exact rationals (or at a chosen number of decimal
+# digits), one basis state at a time: every qubit map, permutation, reset
+# and fused noise mix is taken from the plan, nothing from the package's
+# numerics.
+
+
+def _exact_product(excitations, one):
+    v = [one]
+    for x in excitations:
+        v = [a * b for a in v for b in (one - x, x)]
+    return v
+
+
+def _exact_reset(v, qubits, p, n, one):
+    """Trace out qubits (bit n - q of a state) and retensor them at p."""
+    mask = sum(1 << (n - q) for q in qubits)
+    kept: dict[int, object] = {}
+    for s, x in enumerate(v):
+        kept[s & ~mask] = kept.get(s & ~mask, 0) + x
+    out = []
+    for s in range(len(v)):
+        x = kept[s & ~mask]
+        for q in qubits:
+            x = x * (p if s >> (n - q) & 1 else one - p)
+        out.append(x)
+    return out
+
+
+def _exact_gate_count(unitary) -> int:
+    """Gates synthesis emits: 2 popcount(first ^ s) - 1 per later state."""
+    return sum(
+        2 * bin(first ^ s).count("1") - 1
+        for first, *others in unitary.cycles
+        for s in others
+    )
+
+
+def exact_walk(plan, p: float, noise: float = 0.0, digits: int | None = None):
+    """(target excitation, work, moved) of a plan, as Fractions.
+
+    Exact with digits None; otherwise computed in decimal at that many
+    significant digits, which is fast enough for 10**4 rounds.  Each
+    round runs its resets, its permutation and then the fused mix
+    1 - (1 - noise)**G for G synthesized gates, repeat times.  moved is
+    the energy the states a permutation moves carry, summed over every
+    round: it scales the rounding error of any float work sum.
+    """
+    if digits is None:
+        return _exact_walk(plan, Fraction(p), noise, Fraction)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        t, work, moved = _exact_walk(plan, decimal.Decimal(p), noise, decimal.Decimal)
+    return Fraction(t), Fraction(work), Fraction(moved)
+
+
+def _exact_walk(plan, p, noise, number):
+    one = number(1)
+    work = moved = number(0)
+    carried: dict[int, object] = {}
+    v: list = []
+    for rnd in plan:
+        u = rnd.unitary
+        n = u.n_qubits
+        source = [int(i) for i in u.indices]  # state r receives v[source[r]]
+        weight = [state_energy(s) for s in range(len(source))]
+        shift = [abs(weight[r] - weight[i]) for r, i in enumerate(source)]
+        gates = _exact_gate_count(u) if noise else 0
+        mix = one - (one - number(noise)) ** gates
+        copies = len(rnd.clusters)
+        if rnd.spec is not None:
+            v = _exact_product([carried.get(q, p) for q in rnd.clusters[0]], one)
+        for _ in range(rnd.repeat):
+            if rnd.spec is None:
+                v = _exact_reset(v, rnd.resets, p, n, one)
+            after = [v[i] for i in source]
+            work += copies * sum(w * (a - b) for w, a, b in zip(weight, after, v))
+            moved += copies * sum(d * a for d, a in zip(shift, after))
+            v = [(one - mix) * a + mix / len(v) for a in after] if mix else after
+        t = sum(v[len(v) // 2 :])
+        carried.update((phys[0], t) for phys in rnd.clusters)
+    return t, work, moved
 
 
 # -- strict OpenQASM 3 checker ---------------------------------------------

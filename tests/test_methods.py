@@ -2,12 +2,14 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import sorted_half_sum
+from helpers import exact_walk, sorted_half_sum
 
 from qcool import (
     Circuit,
@@ -50,7 +52,15 @@ from qcool import (
     work_cost,
 )
 from qcool.constants import BOLTZMANN_J_PER_K
-from qcool.methods import _METHODS, _circuit, _gate_counts, _rounds, _walk
+from qcool import methods
+from qcool.methods import (
+    _METHODS,
+    _circuit,
+    _gate_counts,
+    _map_pays,
+    _rounds,
+    _walk,
+)
 from qcool.synth import synthesized_gate_count
 
 
@@ -548,6 +558,36 @@ def _bits(values):
     return [float(x).hex() for x in values]
 
 
+def _maps(config):
+    """Whether _walk runs config's repeated round as a linear map."""
+    kept = config.cluster_size - len(config.reset_qubits)
+    return config.rounds > 2 and _map_pays(
+        config.cluster_size, kept, config.rounds - 1
+    )
+
+
+EPS = 2.0**-52
+
+
+def _within(got, exact, moved, mapped, rounds, scale=1.0):
+    """Whether a float (t, work) is as close to the exact walk as stated.
+
+    The map keeps t within 4e-15 relative at every p, and its work
+    within 8 ulps of the energy the moved states carry (moved, which
+    grows with rounds and p).  The walk's own error grows with rounds:
+    t within (rounds + 2) * 4e-16 relative and work within
+    (rounds + 4) ulps of moved.
+    """
+    t, work = got
+    t_tol = 4e-15 if mapped else (rounds + 2) * 4e-16
+    work_tol = (8 if mapped else rounds + 4) * EPS * moved
+    exact_t, exact_work = exact
+    return (
+        abs(Fraction(t) - exact_t) <= t_tol * exact_t
+        and abs(Fraction(work) / Fraction(scale) - exact_work) <= work_tol
+    )
+
+
 @pytest.mark.parametrize("rounds", (1, 2, 200))
 @pytest.mark.parametrize(
     "size, resets", ((3, ()), (5, (2, 3)), (3, (1,))), ids=("default", "23", "1")
@@ -560,14 +600,101 @@ def test_repeated_round_walks_as_unrolled(size, resets, rounds):
     plan = _rounds(config, p)
     flat = _unrolled(plan)
     assert len(plan) == min(rounds, 2) and len(flat) == rounds
+    mapped = _maps(config)
+    assert mapped == (rounds == 200)
     for noise in (0.0, 1e-3, 1.0):
         walked = _walk(plan, p, gap, noise)
-        assert _bits(walked) == _bits(_walk(flat, p, gap, noise))
-        assert _bits(walked) == _bits(_stepwise_hbac(config, p, gap, noise))
+        unrolled = _walk(flat, p, gap, noise)
+        assert _bits(unrolled) == _bits(_stepwise_hbac(config, p, gap, noise))
+        if mapped:
+            # The map sums the repeats in another order, so it is held
+            # to the exact walk instead of to the unrolled bits.
+            t, work, moved = exact_walk(plan, p, noise, digits=50)
+            assert _within(walked, (t, work), moved, True, rounds, gap.value)
+        else:
+            assert _bits(walked) == _bits(unrolled)
     circuit = _circuit(config.width, plan)
     assert circuit == _circuit(config.width, flat)
     assert gate_counts(circuit) == _gate_counts(plan) == _gate_counts(flat)
     assert export_qasm(circuit) == export_qasm(_circuit(config.width, flat))
+
+
+def test_repeats_the_map_does_not_pay_for_walk_as_unrolled():
+    # 11 kept qubits of 12: a 2**11-entry map costs more than 199
+    # repeats, so the walk keeps its loop and its bits.
+    config = HBAC(12, 200, (2,))
+    assert not _maps(config)
+    p, gap = 0.1, EnergyGap.from_frequency_ghz(5.0)
+    plan = _rounds(config, p)
+    for noise in (0.0, 1e-3):
+        walked = _walk(plan, p, gap, noise)
+        assert _bits(walked) == _bits(_walk(_unrolled(plan), p, gap, noise))
+        assert _bits(walked) == _bits(_stepwise_hbac(config, p, gap, noise))
+
+
+_GRID_P = (1e-12, 3.4e-4, 0.04, 0.1, 0.3, 0.49, 0.4999)
+_GRID_NOISE = (0.0, 1e-4, 1e-2, 1.0)
+
+
+@pytest.mark.parametrize("rounds", (2, 3, 50, 200))
+@pytest.mark.parametrize(
+    "resets", ((), (2, 3), (1,), (3,)), ids=("default", "23", "1", "3")
+)
+@pytest.mark.parametrize("size", (3, 4, 5))
+def test_walk_matches_exact_oracle(size, resets, rounds, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # resetting the target warns
+        config = HBAC(size, rounds, resets)
+    mapped = _maps(config)
+    # Exact rationals grow by a few hundred bits a round; 50 digits
+    # agree with them to 1e-40 (test_decimal_oracle_is_exact_enough).
+    digits = None if rounds <= 3 else 50
+    for p in _GRID_P:
+        plan = _rounds(config, p)
+        for noise in _GRID_NOISE:
+            t, work, moved = exact_walk(plan, p, noise, digits)
+            case = (p, noise)
+            got = _walk(plan, p, noise=noise)
+            assert _within(got, (t, work), moved, mapped, rounds), case
+            if rounds > 2 and not mapped:
+                # The map, where the walk would not pay for it, is held
+                # to the same bound.
+                with monkeypatch.context() as patch:
+                    patch.setattr(methods, "_map_pays", lambda *sizes: True)
+                    forced = _walk(plan, p, noise=noise)
+                assert _within(forced, (t, work), moved, True, rounds), case
+
+
+@pytest.mark.parametrize("rounds, noise", ((200, 0.0), (50, 1e-2)))
+def test_decimal_oracle_is_exact_enough(rounds, noise):
+    # The noise mix adds hundreds of bits a round to the exact values,
+    # so the noisy case is kept short.
+    plan = _rounds(HBAC(3, rounds), 0.4999)
+    exact = exact_walk(plan, 0.4999, noise)
+    fifty = exact_walk(plan, 0.4999, noise, digits=50)
+    for a, b in zip(exact, fifty):
+        assert abs(a - b) <= 1e-40 * abs(a)
+
+
+@pytest.mark.parametrize("p", (0.1, 0.49, 0.4999))
+def test_ten_thousand_rounds_match_the_decimal_walk(p):
+    # The map's bound does not depend on rounds, past 200 either.
+    plan = _rounds(HBAC(3, 10**4), p)
+    for noise in (0.0, 1e-2):
+        t, work, moved = exact_walk(plan, p, noise, digits=50)
+        got = _walk(plan, p, noise=noise)
+        assert _within(got, (t, work), moved, True, 10**4), noise
+
+
+@pytest.mark.parametrize("p", (1e-12, 3.4e-4, 0.1, 0.3, 0.49, 0.4999))
+def test_long_hbac_runs_reach_the_three_qubit_limit(p):
+    # p**2 / ((1 - p)**2 + p**2) is where 3-qubit HBAC converges.
+    exact = Fraction(p) ** 2 / ((1 - Fraction(p)) ** 2 + Fraction(p) ** 2)
+    t = final_probability(HBAC(3, 10**12), p)
+    assert abs(Fraction(t) - exact) <= 1e-14 * exact
+    start = time.perf_counter()
+    report(HBAC(3, 100_000), initial_p=p, include_circuit=False)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_report_with_physical_gap():
