@@ -560,13 +560,22 @@ def _walk(
 def _map_pays(width: int, kept: int, repeats: int) -> bool:
     """Whether _repeat_map costs less than walking the repeats.
 
-    Building the map costs about 4**k * 2**w for k kept qubits of w,
-    and its powers 8**k per bit of repeats; each walked repeat costs
-    2**w.  The map's array must also fit the vector cap.
+    Costs count array entries, about 10 ns each (shared 2-vCPU Xeon),
+    plus measured fixed costs in the same unit.  Each walked repeat
+    costs 2**w entries and about 15 us of calls.  For k kept qubits of
+    w, building the map costs 4**k * 2**w entries and about 100 us,
+    its stationary vector about 5 us per kept basis state, and each
+    bit of repeats one squaring of 8**k and about 10 us.  The map's
+    array must also fit the vector cap.
     """
-    build = 4**kept << width
-    powers = 8**kept * repeats.bit_length()
-    return build + powers < repeats << width and kept + width <= DEFAULT_QUBIT_CAP
+    bits = repeats.bit_length()
+    walk = repeats * ((1 << width) + 1_500)
+    build = (4**kept << width) + 500 * 2**kept + 10_000
+    powers = (8**kept + 1_000) * bits
+    return build + powers < walk and kept + width <= DEFAULT_QUBIT_CAP
+
+
+_ULP = float(np.finfo(float).eps)
 
 
 def _repeat_map(
@@ -582,18 +591,21 @@ def _repeat_map(
     The reset keeps only the marginal m of the k qubits it does not
     reset and retensors the others with the bath, so one repeat is a
     linear map m -> m P on 2**k entries, with row-stochastic P, and its
-    work is g . m.  Running one repeat on every kept basis state at once
+    work is m . g.  Running one repeat on every kept basis state at once
     gives P, g and the vector each kept state leaves behind.  The last
-    repeat starts from m P**(r-1), and the work is g . m S with S the
-    sum of P**j over j < r; both take one squaring per bit of r.
+    repeat starts from m P**(r-1), and the work is m . T with T the sum
+    of P**j g over j < r; both take one squaring per bit of r.
 
-    P, its powers and S are nonnegative, so nothing is subtracted and
-    every entry keeps its relative digits, for any P: no stationary
-    state, uniqueness or aperiodicity is needed.  Each power's rows are
+    P and its powers are nonnegative, so m P**(r-1) subtracts nothing
+    and keeps its relative digits, for any P.  Each power's rows are
     rescaled to sum 1, so that rounding does not compound over the
-    squarings.  Only the final dot product with g cancels; its error is
-    a few ulps of the energy the moved states carry over all r repeats,
-    which grows with r even where the steady work is 0.
+    squarings.  The work cancels, by a few ulps of the energy the
+    repeats move.  That energy grows with r; so does the work unless
+    the steady work s = pi . g (pi stationary) is 0, as in noiseless
+    3-qubit HBAC.  An s within the rounding of its own dot product is
+    taken as 0: the work is then (m - pi) . T, and T is kept free of
+    the constant part pi . T = r s after each doubling, so no rounding
+    is multiplied by r and the error stays bounded as r grows.
     """
     shape, axes, factors = reset
     m = v.reshape(shape).sum(axis=axes, keepdims=True)
@@ -604,24 +616,59 @@ def _repeat_map(
     rows = rows.reshape(size, -1)[:, u.indices]
     # Each state's energy shift under the permutation, rather than the
     # energy after minus before, so states that stay put add nothing.
-    g = rows @ (weights - weights[u.indices])
+    shift = weights - weights[u.indices]
+    g = rows @ shift
+    moved = rows @ np.abs(shift)  # energy each kept state's repeat moves
     if mixed:
         rows = (1.0 - mixed) * rows + mixed / rows.shape[1]
     power = rows.reshape((size, *shape)).sum(axis=tuple(a + 1 for a in axes))
     power = power.reshape(size, size)  # P**(2**bit)
-    total = np.eye(size)  # sum of P**j over j < 2**bit
-    m, summed = m.ravel(), np.zeros(size)
-    left = repeats - 1
-    while left:
+    m, pi = m.ravel(), _stationary(power)
+    # s = pi . g is a dot product of 2**k sums: within 8 * 2**k ulps of
+    # the energy moved at pi it cannot be told from 0 and is taken as 0.
+    # Otherwise the series runs on m itself and needs no pi.
+    if pi is not None and abs(pi @ g) > 8 * size * _ULP * (pi @ moved):
+        pi = None
+    x = m if pi is None else m - pi  # the vector the work series runs on
+    summed, work = g, 0.0  # summed: T over j < 2**bit
+    terms, left = repeats, repeats - 1
+    while terms:
+        if terms & 1:
+            work += x @ summed
+            x = x @ power
         if left & 1:
-            summed += m @ total
             m = m @ power
+        terms >>= 1
         left >>= 1
-        if left:
-            total = total + total @ power
+        if terms:
+            summed = summed + power @ summed
+            if pi is not None:
+                summed -= pi @ summed
             power = power @ power
             power /= power.sum(axis=1, keepdims=True)
-    return m @ rows, float(g @ (summed + m))
+    return m @ rows, float(work)
+
+
+def _stationary(chain: np.ndarray) -> np.ndarray | None:
+    """Stationary row vector of a row-stochastic chain, or None.
+
+    Grassmann-Taksar-Heyman state reduction (Oper. Res. 33, 1985): each
+    state is folded into the ones before it with sums and products of
+    nonnegative entries only, so every entry keeps its relative digits.
+    None where a state cannot reach the ones before it: the chain is
+    then reducible, and its stationary vector may not be unique.
+    """
+    a = chain.copy()
+    for k in range(len(a) - 1, 0, -1):
+        out = a[k, :k].sum()
+        if out == 0.0:
+            return None
+        a[:k, k] /= out
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(len(a))
+    for k in range(1, len(a)):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def _mixing(gates: int, noise: float) -> float:

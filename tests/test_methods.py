@@ -2,7 +2,6 @@ import dataclasses
 import importlib.resources
 import json
 import math
-import time
 import warnings
 from fractions import Fraction
 
@@ -59,6 +58,7 @@ from qcool.methods import (
     _gate_counts,
     _map_pays,
     _rounds,
+    _stationary,
     _walk,
 )
 from qcool.synth import synthesized_gate_count
@@ -676,6 +676,16 @@ def test_decimal_oracle_is_exact_enough(rounds, noise):
         assert abs(a - b) <= 1e-40 * abs(a)
 
 
+def _steady_tol(p):
+    """Relative work error of noiseless 3-qubit HBAC at any number of rounds.
+
+    Its steady work is 0, so the map sums the deviation from the
+    stationary state and nothing grows with rounds; what is left scales
+    with the digits p lose near 1/2.
+    """
+    return 4 * EPS / (1 - 2 * p)
+
+
 @pytest.mark.parametrize("p", (0.1, 0.49, 0.4999))
 def test_ten_thousand_rounds_match_the_decimal_walk(p):
     # The map's bound does not depend on rounds, past 200 either.
@@ -684,17 +694,76 @@ def test_ten_thousand_rounds_match_the_decimal_walk(p):
         t, work, moved = exact_walk(plan, p, noise, digits=50)
         got = _walk(plan, p, noise=noise)
         assert _within(got, (t, work), moved, True, 10**4), noise
+        if not noise:
+            assert abs(Fraction(got[1]) - work) <= _steady_tol(p) * work
 
 
 @pytest.mark.parametrize("p", (1e-12, 3.4e-4, 0.1, 0.3, 0.49, 0.4999))
-def test_long_hbac_runs_reach_the_three_qubit_limit(p):
-    # p**2 / ((1 - p)**2 + p**2) is where 3-qubit HBAC converges.
+def test_long_hbac_runs_reach_the_three_qubit_limit(p, monkeypatch):
+    # p**2 / ((1 - p)**2 + p**2) is where 3-qubit HBAC converges.  Its
+    # work converges too: each round moves the deviation from that
+    # limit, which decays by at least 1/2 a round, so 400 rounds come
+    # within 1e-100 of the limit of the work.
     exact = Fraction(p) ** 2 / ((1 - Fraction(p)) ** 2 + Fraction(p) ** 2)
+    limit = exact_walk(_rounds(HBAC(3, 400), p), p, digits=50)[1]
     t = final_probability(HBAC(3, 10**12), p)
     assert abs(Fraction(t) - exact) <= 1e-14 * exact
-    start = time.perf_counter()
+    for rounds in (3 * 10**12, 3 * 10**18):
+        work = total_work_cost(HBAC(3, rounds), p)
+        assert abs(Fraction(work) - limit) <= _steady_tol(p) * limit, rounds
+    # 100,000 rounds take one map, not a reset per round.
+    assert _map_pays(3, 1, 99_999)
+    resets = []
+    walk_reset = methods.sim._reset
+    monkeypatch.setattr(
+        methods.sim, "_reset", lambda *a: resets.append(1) or walk_reset(*a)
+    )
     report(HBAC(3, 100_000), initial_p=p, include_circuit=False)
-    assert time.perf_counter() - start < 0.1
+    assert not resets
+
+
+@pytest.mark.parametrize("resets", ((1,), (3,)), ids=("1", "3"))
+@pytest.mark.parametrize("p", (1e-12, 0.1, 0.49, 0.4999))
+def test_zero_steady_work_stays_exact_over_long_runs(p, resets):
+    # Fully depolarized rounds start every repeat from the same state, so
+    # the work is round 1's plus (r - 1) times a steady work, which is 0
+    # for these resets: an 8-state map whose error must not grow with r.
+    # It is held to _steady_tol or to one ulp of the energy two rounds
+    # move, which covers a work 10**12 times smaller than that energy.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # resetting the target warns
+        two, three = (HBAC(4, r, resets) for r in (2, 3))
+    _, w2, moved = exact_walk(_rounds(two, p), p, 1.0)
+    steady = exact_walk(_rounds(three, p), p, 1.0)[1] - w2
+    assert steady == 0
+    for rounds in (10**4, 3 * 10**18):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = HBAC(4, rounds, resets)
+        work = _walk(_rounds(config, p), p, noise=1.0)[1]
+        tol = _steady_tol(p) * abs(w2) + EPS * moved
+        assert abs(Fraction(work) - w2) <= tol, rounds
+
+
+def test_stationary_vector_keeps_relative_digits():
+    # Two states that leave each other with probabilities a and b stay
+    # in proportion b : a, however small a is.
+    for a, b in ((1e-24, 0.5), (0.3, 0.7), (1.0, 1.0)):
+        chain = np.array([[1 - a, a], [b, 1 - b]])
+        pi = _stationary(chain)
+        exact = [Fraction(b) / (Fraction(a) + Fraction(b))]
+        exact.append(1 - exact[0])
+        for got, want in zip(pi, exact):
+            assert abs(Fraction(got) - want) <= 4 * EPS * want
+    # A random chain on 16 states: pi P = pi entry by entry.
+    rng = np.random.default_rng(7)
+    chain = rng.random((16, 16)) ** 8
+    chain /= chain.sum(axis=1, keepdims=True)
+    pi = _stationary(chain)
+    assert np.all(np.abs(pi @ chain - pi) <= 64 * EPS * pi)
+    assert abs(pi.sum() - 1.0) <= 16 * EPS
+    # Two closed classes have no unique stationary vector.
+    assert _stationary(np.eye(3)) is None
 
 
 def test_report_with_physical_gap():
