@@ -18,8 +18,10 @@ probabilities, which stays accurate deep into the low-temperature regime.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -49,7 +51,14 @@ from .thermo import (
     temperature_from_probability,
     thermal_product_vector,
 )
-from .unitary import CoolingUnitary, _load_document, _parse_cycles
+from .unitary import (
+    CoolingUnitary,
+    _check_keys,
+    _is_json_int,
+    _json_cycles,
+    _load_document,
+    _parse_cycles,
+)
 
 __all__ = [
     "CoolingReport",
@@ -90,6 +99,14 @@ class CustomProtocol:
 ProtocolChoice = Union[str, CustomProtocol]
 
 
+def _index(value: object, field: str) -> int:
+    """value as an int, for any integer type; ConfigError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+
+
 def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
     """Reject unknown protocols and custom labels not on n_qubits qubits."""
     if isinstance(choice, CustomProtocol):
@@ -124,8 +141,9 @@ class Dynamic:
     protocol: ProtocolChoice = "minimal-work"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _index(self.n_qubits, "n_qubits"))
         if self.n_qubits < 2:
-            raise ConfigError("dynamic cooling needs at least 2 qubits")
+            raise ConfigError(f"n_qubits must be >= 2, got {self.n_qubits}")
         _check_protocol(self.protocol, self.n_qubits)
 
     @property
@@ -153,10 +171,12 @@ class _Clustered:
     rounds: int
 
     def __post_init__(self) -> None:
+        for field in ("cluster_size", "rounds"):
+            object.__setattr__(self, field, _index(getattr(self, field), field))
         if self.cluster_size < 2:
-            raise ConfigError("cluster size must be >= 2")
+            raise ConfigError(f"cluster_size must be >= 2, got {self.cluster_size}")
         if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         _check_protocol(self.protocol, self.cluster_size)
 
 
@@ -201,15 +221,18 @@ class HBAC(_Clustered):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        qs = tuple(sorted(int(q) for q in self.reset_qubits))
+        qs = tuple(sorted(_index(q, "reset_qubits") for q in self.reset_qubits))
         if not qs:
+            # Listing every auxiliary of a cluster past the cap could
+            # take all memory, and no such cluster can run.
+            check_qubit_cap(self.cluster_size)
             qs = tuple(range(2, self.cluster_size + 1))
         object.__setattr__(self, "reset_qubits", qs)
         if len(set(qs)) != len(qs):
-            raise ConfigError("duplicate reset qubit")
+            raise ConfigError(f"reset_qubits {qs} repeat a qubit")
         if qs[0] < 1 or qs[-1] > self.cluster_size:
             raise ConfigError(
-                f"reset qubits {qs} outside 1..{self.cluster_size}"
+                f"reset_qubits {qs} outside 1..{self.cluster_size}"
             )
         if 1 in qs:
             warnings.warn(
@@ -249,12 +272,12 @@ class SemiOpen:
     protocol: ProtocolChoice = "minimal-work"
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.cluster_sizes)
+        sizes = tuple(_index(n, "cluster_sizes") for n in self.cluster_sizes)
         object.__setattr__(self, "cluster_sizes", sizes)
         if not sizes:
-            raise ConfigError("at least one round required")
+            raise ConfigError("cluster_sizes must hold at least one round")
         if any(n < 2 for n in sizes):
-            raise ConfigError("every cluster must have >= 2 qubits")
+            raise ConfigError(f"cluster_sizes {sizes} must each be >= 2")
         _check_protocol(self.protocol, sizes[0])
 
     @property
@@ -289,8 +312,8 @@ class SemiOpen:
 
 MethodConfig = Union[Dynamic, SubOptimal, HBAC, SemiOpen]
 
-# Registered by the schema's method name; each document's fields are the
-# class's fields, with cycles standing for a CustomProtocol.
+# Keyed by a config document's "method"; its other keys are the class's
+# fields, with cycles standing for a CustomProtocol.
 _METHODS = {
     "dynamic": Dynamic,
     "suboptimal": SubOptimal,
@@ -885,13 +908,55 @@ def report(
 # -- configuration documents ----------------------------------------------
 
 
-def config_from_json(source: str | Path | dict) -> MethodConfig:
-    """Parse and validate a method-config document.
+def _is_json_ints(value: object) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_json_int, value))
 
-    Raises ConfigError on any structural or semantic problem.
+
+# What a field of each annotation takes from a JSON document: a check,
+# its wording and the conversion to the field's type.
+_JSON_FIELDS = {
+    "int": (_is_json_int, "an integer", int),
+    "tuple[int, ...]": (
+        _is_json_ints, "a non-empty array of integers", lambda v: tuple(map(int, v))
+    ),
+    "ProtocolChoice": (lambda v: isinstance(v, str), "a string", str),
+}
+
+
+def config_from_json(source: str | Path | dict) -> MethodConfig:
+    """Map a method-config document onto its method class.
+
+    The keys are "method", naming a class in _METHODS, and that class's
+    fields, which are required unless they have a default; "cycles"
+    comes with "protocol": "custom".  Integers may be written 3.0.  Only
+    the JSON shape is checked here: the class checks the values.
+    Raises ConfigError naming the offending field.
     """
-    doc = _load_document(source, "method_config.schema.json", "config")
-    fields = {k: v for k, v in doc.items() if k not in ("method", "cycles")}
-    if fields.get("protocol") == "custom":
-        fields["protocol"] = CustomProtocol(doc["cycles"])
-    return _METHODS[doc["method"]](**fields)
+    what = "config"
+    doc = _load_document(source, what)
+    method = doc.get("method")
+    if not isinstance(method, str) or method not in _METHODS:
+        raise ConfigError(
+            f"invalid {what}: 'method' must be one of {list(_METHODS)}, "
+            f"got {method!r}"
+        )
+    fields = dataclasses.fields(_METHODS[method])
+    custom = ["cycles"] if doc.get("protocol") == "custom" else []
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    allowed = ["method", *(f.name for f in fields), *custom]
+    _check_keys(doc, allowed, required + custom, what)
+    kwargs = {}
+    for f in fields:
+        if f.name in doc:
+            check, shape, convert = _JSON_FIELDS[f.type]
+            if not check(doc[f.name]):
+                raise ConfigError(
+                    f"invalid {what}: {f.name!r} must be {shape}, got {doc[f.name]!r}"
+                )
+            kwargs[f.name] = convert(doc[f.name])
+    if custom:
+        kwargs["protocol"] = CustomProtocol(_json_cycles(doc["cycles"], what))
+    try:
+        return _METHODS[method](**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc

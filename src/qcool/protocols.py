@@ -142,22 +142,22 @@ def minimal_work_protocol(n_qubits: int) -> CoolingUnitary:
 def _assign_half(
     perm: np.ndarray, slots: np.ndarray, sources: np.ndarray, w: np.ndarray
 ) -> None:
-    # slots and sources are both sorted by (weight, index); pair them off
-    # positionally, then canonicalize within each source-weight run.
-    i = 0
-    m = sources.size
-    while i < m:
-        j = i + 1
-        while j < m and w[sources[j]] == w[sources[i]]:
-            j += 1
-        run_src = sources[i:j]
-        run_slt = slots[i:j]
-        fixed = np.intersect1d(run_src, run_slt)
-        perm[fixed] = fixed
-        rest_src = np.setdiff1d(run_src, fixed)
-        rest_slt = np.setdiff1d(run_slt, fixed)
-        perm[rest_src] = rest_slt
-        i = j
+    # slots and sources are both sorted by (weight, index) and pair off
+    # positionally; a run is a stretch of equal source weight.  A state
+    # that is a source and a slot of the same run stays put, and each
+    # run's other sources (already in index order) take its other slots
+    # in index order.
+    sw = w[sources]
+    run = np.concatenate(([0], np.cumsum(sw[1:] != sw[:-1])))
+    src_run = np.full(perm.size, -1)
+    src_run[sources] = run
+    slot_run = np.full(perm.size, -1)
+    slot_run[slots] = run
+    moved = slot_run[sources] != run
+    free = src_run[slots] != run
+    dest = sources.copy()
+    dest[moved] = slots[free][np.lexsort((slots[free], run[free]))]
+    perm[sources] = dest
 
 
 def heterogeneous_max_cooling(spec: ThermalSpec, target: int = 1) -> CoolingUnitary:

@@ -18,15 +18,12 @@ states not listed are left untouched.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-import jsonschema
 import numpy as np
 
-from .constants import DEFAULT_DENSE_CAP, check_qubit_cap
+from .constants import DEFAULT_DENSE_CAP, DEFAULT_QUBIT_CAP, check_qubit_cap
 from .errors import (
     ConfigError,
     DegenerateCycleError,
@@ -58,7 +55,8 @@ def parse_state_label(label: StateLabel, n_qubits: int) -> int:
         return int(label, 2)
     if isinstance(label, (int, np.integer)):
         value = int(label)
-        if not 0 <= value < (1 << n_qubits):
+        # A shift, not 1 << n_qubits, so a huge width builds no huge number.
+        if value < 0 or value >> n_qubits:
             raise ValueError(
                 f"state {value} outside [0, 2**{n_qubits})"
             )
@@ -329,42 +327,80 @@ def random_permutation_unitary(
     return CoolingUnitary.from_permutation(perm, n_qubits, value_dtype=value_dtype)
 
 
-@lru_cache(maxsize=None)
-def _validator(schema_file: str) -> jsonschema.protocols.Validator:
-    # Checking the schema itself is the slow part, so do it once.
-    text = resources.files("qcool.schemas").joinpath(schema_file).read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _load_document(source: str | Path | dict, schema_file: str, what: str) -> dict:
-    """The document at a path, or source itself, checked against the schema.
-
-    Raises ConfigError for an unreadable file or with the most relevant
-    schema violation.
-    """
+def _load_document(source: str | Path | dict, what: str) -> dict:
+    """The JSON object at a path, or source itself; ConfigError if none."""
     if isinstance(source, (str, Path)):
         try:
             source = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read {what}: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_validator(schema_file).iter_errors(source))
-    if error is not None:
-        raise ConfigError(f"invalid {what}: {error.message}") from error
+    if not isinstance(source, dict):
+        raise ConfigError(
+            f"invalid {what}: expected a JSON object, got {type(source).__name__}"
+        )
     return source
 
 
+def _is_json_int(value: object) -> bool:
+    """Whether value is a JSON integer: 3 and 3.0 are, true is not."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_keys(
+    doc: dict, allowed: Sequence[str], required: Sequence[str], what: str
+) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"invalid {what}: unexpected field {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"invalid {what}: missing field {key!r}")
+
+
+def _json_cycles(value: object, what: str) -> list[list[StateLabel]]:
+    """A JSON "cycles" list, with integer labels as ints.
+
+    A cycle is an array of at least two labels, and a label is an
+    integer >= 0 or a non-empty string of 0s and 1s; _parse_cycles
+    checks widths, repeats and overlaps.
+    """
+    if not isinstance(value, list):
+        raise ConfigError(f"invalid {what}: 'cycles' must be an array, got {value!r}")
+    for cycle in value:
+        if not isinstance(cycle, list) or len(cycle) < 2:
+            raise ConfigError(
+                f"invalid {what}: cycle {cycle!r} in 'cycles' is not an "
+                "array of at least two labels"
+            )
+        for x in cycle:
+            bits = isinstance(x, str) and x != "" and set(x) <= {"0", "1"}
+            if not (bits or _is_json_int(x) and x >= 0):
+                raise ConfigError(
+                    f"invalid {what}: label {x!r} in 'cycles' is neither "
+                    "an integer >= 0 nor a string of 0s and 1s"
+                )
+    return [[x if isinstance(x, str) else int(x) for x in cycle] for cycle in value]
+
+
 def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLabel]]]:
-    """Read and validate a cycle-list document.
+    """Read a cycle-list document.
 
     The document is an object {"n": <qubits>, "cycles": [[state, ...], ...]}
-    where states are integers or binary strings.  Returns (n, cycles);
-    label parsing and overlap checks happen when the unitary is built.
+    with 1 <= n <= 24, where states are integers or binary strings.
+    Returns (n, cycles); label parsing and overlap checks happen when
+    the unitary is built.  Raises ConfigError naming the bad field.
     """
-    doc = _load_document(source, "cycles.schema.json", "cycle list")
-    return int(doc["n"]), [list(c) for c in doc["cycles"]]
+    what = "cycle list"
+    doc = _load_document(source, what)
+    _check_keys(doc, ("n", "cycles"), ("n", "cycles"), what)
+    n = doc["n"]
+    if not (_is_json_int(n) and 1 <= n <= DEFAULT_QUBIT_CAP):
+        raise ConfigError(
+            f"invalid {what}: 'n' must be an integer in 1..{DEFAULT_QUBIT_CAP}, got {n!r}"
+        )
+    return int(n), _json_cycles(doc["cycles"], what)
 
 
 def unitary_from_json(

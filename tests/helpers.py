@@ -154,6 +154,36 @@ def work_of_permutation(perm, v: np.ndarray) -> float:
     )
 
 
+def reference_minimal_work_permutation(n: int) -> np.ndarray:
+    """minimal_work_protocol's permutation, one weight run at a time.
+
+    Each half's slots and sources are sorted by (weight, index) and
+    paired positionally; within each run of equal source weight, states
+    that are both source and slot stay, and the rest pair in index order
+    through intersect1d/setdiff1d.
+    """
+    dim = 1 << n
+    half = dim >> 1
+    w = np.array([state_energy(s) for s in range(dim)])
+    order = np.lexsort((np.arange(dim), w))
+    perm = np.arange(dim, dtype=np.int64)
+    for slots, sources in (
+        (np.lexsort((np.arange(half), w[:half])), order[:half]),
+        (half + np.lexsort((np.arange(half), w[half:])), order[half:]),
+    ):
+        i = 0
+        while i < half:
+            j = i + 1
+            while j < half and w[sources[j]] == w[sources[i]]:
+                j += 1
+            run_src, run_slt = sources[i:j], slots[i:j]
+            fixed = np.intersect1d(run_src, run_slt)
+            perm[fixed] = fixed
+            perm[np.setdiff1d(run_src, fixed)] = np.setdiff1d(run_slt, fixed)
+            i = j
+    return perm
+
+
 def pairing_work_values(n: int, p: float) -> list[float]:
     """Work of every transposition pairing of must-move states.
 

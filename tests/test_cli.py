@@ -12,6 +12,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     count_ctrl_statements,
@@ -22,15 +24,18 @@ from helpers import (
 
 import qcool
 from qcool import (
+    ConfigError,
     CustomProtocol,
     Dynamic,
     EnergyGap,
     NoiseModel,
+    ResourceLimitError,
     SubOptimal,
     Temperature,
     build_circuit,
     config_from_json,
     dynamic_final_p,
+    load_cycles_json,
     probability_from_temperature,
     report,
     sub_optimal_final_p,
@@ -38,6 +43,7 @@ from qcool import (
     total_work_cost,
 )
 from qcool.cli import cli
+from qcool.methods import _METHODS
 
 DYN3 = {"method": "dynamic", "n_qubits": 3}
 SUBOPT = {"method": "suboptimal", "cluster_size": 3, "rounds": 2}
@@ -770,3 +776,170 @@ def test_generate_dynamic_16_within_budget(tmp_path):
     peak_mib = usage.ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
     assert elapsed < 10.0, f"{elapsed:.1f} s over 10 s"
     assert peak_mib < 256, f"peak RSS {peak_mib:.0f} MiB over 256 MiB"
+
+
+# -- malformed documents ----------------------------------------------------
+
+HBAC_RESETS = {"method": "hbac", "cluster_size": 4, "rounds": 5, "reset_qubits": [2, 4]}
+SEMI_CUSTOM = {
+    "method": "semiopen", "cluster_sizes": [3, 2],
+    "protocol": "custom", "cycles": [[3, 4]],
+}
+CONFIG_BASES = [DYN3, SUBOPT, HBAC_RESETS, SEMI_CUSTOM, *ORACLE_CONFIGS.values()]
+CONFIG_FIELDS = (
+    "method", "protocol", "cycles", "n_qubits", "cluster_size", "rounds",
+    "reset_qubits", "cluster_sizes", "extra",
+)
+CYCLE_BASES = [
+    {"n": 3, "cycles": [["011", "100"], [0, 1]]},
+    {"n": 4, "cycles": [[3, 7, 12, 8]]},
+    {"n": 2, "cycles": []},
+]
+CYCLE_FIELDS = ("n", "cycles", "extra")
+SMALL_INTS = st.integers(-2, 6)
+ANY_INTS = st.one_of(SMALL_INTS, st.integers(), st.integers(20, 30))
+
+
+def _labels(ints):
+    return st.one_of(
+        ints, ints.map(float), st.floats(), st.booleans(), st.none(),
+        st.sampled_from(["", "0", "1", "01", "10", "011", "100", "012", "10\n"]),
+    )
+
+
+def _values(ints):
+    scalars = st.one_of(
+        _labels(ints),
+        st.sampled_from(sorted(_METHODS) + ["ppa", "mirror", "minimal-work", "custom"]),
+    )
+    return st.one_of(
+        scalars,
+        st.lists(scalars, max_size=3),
+        st.lists(st.lists(_labels(ints), max_size=4), max_size=3),
+        st.dictionaries(st.sampled_from(["n", "cycles"]), scalars, max_size=2),
+    )
+
+
+@st.composite
+def mutated(draw, bases, fields, ints):
+    """A base document with fields dropped, added or retyped, as JSON."""
+    doc = dict(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_values(ints))
+    return json.loads(json.dumps(doc))
+
+
+def _names_a_field(message, doc, fields):
+    return any(str(name) in message for name in (*fields, *doc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=mutated(CONFIG_BASES, CONFIG_FIELDS, ANY_INTS))
+@pytest.mark.filterwarnings("ignore:resetting the target")
+def test_config_loader_raises_only_config_error(doc):
+    try:
+        config_from_json(doc)
+    except ConfigError as exc:
+        assert str(exc).startswith("invalid config: ")
+        assert _names_a_field(str(exc), doc, CONFIG_FIELDS), exc
+    except ResourceLimitError:
+        # hbac's default resets list every auxiliary of a cluster past
+        # the cap; that size cap exits 3.
+        assert doc["method"] == "hbac" and doc["cluster_size"] > 24
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated(CYCLE_BASES, CYCLE_FIELDS, ANY_INTS))
+def test_cycle_loader_raises_only_config_error(doc):
+    try:
+        load_cycles_json(doc)
+    except ConfigError as exc:
+        assert str(exc).startswith("invalid cycle list: ")
+        assert _names_a_field(str(exc), doc, CYCLE_FIELDS), exc
+
+
+@settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    config=mutated(CONFIG_BASES, CONFIG_FIELDS, SMALL_INTS),
+    cycles=mutated(CYCLE_BASES, CYCLE_FIELDS, SMALL_INTS),
+)
+@pytest.mark.filterwarnings("ignore:resetting the target")
+def test_malformed_documents_never_exit_1(runner, tmp_path, config, cycles):
+    # 0 on success, 2 for a rejected document, 3 for a size cap
+    # (suboptimal 6x6 is 46,656 qubits); never a traceback.
+    for args in (
+        ["analyze", "--initial-p", "0.1", "--config", write_config(tmp_path, config)],
+        ["generate", "--cycles-file", write_config(tmp_path, cycles, "cycles.json")],
+    ):
+        result = runner.invoke(cli, args)
+        assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
+
+
+@pytest.mark.parametrize(
+    "doc, same",
+    [
+        ({"method": "dynamic", "n_qubits": 3.0}, DYN3),
+        ({**SUBOPT, "rounds": 2.0}, SUBOPT),
+        ({**SUBOPT, "cluster_size": 3.0}, SUBOPT),
+        ({**HBAC_RESETS, "rounds": 5.0, "reset_qubits": [2.0, 4]}, HBAC_RESETS),
+        ({**SEMI_CUSTOM, "cluster_sizes": [3.0, 2], "cycles": [[3.0, 4]]}, SEMI_CUSTOM),
+    ],
+)
+def test_integral_floats_run_as_integers(runner, tmp_path, doc, same):
+    assert config_from_json(doc) == config_from_json(same)
+    args = ["analyze", "--initial-p", "0.1", "--config"]
+    got = run_ok(runner, args + [write_config(tmp_path, doc)])
+    assert got == run_ok(runner, args + [write_config(tmp_path, same, "same.json")])
+
+
+def test_integral_float_label_generates(runner, tmp_path):
+    floats = write_config(tmp_path, {"n": 3, "cycles": [[0, 1.0]]}, "floats.json")
+    ints = write_config(tmp_path, {"n": 3, "cycles": [[0, 1]]}, "ints.json")
+    got = run_ok(runner, ["generate", "--cycles-file", floats])
+    assert got == run_ok(runner, ["generate", "--cycles-file", ints])
+
+
+@pytest.mark.parametrize(
+    "command, doc, name",
+    [
+        ("analyze", {"method": ["dynamic"], "n_qubits": 3}, "'method'"),
+        ("analyze", {**DYN3, "protocol": "custom", "cycles": [5]}, "'cycles'"),
+        ("analyze", {**DYN3, "protocol": "custom", "cycles": [[0, True]]}, "True"),
+        ("analyze", {**DYN3, "n_qubits": True}, "'n_qubits'"),
+        ("generate", {"n": 3, "cycles": [5]}, "'cycles'"),
+        ("generate", {"n": 3, "cycles": [[0, True]]}, "True"),
+        ("generate", {"n": 3, "cycles": [[0, 1.5]]}, "1.5"),
+    ],
+)
+def test_malformed_documents_exit_2(runner, tmp_path, command, doc, name):
+    path = write_config(tmp_path, doc)
+    if command == "analyze":
+        args = ["analyze", "--initial-p", "0.1", "--config", path]
+    else:
+        args = ["generate", "--cycles-file", path]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: invalid ") and name in result.stderr
+
+
+def test_unreadable_documents_exit_2(runner, tmp_path):
+    # Nesting too deep for the JSON parser, and bytes that are not text.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (deep, binary):
+        for args in (
+            ["analyze", "--initial-p", "0.1", "--config", str(path)],
+            ["generate", "--cycles-file", str(path)],
+        ):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 2, (args, result.exception)
+            assert result.stderr.startswith("error: cannot read ")

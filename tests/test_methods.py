@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.resources
 import json
 import math
 import warnings
@@ -416,10 +415,130 @@ def test_report_gate_counts_without_synthesis(config, monkeypatch):
         assert rep.gate_counts.by_controls == {11: 29_234}
 
 
-def test_method_registry_matches_schema():
-    ref = importlib.resources.files("qcool.schemas") / "method_config.schema.json"
-    schema = json.loads(ref.read_text())
-    assert set(_METHODS) == set(schema["properties"]["method"]["enum"])
+D3 = {"method": "dynamic", "n_qubits": 3}
+SUB = {"method": "suboptimal", "cluster_size": 3, "rounds": 2}
+CUSTOM = {**D3, "protocol": "custom", "cycles": [["011", "100"]]}
+
+# One rule per line: (rule, accepted document, rejected document, the
+# name the rejection must give).
+CONFIG_RULES = [
+    ("document is an object", D3, [D3], "object"),
+    ("method is required", D3, {"n_qubits": 3}, "'method'"),
+    ("method names a class", D3, {**D3, "method": "freeze"}, "'method'"),
+    ("method is a string", D3, {**D3, "method": ["dynamic"]}, "'method'"),
+    ("protocol is built in", {**D3, "protocol": "ppa"},
+     {**D3, "protocol": "bogus"}, "protocol"),
+    ("protocol is a string", {**D3, "protocol": "mirror"},
+     {**D3, "protocol": ["ppa"]}, "'protocol'"),
+    ("custom needs cycles", CUSTOM, {**D3, "protocol": "custom"}, "'cycles'"),
+    ("cycles need custom", CUSTOM, {**D3, "cycles": [["011", "100"]]}, "'cycles'"),
+    ("cycles need custom, not ppa", CUSTOM,
+     {**D3, "protocol": "ppa", "cycles": [["011", "100"]]}, "'cycles'"),
+    ("cycles is an array", CUSTOM, {**CUSTOM, "cycles": {"0": 1}}, "'cycles'"),
+    ("a cycle is an array", CUSTOM, {**CUSTOM, "cycles": [5]}, "'cycles'"),
+    ("a cycle holds two labels", CUSTOM, {**CUSTOM, "cycles": [[3]]}, "'cycles'"),
+    ("a label is an integer >= 0", {**CUSTOM, "cycles": [[3, 4]]},
+     {**CUSTOM, "cycles": [[3, -4]]}, "-4"),
+    ("an integer label may be written 4.0", {**CUSTOM, "cycles": [[3, 4.0]]},
+     {**CUSTOM, "cycles": [[3, 4.5]]}, "4.5"),
+    ("a label is not a boolean", {**CUSTOM, "cycles": [[0, 1]]},
+     {**CUSTOM, "cycles": [[0, True]]}, "True"),
+    ("a string label is 0s and 1s", CUSTOM,
+     {**CUSTOM, "cycles": [["011", "102"]]}, "'102'"),
+    ("a string label is not empty", CUSTOM,
+     {**CUSTOM, "cycles": [["011", ""]]}, "''"),
+    ("n_qubits is required", D3, {"method": "dynamic"}, "'n_qubits'"),
+    ("n_qubits is an integer", {**D3, "n_qubits": 3.0},
+     {**D3, "n_qubits": 3.5}, "'n_qubits'"),
+    ("n_qubits is not a boolean", D3, {**D3, "n_qubits": True}, "'n_qubits'"),
+    ("n_qubits is not a string", D3, {**D3, "n_qubits": "3"}, "'n_qubits'"),
+    ("n_qubits >= 2", {**D3, "n_qubits": 2}, {**D3, "n_qubits": 1}, "n_qubits"),
+    ("cluster_size is required", SUB, {"method": "suboptimal", "rounds": 2},
+     "'cluster_size'"),
+    ("cluster_size is an integer", {**SUB, "cluster_size": 3.0},
+     {**SUB, "cluster_size": None}, "'cluster_size'"),
+    ("cluster_size >= 2", {**SUB, "cluster_size": 2}, {**SUB, "cluster_size": 1},
+     "cluster_size"),
+    ("rounds is required", SUB, {"method": "suboptimal", "cluster_size": 3},
+     "'rounds'"),
+    ("rounds is an integer", {**SUB, "rounds": 2.0}, {**SUB, "rounds": [2]},
+     "'rounds'"),
+    ("rounds >= 1", {**SUB, "rounds": 1}, {**SUB, "rounds": 0}, "rounds"),
+    ("reset_qubits is an array", {**SUB, "method": "hbac", "reset_qubits": [2]},
+     {**SUB, "method": "hbac", "reset_qubits": 2}, "'reset_qubits'"),
+    ("reset_qubits is not empty", {**SUB, "method": "hbac", "reset_qubits": [3]},
+     {**SUB, "method": "hbac", "reset_qubits": []}, "'reset_qubits'"),
+    ("reset_qubits hold integers", {**SUB, "method": "hbac", "reset_qubits": [2.0]},
+     {**SUB, "method": "hbac", "reset_qubits": [2.5]}, "'reset_qubits'"),
+    ("reset_qubits >= 1", {**SUB, "method": "hbac", "reset_qubits": [2, 3]},
+     {**SUB, "method": "hbac", "reset_qubits": [0]}, "reset_qubits"),
+    ("cluster_sizes is required", {"method": "semiopen", "cluster_sizes": [3]},
+     {"method": "semiopen"}, "'cluster_sizes'"),
+    ("cluster_sizes is not empty", {"method": "semiopen", "cluster_sizes": [3, 2]},
+     {"method": "semiopen", "cluster_sizes": []}, "'cluster_sizes'"),
+    ("cluster_sizes hold integers", {"method": "semiopen", "cluster_sizes": [3.0]},
+     {"method": "semiopen", "cluster_sizes": [3, False]}, "'cluster_sizes'"),
+    ("cluster_sizes >= 2", {"method": "semiopen", "cluster_sizes": [2]},
+     {"method": "semiopen", "cluster_sizes": [3, 1]}, "cluster_sizes"),
+    ("no unknown field", D3, {**D3, "extra": 1}, "'extra'"),
+    ("dynamic takes no cluster_size", D3, {**D3, "cluster_size": 3},
+     "'cluster_size'"),
+    ("suboptimal takes no n_qubits", SUB, {**SUB, "n_qubits": 3}, "'n_qubits'"),
+    ("suboptimal takes no reset_qubits", SUB, {**SUB, "reset_qubits": [2]},
+     "'reset_qubits'"),
+    ("hbac takes no cluster_sizes", {**SUB, "method": "hbac"},
+     {**SUB, "method": "hbac", "cluster_sizes": [3]}, "'cluster_sizes'"),
+    ("semiopen takes no rounds", {"method": "semiopen", "cluster_sizes": [3]},
+     {"method": "semiopen", "cluster_sizes": [3], "rounds": 2}, "'rounds'"),
+]
+
+
+@pytest.mark.parametrize(
+    "accepted, rejected, name",
+    [rule[1:] for rule in CONFIG_RULES],
+    ids=[rule[0] for rule in CONFIG_RULES],
+)
+def test_config_rules(accepted, rejected, name):
+    assert isinstance(config_from_json(accepted), tuple(_METHODS.values()))
+    with pytest.raises(ConfigError, match=r"^invalid config: ") as info:
+        config_from_json(rejected)
+    assert name in str(info.value)
+
+
+def test_every_method_has_a_config_rule():
+    assert {doc["method"] for _, doc, _, _ in CONFIG_RULES} == set(_METHODS)
+
+
+def test_method_classes_take_integers_only():
+    # Non-integers are refused, not truncated or left to fail later.
+    for make, field in (
+        (lambda: Dynamic(3.0), "n_qubits"),
+        (lambda: Dynamic("3"), "n_qubits"),
+        (lambda: SubOptimal(3, 2.0), "rounds"),
+        (lambda: HBAC(3.5, 2), "cluster_size"),
+        (lambda: HBAC(3, 4, (2.7,)), "reset_qubits"),
+        (lambda: SemiOpen((2.5, 3)), "cluster_sizes"),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            make()
+    # Any integer type is taken, and stored as int.
+    config = HBAC(np.int64(3), np.int32(4), (np.uint8(3),))
+    assert config == HBAC(3, 4, (3,))
+    fields = (config.cluster_size, config.rounds, *config.reset_qubits)
+    assert all(type(v) is int for v in fields)
+    assert type(Dynamic(np.int64(3)).n_qubits) is int
+    assert SemiOpen((np.int16(3), 2)).cluster_sizes == (3, 2)
+    assert report(Dynamic(np.int64(3)), initial_p=0.1) == report(Dynamic(3), initial_p=0.1)
+
+
+def test_hbac_default_resets_refuse_a_cluster_past_the_cap():
+    # The default resets list every auxiliary; a cluster too large to
+    # run is refused before they are listed.
+    with pytest.raises(ResourceLimitError, match="25 qubits"):
+        HBAC(25, 2)
+    with pytest.raises(ResourceLimitError, match=f"{10**12} qubits"):
+        HBAC(10**12, 2)
+    assert HBAC(24, 2).reset_qubits == tuple(range(2, 25))
 
 
 @pytest.mark.parametrize("config", ANALYTIC_COUNT_CASES, ids=method_label)

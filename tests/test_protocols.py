@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import sorted_half_sum, work_of_permutation
+from helpers import (
+    reference_minimal_work_permutation,
+    sorted_half_sum,
+    work_of_permutation,
+)
 
 from qcool import (
     ThermalSpec,
@@ -71,6 +75,13 @@ def test_minimal_work_beats_or_ties_ppa():
             w_mirror = work_cost(mirror_protocol(n), v)
             assert -1e-15 <= w_min <= w_ppa + 1e-12
             assert w_mirror >= -1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_minimal_work_matches_run_by_run_reference(n):
+    assert np.array_equal(
+        minimal_work_protocol(n).permutation, reference_minimal_work_permutation(n)
+    )
 
 
 def test_minimal_work_moves_fewest_states_n3():

@@ -206,6 +206,62 @@ def test_random_unitary_deterministic():
         random_permutation_unitary(25, 0)
 
 
+C3 = {"n": 3, "cycles": [["011", "100"], [0, 1]]}
+
+# (rule, accepted document, rejected document, the name the rejection
+# must give).
+CYCLE_RULES = [
+    ("document is an object", C3, [C3], "object"),
+    ("n is required", C3, {"cycles": []}, "'n'"),
+    ("cycles is required", C3, {"n": 3}, "'cycles'"),
+    ("no other field", C3, {**C3, "phases": []}, "'phases'"),
+    ("n is an integer", {**C3, "n": 3.0}, {**C3, "n": 3.5}, "'n'"),
+    ("n is not a boolean", {"n": 1, "cycles": [[0, 1]]},
+     {"n": True, "cycles": [[0, 1]]}, "'n'"),
+    ("n >= 1", {"n": 1, "cycles": []}, {"n": 0, "cycles": []}, "'n'"),
+    ("n <= 24", {"n": 24, "cycles": []}, {"n": 25, "cycles": []}, "'n'"),
+    ("cycles is an array", C3, {**C3, "cycles": "01"}, "'cycles'"),
+    ("a cycle is an array", C3, {**C3, "cycles": [5]}, "'cycles'"),
+    ("a cycle holds two labels", C3, {**C3, "cycles": [[1]]}, "'cycles'"),
+    ("a label is an integer >= 0", C3, {**C3, "cycles": [[0, -1]]}, "-1"),
+    ("an integer label may be written 1.0", {**C3, "cycles": [[0, 1.0]]},
+     {**C3, "cycles": [[0, 1.5]]}, "1.5"),
+    ("a label is not a boolean", C3, {**C3, "cycles": [[0, True]]}, "True"),
+    ("a label is not null", C3, {**C3, "cycles": [[0, None]]}, "None"),
+    ("a string label is 0s and 1s", C3, {**C3, "cycles": [["21", "10"]]}, "'21'"),
+    ("a string label is not empty", C3, {**C3, "cycles": [["", "10"]]}, "''"),
+    ("a string label has no newline", C3, {**C3, "cycles": [["10\n", "01"]]},
+     "'10\\n'"),
+]
+
+
+@pytest.mark.parametrize(
+    "accepted, rejected, name",
+    [rule[1:] for rule in CYCLE_RULES],
+    ids=[rule[0] for rule in CYCLE_RULES],
+)
+def test_cycle_document_rules(accepted, rejected, name):
+    load_cycles_json(accepted)
+    with pytest.raises(ConfigError, match=r"^invalid cycle list: ") as info:
+        load_cycles_json(rejected)
+    assert name in str(info.value)
+
+
+def test_cycle_labels_load_as_ints():
+    n, cycles = load_cycles_json({"n": 3, "cycles": [[0, 1.0, "11"]]})
+    assert n == 3 and cycles == [[0, 1, "11"]]
+    assert all(type(s) is int for s in cycles[0][:2])
+    assert unitary_from_json({"n": 3.0, "cycles": [[0, 1.0]]}).cycles == ((0, 1),)
+
+
+def test_huge_width_builds_no_huge_number():
+    # The label range check shifts the label, so a width far past any
+    # register does not build 2**width.
+    assert parse_state_label(5, 10**18) == 5
+    with pytest.raises(ValueError):
+        parse_state_label(-1, 10**18)
+
+
 def test_cycles_json(tmp_path):
     doc = {"n": 3, "cycles": [["011", "100"], [0, 1]]}
     n, cycles = load_cycles_json(doc)
