@@ -121,9 +121,7 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
 
 def _row(config, initial_p, gap, noise: NoiseModel | None) -> dict:
     """One result row; with a noise model, final_p is the noisy circuit's."""
-    rep = methods.report(
-        config, initial_p=initial_p, gap=gap, include_circuit=False
-    )
+    rep = methods.report(config, initial_p=initial_p, gap=gap)
     final_p = rep.final_excitation
     if noise is not None:
         final_p = methods.noisy_final_probability(config, initial_p, noise)

@@ -258,8 +258,7 @@ class HBAC(_Clustered):
         if self.rounds == 1:
             return [first]
         again = _Round(
-            first.unitary, first.clusters, None, self.reset_qubits,
-            self.rounds - 1,
+            first.unitary, first.clusters, self.reset_qubits, self.rounds - 1
         )
         return [first, again]
 
@@ -297,15 +296,16 @@ class SemiOpen:
                 "depend on the reached temperature"
             )
         check_qubit_cap(max(self.cluster_sizes))
-        out, free = [], 2
+        out, free, t = [], 2, p
         for i, n in enumerate(self.cluster_sizes):
-            t = _cooled(self, i, u, spec) if i else p
-            spec = None if t is None else ThermalSpec((t,) + (p,) * (n - 1))
-            if i == 0:
-                u = _resolve_protocol(self.protocol, n)
-            else:
-                u = heterogeneous_max_cooling(spec)
-            out.append(_Round(u, ((1, *range(free, free + n - 1)),), spec))
+            if i:
+                t = _cooled(self, i, u, start)
+            start = (t,) + (p,) * (n - 1)
+            u = (
+                heterogeneous_max_cooling(ThermalSpec(start)) if i
+                else _resolve_protocol(self.protocol, n)
+            )
+            out.append(_Round(u, ((1, *range(free, free + n - 1)),)))
             free += n - 1
         return out
 
@@ -411,7 +411,9 @@ def hbac_final_p(
     rederive_each_round the permutation is instead recomputed each round
     as a stable descending sort of the current diagonal (and the protocol
     argument is ignored); circuits built for this method always use the
-    fixed permutation.
+    fixed permutation.  Each such round sorts and permutes 2**n entries,
+    about 8 units each in _map_pays's, plus about 45 us of calls; rounds
+    that would cost more than _MAX_COST are refused before the first.
     """
     p = check_excitation(p)
     # HBAC checks the arguments; reset_qubits None means every auxiliary.
@@ -419,6 +421,8 @@ def hbac_final_p(
     config = HBAC(cluster_size, rounds, resets, protocol)
     if not rederive_each_round:
         return _walk(_rounds(config, p), p)[0]
+    per_round = (8 << config.cluster_size) + 4_500
+    _check_cost(config.rounds * per_round, "rederived rounds")
     v = thermal_product_vector(p, config.cluster_size)
     for k in range(rounds):
         if k:
@@ -450,14 +454,14 @@ def work_cost(
             f"state length {v.size} does not match {unitary.dim} basis states"
         )
     after = unitary.apply_to_prob_vector(v)
-    return _energy_change(_weights(v.size), v, after, gap)
+    return gap.value * _energy_change(_weights(v.size), v, after)
 
 
 def _energy_change(
-    weights: np.ndarray, before: np.ndarray, after: np.ndarray, gap: EnergyGap
+    weights: np.ndarray, before: np.ndarray, after: np.ndarray
 ) -> float:
-    """Energy after minus before; weights are _weights of the dimension."""
-    return float(gap.value * np.dot(weights, after - before))
+    """Energy after minus before, in gap units; weights from _weights."""
+    return float(np.dot(weights, after - before))
 
 
 @dataclass(frozen=True)
@@ -465,24 +469,22 @@ class _Round:
     """One round of a method: a unitary applied to parallel cluster copies.
 
     clusters holds one physical qubit map per copy (local qubit j sits on
-    clusters[i][j-1]).  spec is the noiseless product state every copy
-    starts from, which the unitary was planned for; None carries the
-    previous round's cluster state on, with the local qubits in resets
-    first returned to the bath.  repeat is how many times in a row the
-    round runs, so that a plan holds one entry per distinct round; only
-    rounds that carry their state on (spec None) repeat.
+    clusters[i][j-1]).  A round with resets carries the previous round's
+    cluster state on, with the local qubits in resets first returned to
+    the bath; a round without starts every copy from a product state.
+    repeat is how many times in a row the round runs, so that a plan
+    holds one entry per distinct round; only rounds with resets repeat.
     """
 
     unitary: CoolingUnitary
     clusters: tuple[tuple[int, ...], ...]
-    spec: ThermalSpec | None
     resets: tuple[int, ...] = ()
     repeat: int = 1
 
 
-def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, spec) -> float:
-    """Target excitation u leaves from spec; round k + 1 needs it below 1/2."""
-    t = sim.marginal(u.apply_to_prob_vector(thermal_product_vector(spec)), 1)
+def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, start) -> float:
+    """Target excitation u leaves from excitations start; must be below 1/2."""
+    t = sim.marginal(u.apply_to_prob_vector(product_diagonal(start)), 1)
     if t >= 0.5:
         raise PopulationInversionError(
             f"{method_label(config)}: round {k + 1} would start from a hot "
@@ -495,8 +497,8 @@ def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, spec) -> float:
 def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
     """The method as a sequence of rounds at bath excitation p.
 
-    With p None only the unitaries and qubit maps are planned (specs are
-    None); that suffices for circuits unless the unitaries depend on p.
+    With p None the rounds are planned without checking that each starts
+    cold; that suffices for circuits unless the unitaries depend on p.
     The last plan is kept, so that the noiseless and the noisy walk of
     one result row share it; plans are immutable.  Vectors are capped
     at cluster width by the plans; the register needs only its qubit
@@ -516,26 +518,22 @@ def _cluster_tree(
     """
     check_qubit_cap(n)
     u = _resolve_protocol(config.protocol, n)
-    spec = None if p is None else ThermalSpec.homogeneous(p, n)
-    out, survivors = [], tuple(range(1, n**rounds + 1))
+    out, survivors, t = [], tuple(range(1, n**rounds + 1)), p
     for k in range(rounds):
         if k and p is not None:
-            spec = ThermalSpec.homogeneous(_cooled(config, k, u, spec), n)
+            t = _cooled(config, k, u, (t,) * n)
         clusters = tuple(
             survivors[i : i + n] for i in range(0, len(survivors), n)
         )
-        out.append(_Round(u, clusters, spec))
+        out.append(_Round(u, clusters))
         survivors = tuple(c[0] for c in clusters)
     return out
 
 
 def _walk(
-    rounds: Sequence[_Round],
-    p: float,
-    gap: EnergyGap = EnergyGap.unit(),
-    noise: float = 0.0,
+    rounds: Sequence[_Round], p: float, noise: float = 0.0
 ) -> tuple[float, float]:
-    """(target excitation, work) after running the rounds from a bath at p.
+    """(target excitation, work in gap units) of the rounds from a bath at p.
 
     Parallel copies are identical and independent, so one cluster-wide
     vector stands for all of them, and each copy pays the same cost.  A
@@ -549,7 +547,8 @@ def _walk(
     round runs as one linear map on the marginal it keeps (see
     _repeat_map) where that costs less than its repeats; otherwise each
     repeat runs only the reset, the permutation, the energy dot product
-    and the mix.
+    and the mix.  An entry whose cheaper way costs more than _MAX_COST
+    is refused before it runs.
     """
     work = 0.0
     carried: dict[int, float] = {}
@@ -560,20 +559,22 @@ def _walk(
         copies = len(rnd.clusters)
         mixed = _mixing(synthesized_gate_count(u) if noise else 0, noise)
         repeat = rnd.repeat
-        if rnd.spec is None:
+        if rnd.resets:
             reset = sim._reset_plan(u.n_qubits, rnd.resets, p)
             kept = u.n_qubits - len(rnd.resets)
             if repeat > 1 and _map_pays(u.n_qubits, kept, repeat):
+                _check_cost(_map_cost(u.n_qubits, kept, repeat), "round map")
                 v, energy = _repeat_map(u, weights, reset, mixed, v, repeat)
-                work += copies * float(gap.value * energy)
+                work += copies * energy
                 repeat = 0
         else:
             v = product_diagonal([carried.get(q, p) for q in rnd.clusters[0]])
+        _check_cost(_loop_cost(u.n_qubits, repeat), "round walk")
         for _ in range(repeat):
-            if rnd.spec is None:
+            if rnd.resets:
                 v = sim._reset(v, *reset)
             after = u.apply_to_prob_vector(v)
-            work += copies * _energy_change(weights, v, after, gap)
+            work += copies * _energy_change(weights, v, after)
             v = after if mixed == 0.0 else (1.0 - mixed) * after + mixed / v.size
         t = sim.marginal(v, 1)
         carried.update((phys[0], t) for phys in rnd.clusters)
@@ -585,17 +586,35 @@ def _map_pays(width: int, kept: int, repeats: int) -> bool:
 
     Costs count array entries, about 10 ns each (shared 2-vCPU Xeon),
     plus measured fixed costs in the same unit.  Each walked repeat
-    costs 2**w entries and about 15 us of calls.  For k kept qubits of
-    w, building the map costs 4**k * 2**w entries and about 100 us,
-    its stationary vector about 5 us per kept basis state, and each
-    bit of repeats one squaring of 8**k and about 10 us.  The map's
-    array must also fit the vector cap.
+    costs 2**w entries and about 15 us of calls (_loop_cost).  For k
+    kept qubits of w, building the map costs 4**k * 2**w entries and
+    about 100 us, its stationary vector about 5 us per kept basis
+    state, and each bit of repeats one squaring of 8**k and about 10 us
+    (_map_cost).  The map's array must also fit the vector cap.
     """
-    bits = repeats.bit_length()
-    walk = repeats * ((1 << width) + 1_500)
+    return (
+        _map_cost(width, kept, repeats) < _loop_cost(width, repeats)
+        and kept + width <= DEFAULT_QUBIT_CAP
+    )
+
+
+def _loop_cost(width: int, repeats: int) -> int:
+    return repeats * ((1 << width) + 1_500)
+
+
+def _map_cost(width: int, kept: int, repeats: int) -> int:
     build = (4**kept << width) + 500 * 2**kept + 10_000
-    powers = (8**kept + 1_000) * bits
-    return build + powers < walk and kept + width <= DEFAULT_QUBIT_CAP
+    return build + (8**kept + 1_000) * repeats.bit_length()
+
+
+def _check_cost(cost: int, what: str) -> None:
+    """Refuse a loop whose estimated cost, in _map_pays's units, is over
+    _MAX_COST."""
+    if cost > _MAX_COST:
+        raise ResourceLimitError(
+            f"{what} costing {cost} array-entry units exceeds the cap of "
+            f"{_MAX_COST}"
+        )
 
 
 _ULP = float(np.finfo(float).eps)
@@ -731,7 +750,7 @@ def total_work_cost(
 ) -> float:
     """Work drawn over every unitary the method applies."""
     p = check_excitation(p)
-    return _walk(_rounds(config, p), p, gap)[1]
+    return gap.value * _walk(_rounds(config, p), p)[1]
 
 
 # -- circuits -------------------------------------------------------------
@@ -740,6 +759,11 @@ def total_work_cost(
 # Most instructions (gates plus resets) a method's circuit may hold;
 # minimal-work dynamic cooling of 18 qubits, 3,432,308 gates, fits.
 _MAX_INSTRUCTIONS = 1 << 22
+
+# Most a loop whose length one argument sets may cost, in _map_pays's
+# units (array entries, about 10 ns each): about 10 s.  Walking 12-qubit
+# HBAC rounds that reset one qubit fits about 190,000 repeats.
+_MAX_COST = 1 << 30
 
 
 def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
@@ -852,7 +876,6 @@ class CoolingReport:
     initial_temperature: Temperature | None
     final_temperature: Temperature | None
     gate_counts: GateCounts
-    circuit: Circuit | None
 
 
 def report(
@@ -861,14 +884,13 @@ def report(
     initial_p: float | None = None,
     temperature: Temperature | None = None,
     gap: EnergyGap | None = None,
-    include_circuit: bool = True,
 ) -> CoolingReport:
     """Analyze a method end to end.
 
     Give either initial_p directly, or a Temperature plus a physical
     EnergyGap.  Temperatures are reported only when the gap is physical.
-    Gate counts are read off the method's rounds; the circuit is
-    synthesized only when include_circuit is set.
+    Gate counts are read off the method's rounds, without synthesis;
+    build_circuit(config, initial_p) gives the circuit.
     """
     if initial_p is None:
         if temperature is None or gap is None:
@@ -899,9 +921,6 @@ def report(
             if physical and final_p <= 0.5 else None
         ),
         gate_counts=_gate_counts(rounds),
-        circuit=(
-            _circuit(config.width, rounds) if include_circuit else None
-        ),
     )
 
 

@@ -284,10 +284,10 @@ def _exact_walk(plan, p, noise, number):
         gates = _exact_gate_count(u) if noise else 0
         mix = one - (one - number(noise)) ** gates
         copies = len(rnd.clusters)
-        if rnd.spec is not None:
+        if not rnd.resets:
             v = _exact_product([carried.get(q, p) for q in rnd.clusters[0]], one)
         for _ in range(rnd.repeat):
-            if rnd.spec is None:
+            if rnd.resets:
                 v = _exact_reset(v, rnd.resets, p, n, one)
             after = [v[i] for i in source]
             work += copies * sum(w * (a - b) for w, a, b in zip(weight, after, v))

@@ -704,6 +704,62 @@ def test_generate_refuses_oversized_circuit(runner, tmp_path, monkeypatch):
     )
 
 
+def test_analyze_prints_the_report_of_a_billion_rounds(runner, tmp_path):
+    # The circuit of this plan is refused (above); its row is not, and
+    # holds the library report's numbers.
+    doc = {"method": "hbac", "cluster_size": 3, "rounds": 10**9}
+    args = ["--initial-p", "0.1", "--freq-ghz", "5"]
+    (row,) = json.loads(
+        run_ok(runner, ["analyze", "--config", write_config(tmp_path, doc), *args])
+    )
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    rep = report(config_from_json(doc), initial_p=0.1, gap=gap)
+    assert row == {
+        "method": rep.method,
+        "total_qubits": rep.total_qubits,
+        "initial_temp_mk": rep.initial_temperature.millikelvin,
+        "final_temp_mk": rep.final_temperature.millikelvin,
+        "initial_p": rep.initial_excitation,
+        "final_p": rep.final_excitation,
+        "noise_p": None,
+        "work": rep.work_in_gap_units,
+        "work_joules": rep.work_joules,
+        "total_gates": rep.gate_counts.total,
+        "resets": rep.gate_counts.resets,
+    }
+
+
+def test_long_walk_exits_3_before_any_round(runner, tmp_path, monkeypatch):
+    # Rounds that keep 11 of 12 qubits walk repeat by repeat, or past
+    # some length as one map on a 2**11-state marginal; either way a
+    # billion of them cost far more than the cap and are refused before
+    # the first reset.
+    import qcool.sim
+
+    resets = []
+    walk_reset = qcool.sim._reset
+    monkeypatch.setattr(
+        qcool.sim, "_reset", lambda *a: resets.append(1) or walk_reset(*a)
+    )
+    doc = {"method": "hbac", "cluster_size": 12, "reset_qubits": [2]}
+    ok = write_config(tmp_path, {**doc, "rounds": 20}, "ok.json")
+    run_ok(runner, ["analyze", "--config", ok, "--initial-p", "0.1"])
+    assert len(resets) == 19
+    resets.clear()
+    for rounds in (10**6, 10**9):
+        cfg = write_config(tmp_path, {**doc, "rounds": rounds}, f"{rounds}.json")
+        for command in (
+            ["analyze", "--config", cfg, "--initial-p", "0.1"],
+            ["sweep", "--config", cfg, "--probs", "0.1"],
+            ["noise-sweep", "--config", cfg, "--initial-p", "0.1",
+             "--noise-probs", "0.01"],
+        ):
+            result = runner.invoke(cli, command)
+            assert result.exit_code == 3, command
+            assert "exceeds the cap of 1073741824" in result.stderr
+    assert not resets
+
+
 # -- bench -----------------------------------------------------------------
 
 

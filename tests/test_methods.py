@@ -164,6 +164,31 @@ def test_hbac_rederive_option():
     assert redo == pytest.approx(fixed, abs=1e-12)
 
 
+def test_hbac_rederive_refuses_past_the_cost_cap(monkeypatch):
+    # Resorting need not reach a fixed point, so its rounds cannot stop
+    # early; too many are refused before the first sort.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sorted a refused round")
+
+    monkeypatch.setattr(methods.np, "argsort", forbidden)
+    with pytest.raises(ResourceLimitError, match="cap of 1073741824"):
+        hbac_final_p(0.1, 3, 10**12, rederive_each_round=True)
+    # The estimate is about 45 us a 3-qubit round, so about 235,000
+    # rounds fit under the cap and one more than that does not.
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(methods, "thermal_product_vector", started)
+    fits = methods._MAX_COST // ((8 << 3) + 4_500)
+    with pytest.raises(Started):
+        hbac_final_p(0.1, 3, fits, rederive_each_round=True)
+    with pytest.raises(ResourceLimitError):
+        hbac_final_p(0.1, 3, fits + 1, rederive_each_round=True)
+
+
 def test_final_probability_dispatch():
     p = 0.1
     assert final_probability(Dynamic(3), p) == dynamic_final_p(p, 3)
@@ -362,14 +387,13 @@ def test_circuit_matches_closed_form_all_methods():
         got = marginal(out, 1)
         want = final_probability(config, p)
         assert got == pytest.approx(want, abs=1e-10), config
-        for include in (True, False):
-            rep = report(config, initial_p=p, include_circuit=include)
-            assert rep.final_excitation == want, config
-            assert rep.work_in_gap_units == pytest.approx(
-                total_work_cost(config, p), rel=1e-12
-            ), config
-            assert rep.gate_counts == gate_counts(circuit), config
-            assert rep.circuit == (circuit if include else None), config
+        rep = report(config, initial_p=p)
+        assert rep.final_excitation == want, config
+        assert rep.work_in_gap_units == pytest.approx(
+            total_work_cost(config, p), rel=1e-12
+        ), config
+        assert rep.gate_counts == gate_counts(circuit), config
+        assert build_circuit(config, p) == circuit, config
     assert final_probability(
         HBAC(3, 7, (3,), swap), p
     ) == hbac_final_p(p, 3, 7, reset_qubits=(3,), protocol=swap)
@@ -397,7 +421,9 @@ ANALYTIC_COUNT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("config", ANALYTIC_COUNT_CASES, ids=method_label)
+@pytest.mark.parametrize(
+    "config", [*ANALYTIC_COUNT_CASES, Dynamic(16)], ids=method_label
+)
 def test_report_gate_counts_without_synthesis(config, monkeypatch):
     import qcool.methods as methods_module
 
@@ -406,7 +432,7 @@ def test_report_gate_counts_without_synthesis(config, monkeypatch):
     want = gate_counts(circuit)
     # The report must not synthesize to count.
     monkeypatch.setattr(methods_module, "synthesize_circuit", None)
-    rep = report(config, initial_p=p, include_circuit=False)
+    rep = report(config, initial_p=p)
     assert rep.gate_counts == want
     assert rep.gate_counts.resets == want.resets
     if config == Dynamic(2):
@@ -561,7 +587,8 @@ def test_dynamic_is_one_round_suboptimal(n, protocol):
     assert a.final_excitation == b.final_excitation
     assert a.work_in_gap_units == b.work_in_gap_units
     assert a.gate_counts == b.gate_counts
-    assert a.circuit == b.circuit == build_circuit(dyn) == build_circuit(sub)
+    assert build_circuit(dyn, 0.1) == build_circuit(sub, 0.1)
+    assert build_circuit(dyn, 0.1) == build_circuit(dyn) == build_circuit(sub)
 
 
 @pytest.mark.parametrize(
@@ -596,7 +623,8 @@ def test_register_cap_enforced():
     rep = report(s33, initial_p=0.1)
     assert rep.total_qubits == 27 and rep.gate_counts.total == 65
     assert rep.final_excitation == sub_optimal_final_p(0.1, 3, 3)
-    assert rep.circuit.n_qubits == 27 and len(rep.circuit) == 65
+    circuit = build_circuit(s33, 0.1)
+    assert circuit.n_qubits == 27 and len(circuit) == 65
     per_gate = noisy_final_probability(s33, 0.1, NoiseModel(0.01))
     assert per_gate > rep.final_excitation
     with pytest.raises(ResourceLimitError, match="27 qubits"):
@@ -653,7 +681,7 @@ def _unrolled(plan):
     )
 
 
-def _stepwise_hbac(config, p, gap, noise):
+def _stepwise_hbac(config, p, noise):
     """(t, work) of HBAC round by round through the public functions."""
     u = config.plan(p)[0].unitary
     gates = synthesized_gate_count(u)
@@ -666,7 +694,7 @@ def _stepwise_hbac(config, p, gap, noise):
     for k in range(config.rounds):
         if k:
             v = reset_qubits(v, config.reset_qubits, p)
-        work += work_cost(u, v, gap)
+        work += work_cost(u, v)
         v = u.apply_to_prob_vector(v)
         if mixed:
             v = (1.0 - mixed) * v + mixed / v.size
@@ -688,7 +716,7 @@ def _maps(config):
 EPS = 2.0**-52
 
 
-def _within(got, exact, moved, mapped, rounds, scale=1.0):
+def _within(got, exact, moved, mapped, rounds):
     """Whether a float (t, work) is as close to the exact walk as stated.
 
     The map keeps t within 4e-15 relative at every p, and its work
@@ -703,7 +731,7 @@ def _within(got, exact, moved, mapped, rounds, scale=1.0):
     exact_t, exact_work = exact
     return (
         abs(Fraction(t) - exact_t) <= t_tol * exact_t
-        and abs(Fraction(work) / Fraction(scale) - exact_work) <= work_tol
+        and abs(Fraction(work) - exact_work) <= work_tol
     )
 
 
@@ -715,21 +743,21 @@ def test_repeated_round_walks_as_unrolled(size, resets, rounds):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # resetting the target warns
         config = HBAC(size, rounds, resets)
-    p, gap = 0.1, EnergyGap.from_frequency_ghz(5.0)
+    p = 0.1
     plan = _rounds(config, p)
     flat = _unrolled(plan)
     assert len(plan) == min(rounds, 2) and len(flat) == rounds
     mapped = _maps(config)
     assert mapped == (rounds == 200)
     for noise in (0.0, 1e-3, 1.0):
-        walked = _walk(plan, p, gap, noise)
-        unrolled = _walk(flat, p, gap, noise)
-        assert _bits(unrolled) == _bits(_stepwise_hbac(config, p, gap, noise))
+        walked = _walk(plan, p, noise)
+        unrolled = _walk(flat, p, noise)
+        assert _bits(unrolled) == _bits(_stepwise_hbac(config, p, noise))
         if mapped:
             # The map sums the repeats in another order, so it is held
             # to the exact walk instead of to the unrolled bits.
             t, work, moved = exact_walk(plan, p, noise, digits=50)
-            assert _within(walked, (t, work), moved, True, rounds, gap.value)
+            assert _within(walked, (t, work), moved, True, rounds)
         else:
             assert _bits(walked) == _bits(unrolled)
     circuit = _circuit(config.width, plan)
@@ -743,12 +771,12 @@ def test_repeats_the_map_does_not_pay_for_walk_as_unrolled():
     # repeats, so the walk keeps its loop and its bits.
     config = HBAC(12, 200, (2,))
     assert not _maps(config)
-    p, gap = 0.1, EnergyGap.from_frequency_ghz(5.0)
+    p = 0.1
     plan = _rounds(config, p)
     for noise in (0.0, 1e-3):
-        walked = _walk(plan, p, gap, noise)
-        assert _bits(walked) == _bits(_walk(_unrolled(plan), p, gap, noise))
-        assert _bits(walked) == _bits(_stepwise_hbac(config, p, gap, noise))
+        walked = _walk(plan, p, noise)
+        assert _bits(walked) == _bits(_walk(_unrolled(plan), p, noise))
+        assert _bits(walked) == _bits(_stepwise_hbac(config, p, noise))
 
 
 _GRID_P = (1e-12, 3.4e-4, 0.04, 0.1, 0.3, 0.49, 0.4999)
@@ -837,7 +865,7 @@ def test_long_hbac_runs_reach_the_three_qubit_limit(p, monkeypatch):
     monkeypatch.setattr(
         methods.sim, "_reset", lambda *a: resets.append(1) or walk_reset(*a)
     )
-    report(HBAC(3, 100_000), initial_p=p, include_circuit=False)
+    report(HBAC(3, 100_000), initial_p=p)
     assert not resets
 
 
@@ -885,6 +913,118 @@ def test_stationary_vector_keeps_relative_digits():
     assert _stationary(np.eye(3)) is None
 
 
+def _custom(n):
+    """A custom protocol on n qubits that cools a homogeneous target:
+    01..1 swapped with 10..0, plus a 3-cycle among target-0 states."""
+    cycles = [("0" + "1" * (n - 1), "1" + "0" * (n - 1))]
+    if n >= 3:
+        cycles.append((0, 1, 2))
+    return CustomProtocol(tuple(cycles))
+
+
+ORACLE_CASES = [
+    Dynamic(3, "ppa"), Dynamic(3, _custom(3)),
+    Dynamic(6, "mirror"), Dynamic(6, _custom(6)),
+    Dynamic(9), Dynamic(9, _custom(9)),
+    SubOptimal(3, 2), SubOptimal(3, 2, _custom(3)),
+    SubOptimal(2, 3, "ppa"), SubOptimal(2, 3, _custom(2)),
+    SemiOpen((3, 3)), SemiOpen((3, 3), _custom(3)),
+    SemiOpen((3, 4, 3), "mirror"), SemiOpen((3, 4, 3), _custom(3)),
+    HBAC(3, 50), HBAC(3, 50, protocol=_custom(3)),
+    HBAC(5, 20, (2, 3)), HBAC(5, 20, (2, 3), _custom(5)),
+]
+
+
+@pytest.mark.parametrize("config", ORACLE_CASES, ids=method_label)
+def test_every_method_matches_the_exact_walk(config):
+    """report and total_work_cost against the exact walk of their plan.
+
+    t, from a closed form or the walk, is within 8 eps relative at
+    every p (2.7 eps reached).  Work is within 8 eps of moved, the
+    energy the moved states carry: that is 8 eps relative to the work
+    near p = 0 and 8 eps * moved / work in general, with moved / work
+    growing like 1 / (1 - 2p), to about 2e7 at p = 0.4999999 (3.4 eps
+    of moved reached).  HBAC's plan is walked at 50 digits, which
+    agree with Fraction to 1e-40 (test_decimal_oracle_is_exact_enough).
+    """
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    digits = 50 if isinstance(config, HBAC) else None
+    for p in (1e-12, 0.1, 0.49, 0.4999, 0.4999999):
+        t, work, moved = exact_walk(_rounds(config, p), p, digits=digits)
+        rep = report(config, initial_p=p)
+        assert abs(Fraction(rep.final_excitation) - t) <= 8 * EPS * t, p
+        joules = total_work_cost(config, p, gap)
+        for got in (rep.work_in_gap_units, joules / gap.value):
+            assert abs(Fraction(got) - work) <= 8 * EPS * moved, p
+
+
+JOULE_CASES = [
+    Dynamic(9),
+    Dynamic(8, "ppa"),
+    SubOptimal(3, 2),
+    HBAC(3, 200),
+    HBAC(5, 50, (2, 3)),
+    SemiOpen((5, 5, 5, 5)),
+    SemiOpen((3, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("config", JOULE_CASES, ids=method_label)
+def test_total_work_cost_is_work_joules(config):
+    # Both scale the walk's work in gap units by the gap once, so they
+    # agree to the last bit.
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    for p in (0.04, 0.07, 0.1, 0.3):
+        joules = report(config, initial_p=p, gap=gap).work_joules
+        assert _bits([total_work_cost(config, p, gap)]) == _bits([joules]), p
+
+
+def test_report_never_builds_the_circuit():
+    # A billion rounds would tile 6 * 10**9 circuit rows, which
+    # build_circuit refuses; the report reads its counts off the plan.
+    config = HBAC(3, 10**9)
+    rep = report(config, initial_p=0.1)
+    assert rep.gate_counts == GateCounts({2: 5 * 10**9}, 10**9 - 1)
+    assert rep.final_excitation == final_probability(config, 0.1)
+    with pytest.raises(ResourceLimitError, match="5999999999 instructions"):
+        build_circuit(config, 0.1)
+    assert not hasattr(rep, "circuit")
+
+
+def test_plans_hold_structure_only():
+    # A round with resets carries its state on; one without starts
+    # from a product state.  Nothing else about a state is planned.
+    assert [f.name for f in dataclasses.fields(methods._Round)] == [
+        "unitary", "clusters", "resets", "repeat",
+    ]
+    for config in ORACLE_CASES:
+        for rnd in _rounds(config, 0.1):
+            assert rnd.repeat == 1 or rnd.resets
+
+
+def test_walk_refuses_past_the_cost_cap(monkeypatch):
+    # 12-qubit rounds that reset one qubit keep 11: the map over their
+    # marginal costs more than walking 199 repeats, so those walk.  A
+    # million repeats would walk, estimated at 5.6e9 units; a billion
+    # would take the map, estimated at 2.7e11.  Both are refused before
+    # a reset.
+    resets = []
+    walk_reset = methods.sim._reset
+    monkeypatch.setattr(
+        methods.sim, "_reset", lambda *a: resets.append(1) or walk_reset(*a)
+    )
+    report(HBAC(12, 200, (2,)), initial_p=0.1)
+    assert len(resets) == 199
+    resets.clear()
+    for rounds in (10**6, 10**9):
+        with pytest.raises(ResourceLimitError, match="cap of 1073741824"):
+            report(HBAC(12, rounds, (2,)), initial_p=0.1)
+        with pytest.raises(ResourceLimitError, match="cap of 1073741824"):
+            noisy_final_probability(HBAC(12, rounds, (2,)), 0.1, NoiseModel(0.01))
+    assert not resets
+    assert methods._loop_cost(12, 10**6 - 1) > methods._MAX_COST
+
+
 def test_report_with_physical_gap():
     gap = EnergyGap.from_frequency_ghz(5.0)
     rep = report(Dynamic(3), temperature=Temperature.from_millikelvin(50), gap=gap)
@@ -898,7 +1038,7 @@ def test_report_with_physical_gap():
         rep.work_in_gap_units * gap.value, rel=1e-12
     )
     assert rep.gate_counts.total == 5
-    assert rep.circuit is not None
+    assert len(build_circuit(Dynamic(3), rep.initial_excitation)) == 5
 
 
 def test_report_dimensionless():
@@ -909,8 +1049,9 @@ def test_report_dimensionless():
         total_work_cost(SubOptimal(3, 2), 0.1), rel=1e-12
     )
     assert rep.gate_counts.resets == 0
-    rep2 = report(HBAC(3, 3), initial_p=0.1, include_circuit=False)
-    assert rep2.circuit is None and rep2.gate_counts.resets == 2
+    rep2 = report(HBAC(3, 3), initial_p=0.1)
+    assert rep2.gate_counts.resets == 2
+    assert gate_counts(build_circuit(HBAC(3, 3), 0.1)) == rep2.gate_counts
 
 
 def test_report_refuses_hot_target_in_later_rounds():

@@ -257,7 +257,7 @@ def test_custom_cycles_synthesis_property_large_n(drawn):
     n, cycles = drawn
     counts = check_synthesis(CoolingUnitary(n, cycles))
     config = Dynamic(n, CustomProtocol(cycles))
-    assert report(config, initial_p=0.1, include_circuit=False).gate_counts == counts
+    assert report(config, initial_p=0.1).gate_counts == counts
 
 
 @settings(max_examples=5, deadline=None)
@@ -275,5 +275,5 @@ def test_semiopen_round_synthesis_property(first, later, p):
     by_controls = Counter()
     for rnd in _rounds(config, p):
         by_controls.update(check_synthesis(rnd.unitary).by_controls)
-    rep = report(config, initial_p=p, include_circuit=False)
+    rep = report(config, initial_p=p)
     assert rep.gate_counts == GateCounts(dict(by_controls), 0)
