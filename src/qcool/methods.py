@@ -838,24 +838,20 @@ def noisy_final_probability(
     """Target excitation of the method's circuit under depolarizing noise.
 
     Equals marginal(simulate(build_circuit(config, p), thermal start,
-    noise=noise, bath_excitation=p), 1) up to rounding, computed on
-    vectors only as wide as a cluster.  Only per-layer noise on a round
+    noise=noise, bath_excitation=p), 1) up to rounding, and at noise 0
+    is final_probability(config, p) bit for bit.  The plan is walked on
+    vectors only as wide as a cluster, except per-layer noise on a round
     of several parallel copies, where gates of neighbouring copies share
-    a layer, simulates the synthesized circuit gate by gate.
+    a layer: there the synthesized circuit runs on its live qubits only
+    (sim._live_marginal), refused if more than 24 are live at once.
     """
     p = check_excitation(p)
+    if noise.probability == 0.0:
+        return final_probability(config, p)
     rounds = _rounds(config, p)
     shared_layers = any(len(rnd.clusters) > 1 for rnd in rounds)
     if noise.placement == "per-layer" and shared_layers:
-        # Built first, so that its cap refuses before the circuit is.
-        start = thermal_product_vector(p, config.width)
-        v = sim.simulate(
-            _circuit(config.width, rounds),
-            start,
-            noise=noise,
-            bath_excitation=p,
-        )
-        return sim.marginal(v, 1)
+        return sim._live_marginal(_circuit(config.width, rounds), p, noise)
     return _walk(rounds, p, noise=noise.probability)[0]
 
 

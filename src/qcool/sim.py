@@ -24,6 +24,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .circuits import Circuit, McNot, _qubits, _row
+from .constants import check_qubit_cap
 
 __all__ = [
     "NoiseModel",
@@ -100,7 +101,9 @@ def _mix_toward_uniform(
     t: np.ndarray, axes: tuple[int, ...], probability: float
 ) -> None:
     """Depolarize the given axes of the (2,)*n view t in place."""
-    uniform = t.mean(axis=axes, keepdims=True)
+    # t.mean, bit for bit, without its Python-level wrapper.
+    uniform = np.add.reduce(t, axis=axes, keepdims=True)
+    uniform /= 1 << len(axes)
     uniform *= probability
     t *= 1.0 - probability
     t += uniform
@@ -239,3 +242,100 @@ def simulate(
     if layer:
         _mix_toward_uniform(t, _axes(layer), p)
     return v
+
+
+def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
+    """marginal(simulate(circuit, thermal_product_vector(p, n), noise=noise,
+    bath_excitation=p), 1), holding only the live qubits.
+
+    The light cone of Markov and Shi (SIAM J. Comput. 38, 2008): a qubit
+    is tensored in at p at its first gate and summed out right after its
+    last one.  A reset discards its qubits; they come back at p when
+    next touched, which is exact because the start and the bath are
+    both at p.  Summing a qubit out commutes with the gates after it,
+    which do not touch it, and turns depolarizing a set that holds it
+    into depolarizing the rest of the set; so a layer's mix strikes only
+    its qubits that are still live.  Qubit 1 is kept to the end, as the
+    only live qubit; if it is untouched since the start or its last
+    reset, the result is p.  A schedule whose live width exceeds the
+    vector cap is refused before any array is built.
+    """
+    program = _live_program(circuit, noise)
+    fresh = np.array([1.0 - p, p])
+    t = np.ones(())
+    for new, row, mixed, dropped in program:
+        for _ in range(new):
+            t = np.multiply.outer(t, fresh)
+        if row:
+            _swap_target(t, *row)
+        if mixed:
+            _mix_toward_uniform(t, mixed, noise.probability)
+        if dropped:
+            t = t.sum(axis=dropped)
+    return p if t.ndim == 0 else float(t[1])
+
+
+def _live_program(circuit: Circuit, noise: NoiseModel) -> list[tuple]:
+    """simulate's steps on circuit, as steps on the live qubits' axes.
+
+    Each step is (new, row, mixed, dropped): append `new` axes at the
+    bath, apply the gate row (on axes; None for a lone mix), depolarize
+    the `mixed` axes, then sum out the `dropped` ones.
+    """
+    # simulate's schedule as (target, mask, polarity, mixed): a gate row
+    # or a reset row (target 0), with the qubits depolarized after it.
+    per_gate = noise.placement == "per-gate"
+    steps, layer = [], 0
+    for target, mask, polarity in circuit.rows.tolist():
+        touched = mask | 1 << (target - 1) if target else mask
+        if layer and (not target or layer & touched):
+            steps.append((0, 0, 0, layer))
+            layer = 0
+        mixed = 0
+        if target and noise.probability > 0.0:
+            if per_gate:
+                mixed = touched
+            else:
+                layer |= touched
+        steps.append((target, mask, polarity, mixed))
+    if layer:
+        steps.append((0, 0, 0, layer))
+
+    # Backward: a gate drops each qubit it touches that no later gate
+    # reads before a reset discards it.  Qubit 1 is read at the end.
+    needed, drops = 1, []
+    for target, mask, _, _ in reversed(steps):
+        if target:
+            touched = mask | 1 << (target - 1)
+            drops.append(touched & ~needed)
+            needed |= touched
+        else:
+            drops.append(0)
+            needed &= ~mask
+    drops.reverse()
+
+    axis: dict[int, int] = {}  # each live qubit's axis, in axis order
+    program, width = [], 0
+    for (target, mask, polarity, mixed), drop in zip(steps, drops):
+        row, new, mixed_axes, dropped = None, 0, (), ()
+        if target:
+            for q in _qubits(mask | 1 << (target - 1)):
+                if q not in axis:
+                    axis[q] = len(axis)
+                    new += 1
+            width = max(width, len(axis))
+            on = closed = 0
+            for q in _qubits(mask):
+                on |= 1 << axis[q]
+                closed |= (polarity >> (q - 1) & 1) << axis[q]
+            row = (axis[target] + 1, on, closed)
+        if mixed:
+            mixed_axes = tuple(a for q, a in axis.items() if mixed >> (q - 1) & 1)
+        if drop:
+            dropped = tuple(axis[q] for q in _qubits(drop))
+            kept = [q for q in axis if not drop >> (q - 1) & 1]
+            axis = {q: a for a, q in enumerate(kept)}
+        if row or mixed_axes:
+            program.append((new, row, mixed_axes, dropped))
+    check_qubit_cap(width)
+    return program

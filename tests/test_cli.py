@@ -189,10 +189,13 @@ def test_cap_applies_to_clusters_and_vectors(runner, tmp_path):
     qasm = run_ok(runner, ["generate", "--config", s33, "--initial-p", "0.1"])
     assert parse_qasm(qasm).n_qubits == 27
     assert count_ctrl_statements(qasm) == 65
-    # per-layer rows simulate the whole 2**27 vector
-    result = runner.invoke(cli, noise + ["--placement", "per-layer"])
-    assert result.exit_code == 3
-    assert "27 qubits exceeds the cap of 24" in result.stderr
+    # per-layer rows hold at most 11 live qubits, not the 27-qubit register
+    per_layer = noise[:-1] + ["0,1,0.01", "--placement", "per-layer"]
+    rows = json.loads(run_ok(runner, per_layer))
+    assert rows[0]["final_p"] == row["final_p"]
+    # the last layer fully depolarizes the final cluster
+    assert abs(rows[1]["final_p"] - 0.5) <= 4 * 2.0**-52
+    assert row["final_p"] < rows[2]["final_p"] < 0.5
     for doc, message in (
         ({"method": "dynamic", "n_qubits": 25}, "25 qubits exceeds the cap of 24"),
         ({"method": "semiopen", "cluster_sizes": [2, 25]},
@@ -436,6 +439,44 @@ def test_noise_sweep_zero_matches_analytic(runner, tmp_path):
     schema = result_schema()
     for row in rows:
         jsonschema.validate(row, schema)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        DYN3,
+        {"method": "suboptimal", "cluster_size": 4, "rounds": 2},
+        {"method": "hbac", "cluster_size": 5, "rounds": 50, "reset_qubits": [2, 3]},
+        {"method": "semiopen", "cluster_sizes": [3, 4, 3]},
+    ],
+    ids=lambda doc: doc["method"],
+)
+def test_noise_sweep_zero_is_analyze_bit_for_bit(runner, tmp_path, doc):
+    cfg = write_config(tmp_path, doc)
+    args = ["--config", cfg, "--initial-p", "0.07"]
+    want = json.loads(run_ok(runner, ["analyze", *args]))[0]["final_p"]
+    for placement in ("per-gate", "per-layer"):
+        row = json.loads(run_ok(runner, [
+            "noise-sweep", *args, "--noise-probs", "0", "--placement", placement,
+        ]))[0]
+        assert row["final_p"].hex() == want.hex(), placement
+
+
+def test_per_layer_rows_never_simulate_the_register(monkeypatch):
+    import qcool.methods
+    import qcool.sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built or simulated a whole-register vector")
+
+    monkeypatch.setattr(qcool.sim, "simulate", forbidden)
+    monkeypatch.setattr(qcool.methods, "thermal_product_vector", forbidden)
+    for config in (SubOptimal(4, 2), SubOptimal(3, 3), SubOptimal(5, 2)):
+        for noise in (0.0, 0.01):
+            noisy = qcool.methods.noisy_final_probability(
+                config, 0.07, NoiseModel(noise, "per-layer")
+            )
+            assert 0.0 < noisy < 0.5
 
 
 def test_noise_sweep_placement_changes_result(runner, tmp_path):

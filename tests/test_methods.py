@@ -618,7 +618,7 @@ def test_register_cap_enforced():
         with pytest.raises(ResourceLimitError, match="25 qubits"):
             call()
     # SubOptimal(3, 3) builds vectors of 8 entries, except per-layer
-    # noise, which simulates the 27-qubit register.
+    # noise, which holds at most 11 of the 27 qubits live.
     s33 = SubOptimal(3, 3)
     rep = report(s33, initial_p=0.1)
     assert rep.total_qubits == 27 and rep.gate_counts.total == 65
@@ -627,8 +627,14 @@ def test_register_cap_enforced():
     assert circuit.n_qubits == 27 and len(circuit) == 65
     per_gate = noisy_final_probability(s33, 0.1, NoiseModel(0.01))
     assert per_gate > rep.final_excitation
-    with pytest.raises(ResourceLimitError, match="27 qubits"):
-        noisy_final_probability(s33, 0.1, NoiseModel(0.01, "per-layer"))
+    per_layer = {
+        noise: noisy_final_probability(s33, 0.1, NoiseModel(noise, "per-layer"))
+        for noise in (0.0, 1.0, 0.01)
+    }
+    assert per_layer[0.0] == rep.final_excitation
+    # the last layer fully depolarizes the final cluster
+    assert abs(per_layer[1.0] - 0.5) <= 4 * EPS
+    assert rep.final_excitation < per_layer[0.01] < 0.5
     # Registers are capped at 63 qubits (64-bit row masks), before any
     # qubit map is built.
     for wide in (SubOptimal(2, 6), SubOptimal(2, 30)):

@@ -11,12 +11,14 @@ from helpers import (
     simulate_stepwise,
 )
 
+import qcool.sim as sim_module
 from qcool import (
     HBAC,
     Circuit,
     McNot,
     NoiseModel,
     ResetInstr,
+    ResourceLimitError,
     SemiOpen,
     SubOptimal,
     build_circuit,
@@ -24,6 +26,7 @@ from qcool import (
     depolarize,
     marginal,
     minimal_work_protocol,
+    noisy_final_probability,
     random_permutation_unitary,
     reset_qubits,
     simulate,
@@ -208,8 +211,6 @@ def test_simulate_reset_uses_bath():
 
 @pytest.mark.parametrize("bath", [0.9, -0.1, 0.5000001, float("nan")])
 def test_simulate_checks_bath_excitation_on_entry(monkeypatch, bath):
-    import qcool.sim as sim_module
-
     def no_gate(t, gate):
         raise AssertionError("a gate ran before the bath was checked")
 
@@ -357,3 +358,67 @@ def test_public_kernels_leave_input_unmodified(data, noise_p):
     qubits = data.draw(st.sets(st.integers(1, n), min_size=1))
     depolarize(v, sorted(qubits), noise_p)
     assert np.array_equal(v, before)
+
+
+# -- the live-qubit kernel ----------------------------------------------------
+
+EPS = 2.0**-52
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.integers(1, 10),
+    st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+    st.sampled_from(["per-gate", "per-layer"]),
+    st.sampled_from([1e-12, 0.1, 0.4999]),
+)
+def test_live_marginal_matches_stepwise_oracle(data, n, noise_p, placement, p):
+    program = data.draw(st.lists(instructions(n), max_size=24))
+    circuit = Circuit(n, tuple(program))
+    noise = NoiseModel(noise_p, placement)
+    v0 = thermal_product_vector(p, n)
+    want = marginal_mask(simulate_stepwise(circuit, v0, noise, p), 1)
+    got = sim_module._live_marginal(circuit, p, noise)
+    # Every step adds, scales or swaps nonnegative numbers, so each entry
+    # keeps its relative digits; the two differ only in the order of
+    # their sums, by a few ulps an instruction (5.25 at most over 3,000
+    # examples).
+    assert abs(got - want) <= 16 * (len(circuit) + 1) * EPS * want
+
+
+def test_live_marginal_reads_p_for_an_untouched_target():
+    p, noise = 0.1, NoiseModel(0.3, "per-layer")
+    for program in (
+        (),
+        (McNot(2, ((3, 0),)),),
+        (McNot(1, ((2, 1),)), ResetInstr((1,))),
+    ):
+        assert sim_module._live_marginal(Circuit(3, program), p, noise) == p
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SubOptimal(n, r, protocol) for n, r in ((3, 2), (4, 2), (2, 3))
+     for protocol in ("minimal-work", "ppa", "mirror")],
+    ids=lambda c: f"{c.cluster_size}x{c.rounds}-{c.protocol}",
+)
+def test_per_layer_rows_match_whole_register_simulate(config):
+    p = 0.07
+    circuit = build_circuit(config, p)
+    v0 = thermal_product_vector(p, circuit.n_qubits)
+    for noise_p in (1e-4, 1e-3, 1e-2, 0.3, 1.0):
+        noise = NoiseModel(noise_p, "per-layer")
+        want = marginal(simulate(circuit, v0, noise=noise, bath_excitation=p), 1)
+        got = noisy_final_probability(config, p, noise)
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), noise_p
+
+
+def test_live_width_past_the_cap_is_refused_before_allocating(monkeypatch):
+    # A gate on 25 qubits makes all 25 live at once; nothing that numpy
+    # would allocate may run before the refusal.
+    gate = McNot(1, tuple((q, 1) for q in range(2, 26)))
+    circuit, noise = Circuit(25, (gate,)), NoiseModel(0.01, "per-layer")
+    monkeypatch.setattr(sim_module, "np", None)
+    with pytest.raises(ResourceLimitError, match="25 qubits exceeds the cap of 24"):
+        sim_module._live_marginal(circuit, 0.1, noise)
