@@ -844,6 +844,7 @@ def noisy_final_probability(
     of several parallel copies, where gates of neighbouring copies share
     a layer: there the synthesized circuit runs on its live qubits only
     (sim._live_marginal), refused if more than 24 are live at once.
+    Its schedule is kept for the next noise level (_layer_program).
     """
     p = check_excitation(p)
     if noise.probability == 0.0:
@@ -851,8 +852,20 @@ def noisy_final_probability(
     rounds = _rounds(config, p)
     shared_layers = any(len(rnd.clusters) > 1 for rnd in rounds)
     if noise.placement == "per-layer" and shared_layers:
-        return sim._live_marginal(_circuit(config.width, rounds), p, noise)
+        return sim._run_live(_layer_program(config, p), p, noise.probability)
     return _walk(rounds, p, noise=noise.probability)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _layer_program(config: MethodConfig, p: float) -> tuple:
+    """sim._live_program of the method's circuit at p, per-layer noise.
+
+    The steps do not depend on the noise strength, so the last program
+    is kept: the noise levels of one noise sweep synthesize, embed and
+    schedule the circuit once.  Programs are immutable.
+    """
+    circuit = _circuit(config.width, _rounds(config, p))
+    return sim._live_program(circuit, "per-layer")
 
 
 # -- reporting ------------------------------------------------------------

@@ -19,6 +19,8 @@ import functools
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .circuits import Circuit, _qubits
 
 __all__ = ["THERMAL_RESET_PRAGMA", "export_qasm", "write_qasm"]
@@ -31,8 +33,8 @@ THERMAL_RESET_PRAGMA = "// @thermal_reset"
 _CHUNK_ROWS = 4096
 
 
-def _row_text(target: int, mask: int, polarity: int) -> str:
-    """The statements of one circuit row, each ending in a newline."""
+def _statement(target: int, mask: int) -> str:
+    """The text of a reset row, or of a gate row without its x flips."""
     if not target:
         return "".join(
             f"{THERMAL_RESET_PRAGMA} q[{q - 1}]\nreset q[{q - 1}];\n"
@@ -40,12 +42,7 @@ def _row_text(target: int, mask: int, polarity: int) -> str:
         )
     if not mask:
         return f"x q[{target - 1}];\n"
-    # Open controls are conjugated by x gates, undone in reverse order.
-    flips = [f"x q[{q - 1}];\n" for q in _qubits(mask & ~polarity)]
-    gate = (
-        f"ctrl({mask.bit_count()}) @ x {_operands(mask)}, q[{target - 1}];\n"
-    )
-    return "".join([*flips, gate, *reversed(flips)])
+    return f"ctrl({mask.bit_count()}) @ x {_operands(mask)}, q[{target - 1}];\n"
 
 
 @functools.lru_cache(maxsize=4096)
@@ -53,25 +50,87 @@ def _operands(mask: int) -> str:
     return ", ".join(f"q[{q - 1}]" for q in _qubits(mask))
 
 
-def _chunks(circuit: Circuit) -> Iterator[str]:
-    """The QASM text of circuit, in pieces of at most _CHUNK_ROWS rows.
+@functools.lru_cache(maxsize=8)
+def _byte_flips(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down): for each byte value b, the x statements on q[8j + i]
+    for the set bits i of b, by ascending and by descending qubit."""
+    lines = [f"x q[{8 * j + i}];\n" for i in range(8)]
+    up, down = (
+        np.array(
+            ["".join(lines[i] for i in order if b >> i & 1) for b in range(256)],
+            dtype=object,
+        )
+        for order in (range(8), range(7, -1, -1))
+    )
+    up.flags.writeable = down.flags.writeable = False
+    return up, down
 
-    Each distinct row is formatted once and its text reused.
+
+def _flips(opened: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(before, after): the x flips of each open-control mask, as text.
+
+    Open controls are conjugated by x gates, undone in reverse order:
+    before flips them by ascending qubit, after by descending qubit.
+    Both are put together a byte of the mask at a time.
     """
+    before = after = np.full(len(opened), "", dtype=object)
+    for j in range((n_qubits + 7) // 8):
+        up, down = _byte_flips(j)
+        byte = (opened >> (8 * j)) & 255
+        before = before + up[byte]
+        after = down[byte] + after
+    return before, after
+
+
+def _statements(
+    target: np.ndarray, mask: np.ndarray, n_qubits: int
+) -> np.ndarray:
+    """The _statement text of every row, each distinct one formatted once.
+
+    Rows are keyed by (index of their mask among the distinct masks,
+    target), a pair that fits one integer whatever the width.
+    """
+    masks, which = np.unique(mask, return_inverse=True)
+    key = which * (n_qubits + 1) + target
+    present = np.zeros(len(masks) * (n_qubits + 1), dtype=bool)
+    present[key] = True
+    keys = np.flatnonzero(present)
+    table = np.empty(len(present), dtype=object)
+    table[keys] = [
+        _statement(k % (n_qubits + 1), m)
+        for k, m in zip(keys.tolist(), masks[keys // (n_qubits + 1)].tolist())
+    ]
+    return table[key]
+
+
+def _chunk_text(rows: np.ndarray, n_qubits: int) -> str:
+    """The statements of rows, one row after another.
+
+    A row's text is its open controls' x flips, its statement, and the
+    flips undone.  Each distinct open-control mask (zero on resets) and
+    each distinct (target, control mask) is formatted once, and the
+    row texts are gathered from them.
+    """
+    target, mask, polarity = rows.T
+    opened = (mask & ~polarity) * (target != 0)
+    keys, which = np.unique(opened, return_inverse=True)
+    before, after = _flips(keys, n_qubits)
+    parts = np.empty((len(rows), 3), dtype=object)
+    parts[:, 0] = before[which]
+    parts[:, 1] = _statements(target, mask, n_qubits)
+    parts[:, 2] = after[which]
+    return "".join(parts.ravel().tolist())
+
+
+def _chunks(circuit: Circuit) -> Iterator[str]:
+    """The QASM text of circuit, in pieces of at most _CHUNK_ROWS rows."""
     yield (
         'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
         f"qubit[{circuit.n_qubits}] q;\n"
     )
-    text: dict[tuple[int, int, int], str] = {}
     for start in range(0, len(circuit), _CHUNK_ROWS):
-        columns = circuit.rows[start : start + _CHUNK_ROWS].T.tolist()
-        parts = []
-        for row in zip(*columns):
-            line = text.get(row)
-            if line is None:
-                line = text[row] = _row_text(*row)
-            parts.append(line)
-        yield "".join(parts)
+        rows = circuit.rows[start : start + _CHUNK_ROWS]
+        yield _chunk_text(rows, circuit.n_qubits)
 
 
 def export_qasm(circuit: Circuit) -> str:
@@ -79,5 +138,5 @@ def export_qasm(circuit: Circuit) -> str:
 
 
 def write_qasm(circuit: Circuit, path: str | Path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="ascii", newline="\n") as f:
         f.writelines(_chunks(circuit))

@@ -260,7 +260,12 @@ def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
     reset, the result is p.  A schedule whose live width exceeds the
     vector cap is refused before any array is built.
     """
-    program = _live_program(circuit, noise)
+    placement = noise.placement if noise.probability > 0.0 else None
+    return _run_live(_live_program(circuit, placement), p, noise.probability)
+
+
+def _run_live(program: tuple, p: float, probability: float) -> float:
+    """_live_marginal's result from the program _live_program built."""
     fresh = np.array([1.0 - p, p])
     t = np.ones(())
     for new, row, mixed, dropped in program:
@@ -269,22 +274,24 @@ def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
         if row:
             _swap_target(t, *row)
         if mixed:
-            _mix_toward_uniform(t, mixed, noise.probability)
+            _mix_toward_uniform(t, mixed, probability)
         if dropped:
             t = t.sum(axis=dropped)
     return p if t.ndim == 0 else float(t[1])
 
 
-def _live_program(circuit: Circuit, noise: NoiseModel) -> list[tuple]:
+def _live_program(circuit: Circuit, placement: str | None) -> tuple:
     """simulate's steps on circuit, as steps on the live qubits' axes.
 
-    Each step is (new, row, mixed, dropped): append `new` axes at the
-    bath, apply the gate row (on axes; None for a lone mix), depolarize
-    the `mixed` axes, then sum out the `dropped` ones.
+    placement is where nonzero noise strikes, or None without noise;
+    the strength does not change the steps.  Each step is (new, row,
+    mixed, dropped): append `new` axes at the bath, apply the gate row
+    (on axes; None for a lone mix), depolarize the `mixed` axes, then
+    sum out the `dropped` ones.
     """
     # simulate's schedule as (target, mask, polarity, mixed): a gate row
     # or a reset row (target 0), with the qubits depolarized after it.
-    per_gate = noise.placement == "per-gate"
+    per_gate = placement == "per-gate"
     steps, layer = [], 0
     for target, mask, polarity in circuit.rows.tolist():
         touched = mask | 1 << (target - 1) if target else mask
@@ -292,7 +299,7 @@ def _live_program(circuit: Circuit, noise: NoiseModel) -> list[tuple]:
             steps.append((0, 0, 0, layer))
             layer = 0
         mixed = 0
-        if target and noise.probability > 0.0:
+        if target and placement is not None:
             if per_gate:
                 mixed = touched
             else:
@@ -338,4 +345,4 @@ def _live_program(circuit: Circuit, noise: NoiseModel) -> list[tuple]:
         if row or mixed_axes:
             program.append((new, row, mixed_axes, dropped))
     check_qubit_cap(width)
-    return program
+    return tuple(program)

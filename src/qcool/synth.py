@@ -14,14 +14,13 @@ s1->s2->...->sm->s1 overall.
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
 import numpy as np
 
 from .circuits import Circuit
 from .errors import PhaseSynthesisError
-from .unitary import CoolingUnitary, parse_state_label
+from .unitary import CoolingUnitary, _transpositions, parse_state_label
 
 __all__ = [
     "cycle_circuit",
@@ -51,44 +50,64 @@ def gray_path(x: int, y: int, n_qubits: int) -> list[int]:
     return path
 
 
-def _qubit_order(states: Sequence[int], n_qubits: int) -> list[int]:
-    """Each basis state with bit n - q moved to bit q - 1, as masks use."""
-    s = np.array(states, dtype=np.int64)
-    out = np.zeros_like(s)
-    for pos in range(n_qubits):
-        out |= ((s >> pos) & 1) << (n_qubits - 1 - pos)
-    return out.tolist()
+# Transpositions synthesized per pass of _cycles_circuit; bounds the
+# temporary arrays of a pass (about 5 MB at n = 16).
+_BLOCK = 4096
 
 
-def _cycles_circuit(n_qubits: int, cycles: Sequence[Sequence[int]]) -> Circuit:
-    """The rows of every cycle's transpositions, in circuit order.
+def _cycles_circuit(
+    n_qubits: int, transpositions: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> Circuit:
+    """The rows of the transpositions (first, other, distance) of cycles.
 
-    Working in mask order, the Gray path from x to y flips the lowest
-    differing bit first (qubit 1 first).  A step that flips `bit` from
-    path state `cur` is the gate with mask full ^ bit and polarity
-    cur & mask; the ladder of d steps is followed by its first d - 1
-    steps reversed.
+    transpositions is _transpositions(cycles).  Working in mask order
+    (bit q - 1 for qubit q), let diff = s1 ^ sk for the transposition
+    (s1 sk), and full = 2**n - 1.  The Gray path flips the set bits b of
+    diff in ascending order (qubit 1 first); the step that flips b is
+    the row
+
+        (bit_length(b), full ^ b, (s1 ^ (diff & (b - 1))) & (full ^ b)).
+
+    The 2d - 1 rows of a transposition at distance d start at the sum of
+    2d - 1 over the transpositions before it: its d ladder rows, then
+    the first d - 1 again in reverse.
     """
-    full = (1 << n_qubits) - 1
-    states = _qubit_order([s for c in cycles for s in c], n_qubits)
-    rows, start = array("q"), 0
-    for cycle in cycles:
-        first, *others = states[start : start + len(cycle)]
-        start += len(cycle)
-        for y in others:
-            cur, diff = first, first ^ y
-            ladder = []
-            while diff:
-                bit = diff & -diff
-                mask = full ^ bit
-                ladder.append((bit.bit_length(), mask, cur & mask))
-                cur ^= bit
-                diff ^= bit
-            for row in ladder:
-                rows.extend(row)
-            for row in reversed(ladder[:-1]):
-                rows.extend(row)
-    return Circuit._from_rows(n_qubits, np.frombuffer(rows, dtype=np.int64))
+    first, other, distance = transpositions
+    rows = np.empty((int((2 * distance - 1).sum()), 3), dtype=np.int64)
+    end = 0
+    for lo in range(0, len(first), _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        block = _ladders(n_qubits, first[part], other[part], distance[part])
+        rows[end : end + len(block)] = block
+        end += len(block)
+    return Circuit._from_rows(n_qubits, rows)
+
+
+def _ladders(
+    n: int, first: np.ndarray, other: np.ndarray, distance: np.ndarray
+) -> np.ndarray:
+    """_cycles_circuit's rows for a block of transpositions, all at once,
+    from the set bits of the (transpositions x n) bit matrix of diff."""
+    # Column k holds label bit n - 1 - k, which is qubit k + 1.
+    shifts = np.arange(n - 1, -1, -1)
+    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
+    diff_bits = ((first ^ other)[:, None] >> shifts) & 1
+    diff = diff_bits @ weights
+    s1 = ((first[:, None] >> shifts) & 1) @ weights
+    size = 2 * distance - 1
+    base = np.cumsum(size) - size
+    t, pos = np.nonzero(diff_bits)
+    rank = np.arange(t.size) - (np.cumsum(distance) - distance)[t]
+    bit = np.left_shift(1, pos.astype(np.int64))
+    mask = ((1 << n) - 1) ^ bit
+    ladder = np.stack(
+        (pos + 1, mask, (s1[t] ^ (diff[t] & (bit - 1))) & mask), axis=1
+    )
+    rows = np.empty((int(size.sum()), 3), dtype=np.int64)
+    rows[base[t] + rank] = ladder
+    back = rank < distance[t] - 1
+    rows[(base[t] + 2 * distance[t] - 2 - rank)[back]] = ladder[back]
+    return rows
 
 
 def transposition_circuit(x: int, y: int, n_qubits: int) -> Circuit:
@@ -101,7 +120,7 @@ def transposition_circuit(x: int, y: int, n_qubits: int) -> Circuit:
     y = parse_state_label(y, n_qubits)
     if x == y:
         raise ValueError("endpoints must differ")
-    return _cycles_circuit(n_qubits, [(x, y)])
+    return _cycles_circuit(n_qubits, _transpositions([(x, y)]))
 
 
 def cycle_circuit(cycle, n_qubits: int) -> Circuit:
@@ -109,7 +128,7 @@ def cycle_circuit(cycle, n_qubits: int) -> Circuit:
     states = tuple(parse_state_label(s, n_qubits) for s in cycle)
     if len(states) < 2 or len(set(states)) != len(states):
         raise ValueError("cycle must list at least two distinct states")
-    return _cycles_circuit(n_qubits, [states])
+    return _cycles_circuit(n_qubits, _transpositions([states]))
 
 
 def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
@@ -124,17 +143,15 @@ def synthesize_circuit(unitary: CoolingUnitary) -> Circuit:
             "phase-bearing unitary is not synthesizable as a "
             "multi-controlled-NOT circuit"
         )
-    return _cycles_circuit(unitary.n_qubits, unitary.cycles)
+    return _cycles_circuit(unitary.n_qubits, unitary._cycle_transpositions)
 
 
 def synthesized_gate_count(unitary: CoolingUnitary) -> int:
     """Gates synthesize_circuit emits for unitary, without building them.
 
     Every one is controlled on the other n - 1 qubits; the cycle
-    (s1 ... sm) costs 2 popcount(s1 ^ sk) - 1 gates for each k > 1.
+    (s1 ... sm) costs 2 popcount(s1 ^ sk) - 1 gates for each k > 1, read
+    off the distance array synthesis sizes its rows by.
     """
-    return sum(
-        2 * (first ^ s).bit_count() - 1
-        for first, *others in unitary.cycles
-        for s in others
-    )
+    distance = unitary._cycle_transpositions[2]
+    return 2 * int(distance.sum()) - distance.size

@@ -17,6 +17,7 @@ states not listed are left untouched.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -89,6 +90,24 @@ def _parse_cycles(
     return parsed
 
 
+def _transpositions(
+    cycles: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, other, distance) of the transpositions (s1 sk), k > 1.
+
+    Three int64 arrays in circuit order: cycle by cycle, and within a
+    cycle (s1 s2), (s1 s3), ..., (s1 sm), which applies s1 -> s2 -> ...
+    -> sm -> s1 overall.  distance is the Hamming distance
+    popcount(s1 ^ sk) of each.
+    """
+    later = [len(c) - 1 for c in cycles]
+    first = np.repeat(np.array([c[0] for c in cycles], dtype=np.int64), later)
+    other = np.fromiter(
+        itertools.chain.from_iterable(c[1:] for c in cycles), np.int64, sum(later)
+    )
+    return first, other, np.bitwise_count(first ^ other).astype(np.int64)
+
+
 class CoolingUnitary:
     """Permutation of basis states, optionally with unit-modulus phases.
 
@@ -97,7 +116,9 @@ class CoolingUnitary:
     the backing arrays are marked read-only.
     """
 
-    __slots__ = ("_n", "_data", "_indices", "_indptr", "_perm", "_cycles")
+    __slots__ = (
+        "_n", "_data", "_indices", "_indptr", "_perm", "_cycles", "_pairs"
+    )
 
     def __init__(
         self,
@@ -130,6 +151,7 @@ class CoolingUnitary:
             arr.flags.writeable = False
         self._perm = None
         self._cycles = None
+        self._pairs = None
 
     @classmethod
     def _from_csr(cls, n_qubits: int, data: np.ndarray, indices: np.ndarray) -> "CoolingUnitary":
@@ -228,6 +250,15 @@ class CoolingUnitary:
                 out.append(tuple(cyc))
             self._cycles = tuple(out)
         return self._cycles
+
+    @property
+    def _cycle_transpositions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_transpositions(self.cycles), cached like cycles."""
+        if self._pairs is None:
+            self._pairs = _transpositions(self.cycles)
+            for arr in self._pairs:
+                arr.flags.writeable = False
+        return self._pairs
 
     @property
     def has_phases(self) -> bool:

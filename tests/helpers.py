@@ -424,7 +424,8 @@ def count_ctrl_statements(text: str) -> int:
 #
 # The exporter, embedding and cancellation pass as they were written when a
 # circuit was a tuple of McNot and ResetInstr objects: one object at a time,
-# through the public per-instruction view.
+# through the public per-instruction view.  Synthesis as the loop it was
+# written as: one gate at a time, on Python integers.
 
 
 def _reference_gate_lines(gate: McNot) -> list[str]:
@@ -457,6 +458,36 @@ def reference_export_qasm(circuit: Circuit) -> str:
                 lines.append(f"{THERMAL_RESET_PRAGMA} q[{q - 1}]")
                 lines.append(f"reset q[{q - 1}];")
     return "\n".join(lines) + "\n"
+
+
+def reference_cycles_circuit(n: int, cycles) -> Circuit:
+    """Gray-code synthesis of integer-labelled cycles, one gate at a time.
+
+    Each cycle (s1 ... sm) becomes the transpositions (s1 sk), k > 1.  In
+    mask order (label bit n - q moved to bit q - 1) the path from s1 to
+    sk flips the lowest differing bit first; the step that flips `bit`
+    from path state `cur` is the gate with mask full ^ bit and polarity
+    cur & mask, and the ladder of d steps is followed by its first d - 1
+    steps reversed.
+    """
+    full = (1 << n) - 1
+
+    def mask_order(state):
+        return sum(((state >> (n - q)) & 1) << (q - 1) for q in range(1, n + 1))
+
+    rows = []
+    for cycle in cycles:
+        first, *others = [mask_order(s) for s in cycle]
+        for y in others:
+            cur, diff, ladder = first, first ^ y, []
+            while diff:
+                bit = diff & -diff
+                mask = full ^ bit
+                ladder.append((bit.bit_length(), mask, cur & mask))
+                cur ^= bit
+                diff ^= bit
+            rows += ladder + ladder[-2::-1]
+    return Circuit._from_rows(n, np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
 def reference_embed(circuit: Circuit, n_total: int, qubit_map) -> Circuit:

@@ -23,6 +23,7 @@ from qcool import (
     gate_counts,
     simplify_adjacent,
 )
+from qcool.qasm import _CHUNK_ROWS
 
 
 def test_mcnot_normalization():
@@ -167,3 +168,20 @@ def test_rows_match_per_instruction_references(drawn, data):
     by = Counter(i.n_controls for i in program if isinstance(i, McNot))
     resets = sum(isinstance(i, ResetInstr) for i in program)
     assert gate_counts(c) == GateCounts(dict(sorted(by.items())), resets)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("n", [1, 2, 14, 63])
+def test_long_export_matches_per_instruction_reference(n, data):
+    # Longer than a chunk, so rows with one text fall on both sides of a
+    # chunk boundary; every circuit holds a reset, an x gate without
+    # controls and, past one qubit, a gate with an open control.
+    pool = data.draw(st.lists(instructions(n), min_size=1, max_size=8))
+    pool += [ResetInstr((n,)), McNot(1)]
+    if n > 1:
+        pool.append(McNot(n, ((1, 0),)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(len(pool), size=_CHUNK_ROWS + 97)
+    c = Circuit(n, [pool[i] for i in picks])
+    assert export_qasm(c) == reference_export_qasm(c)

@@ -689,6 +689,23 @@ def test_generate_out_file(runner, tmp_path):
     assert dest.read_text() == stdout
 
 
+def test_generate_out_bytes_match_stdout_bytes(tmp_path):
+    # In a child process, so stdout is the real stream and not a test
+    # capture; the HBAC circuit carries reset pragmas.
+    src = str(Path(qcool.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    hbac = {"method": "hbac", "cluster_size": 3, "rounds": 3}
+    for doc in (DYN3, hbac):
+        cfg = write_config(tmp_path, doc)
+        dest = tmp_path / "circuit.qasm"
+        args = [sys.executable, "-m", "qcool.cli", "generate", "--config", cfg]
+        stdout = subprocess.run(args, env=env, capture_output=True, check=True).stdout
+        subprocess.run([*args, "--out", str(dest)], env=env, check=True)
+        assert dest.read_bytes() == stdout
+        assert stdout.startswith(b"OPENQASM 3.0;\n") and b"\r" not in stdout
+
+
 def test_generate_source_flags_exclusive(runner, tmp_path):
     cfg = write_config(tmp_path, DYN3)
     cycles = tmp_path / "cycles.json"

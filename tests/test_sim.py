@@ -11,6 +11,7 @@ from helpers import (
     simulate_stepwise,
 )
 
+import qcool.methods as methods_module
 import qcool.sim as sim_module
 from qcool import (
     HBAC,
@@ -412,6 +413,31 @@ def test_per_layer_rows_match_whole_register_simulate(config):
         want = marginal(simulate(circuit, v0, noise=noise, bath_excitation=p), 1)
         got = noisy_final_probability(config, p, noise)
         assert got == pytest.approx(want, rel=4e-15, abs=0.0), noise_p
+
+
+def test_per_layer_noise_levels_share_one_schedule(monkeypatch):
+    # The noise levels of one noise sweep build the circuit and its
+    # live-qubit schedule once, and each level's value is bit for bit
+    # the one a fresh build gives.
+    config, p = SubOptimal(4, 2), 0.07
+    levels = (1e-4, 1e-3, 1e-2, 0.3)
+    circuit = build_circuit(config, p)
+    want = [
+        sim_module._live_marginal(circuit, p, NoiseModel(q, "per-layer"))
+        for q in levels
+    ]
+    methods_module._layer_program.cache_clear()
+    built = []
+    real = methods_module._circuit
+    monkeypatch.setattr(
+        methods_module, "_circuit", lambda *a: built.append(a) or real(*a)
+    )
+    got = [
+        noisy_final_probability(config, p, NoiseModel(q, "per-layer"))
+        for q in levels
+    ]
+    assert got == want
+    assert len(built) == 1
 
 
 def test_live_width_past_the_cap_is_refused_before_allocating(monkeypatch):

@@ -11,6 +11,7 @@ from helpers import (
     apply_mcnot_int,
     circuit_permutation,
     circuit_permutation_array,
+    reference_cycles_circuit,
 )
 
 from qcool import (
@@ -34,6 +35,8 @@ from qcool import (
     transposition_circuit,
 )
 from qcool.methods import _rounds
+from qcool.synth import _BLOCK, _cycles_circuit
+from qcool.unitary import _transpositions
 
 
 def hamming(a: int, b: int) -> int:
@@ -277,3 +280,49 @@ def test_semiopen_round_synthesis_property(first, later, p):
         by_controls.update(check_synthesis(rnd.unitary).by_controls)
     rep = report(config, initial_p=p)
     assert rep.gate_counts == GateCounts(dict(by_controls), 0)
+
+
+# -- whole-array synthesis against the per-gate loop ---------------------------
+
+
+@st.composite
+def labelled_cycles(draw):
+    """(n, disjoint cycles of integer labels) at n in 1..63, few states."""
+    n = draw(st.integers(1, 63))
+    states = draw(
+        st.lists(
+            st.integers(0, (1 << n) - 1),
+            max_size=min(1 << n, 16),
+            unique=True,
+        )
+    )
+    cycles = []
+    while len(states) >= 2:
+        k = draw(st.integers(2, min(5, len(states))))
+        cycles.append(tuple(states[:k]))
+        states = states[k:]
+    return n, cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_cycles())
+@example((1, []))
+@example((1, [(0, 1)]))
+@example((5, []))
+@example((63, [((1 << 63) - 1, 0, 1 << 62, 1)]))
+def test_synthesis_matches_per_gate_reference(drawn):
+    n, cycles = drawn
+    circuit = _cycles_circuit(n, _transpositions(cycles))
+    assert circuit == reference_cycles_circuit(n, cycles)
+    if n <= 10:
+        u = CoolingUnitary(n, cycles)
+        assert synthesized_gate_count(u) == len(synthesize_circuit(u))
+
+
+def test_synthesis_across_blocks_matches_per_gate_reference():
+    # About 8,000 transpositions, so rows are built in two blocks.
+    u = random_permutation_unitary(13, 4)
+    assert len(u._cycle_transpositions[0]) > _BLOCK
+    circuit = synthesize_circuit(u)
+    assert circuit == reference_cycles_circuit(13, u.cycles)
+    assert synthesized_gate_count(u) == len(circuit)
