@@ -119,28 +119,35 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
         Path(out).write_text(text)
 
 
-def _row(config, initial_p, gap, noise: NoiseModel | None) -> dict:
-    """One result row; with a noise model, final_p is the noisy circuit's."""
+def _rows(config, initial_p, gap, models=(None,)) -> list[dict]:
+    """One result row per noise model (None: noiseless), from one report.
+
+    A row's final_p is the noisy circuit's; at noise 0 that is the
+    report's final_excitation bit for bit, so it is not computed again.
+    """
     rep = methods.report(config, initial_p=initial_p, gap=gap)
-    final_p = rep.final_excitation
-    if noise is not None:
-        final_p = methods.noisy_final_probability(config, initial_p, noise)
     physical = gap is not None and not gap.dimensionless
-    # Work is the noiseless driving cost; depolarizing exchanges heat,
-    # not work, in this model.
-    return {
-        "method": rep.method,
-        "total_qubits": rep.total_qubits,
-        "initial_temp_mk": _temp_mk_or_none(initial_p, gap if physical else None),
-        "final_temp_mk": _temp_mk_or_none(final_p, gap if physical else None),
-        "initial_p": rep.initial_excitation,
-        "final_p": final_p,
-        "noise_p": None if noise is None else noise.probability,
-        "work": rep.work_in_gap_units,
-        "work_joules": rep.work_joules,
-        "total_gates": rep.gate_counts.total,
-        "resets": rep.gate_counts.resets,
-    }
+    rows = []
+    for noise in models:
+        final_p = rep.final_excitation
+        if noise is not None and noise.probability != 0.0:
+            final_p = methods.noisy_final_probability(config, initial_p, noise)
+        # Work is the noiseless driving cost; depolarizing exchanges heat,
+        # not work, in this model.
+        rows.append({
+            "method": rep.method,
+            "total_qubits": rep.total_qubits,
+            "initial_temp_mk": _temp_mk_or_none(initial_p, gap if physical else None),
+            "final_temp_mk": _temp_mk_or_none(final_p, gap if physical else None),
+            "initial_p": rep.initial_excitation,
+            "final_p": final_p,
+            "noise_p": None if noise is None else noise.probability,
+            "work": rep.work_in_gap_units,
+            "work_joules": rep.work_joules,
+            "total_gates": rep.gate_counts.total,
+            "resets": rep.gate_counts.resets,
+        })
+    return rows
 
 
 @click.group()
@@ -193,7 +200,7 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
     config = methods.config_from_json(config_path)
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
-    rows = [_row(config, p, gap, None)]
+    rows = _rows(config, p, gap)
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -224,7 +231,7 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, as_csv, out):
         ps = _parse_float_list(probs, "--probs")
     # Checked here so a bad value exits 2 before any row is computed.
     ps = [methods.check_excitation(p) for p in ps]
-    rows = [_row(config, p, gap, None) for config in configs for p in ps]
+    rows = [row for config in configs for p in ps for row in _rows(config, p, gap)]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -247,7 +254,7 @@ def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placeme
     p = methods.check_excitation(p)
     noise = _parse_float_list(noise_probs, "--noise-probs")
     models = [NoiseModel(q, placement) for q in noise]
-    rows = [_row(config, p, gap, m) for config in configs for m in models]
+    rows = [row for config in configs for row in _rows(config, p, gap, models)]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 

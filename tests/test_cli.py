@@ -479,6 +479,95 @@ def test_per_layer_rows_never_simulate_the_register(monkeypatch):
             assert 0.0 < noisy < 0.5
 
 
+ROW_CONFIGS = (
+    {"method": "dynamic", "n_qubits": 4},
+    {"method": "suboptimal", "cluster_size": 3, "rounds": 2},
+    {"method": "hbac", "cluster_size": 3, "rounds": 20, "reset_qubits": [3]},
+    {"method": "semiopen", "cluster_sizes": [3, 4, 3]},
+)
+
+
+def test_noise_sweep_reports_once_per_config(runner, tmp_path, monkeypatch):
+    import qcool.methods
+
+    calls = []
+    real = qcool.methods.report
+
+    def counted(config, **kwargs):
+        calls.append(config)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(qcool.methods, "report", counted)
+    paths = [
+        write_config(tmp_path, doc, f"c{i}.json") for i, doc in enumerate(ROW_CONFIGS)
+    ]
+    args = ["noise-sweep", "--initial-p", "0.07", "--noise-probs", "0,1e-4,1e-3,1"]
+    for path in paths:
+        args += ["--config", path]
+    rows = json.loads(run_ok(runner, args))
+    assert len(rows) == 4 * len(ROW_CONFIGS)
+    assert calls == [config_from_json(doc) for doc in ROW_CONFIGS]
+
+
+@pytest.mark.parametrize("placement", ["per-gate", "per-layer"])
+@pytest.mark.parametrize("doc", ROW_CONFIGS, ids=lambda doc: doc["method"])
+def test_noise_sweep_rows_equal_per_row_reports(runner, tmp_path, doc, placement):
+    cfg = write_config(tmp_path, doc)
+    levels = (0.0, 1e-3, 1.0)
+    rows = json.loads(run_ok(runner, [
+        "noise-sweep", "--config", cfg, "--initial-p", "0.07", "--freq-ghz", "5",
+        "--noise-probs", ",".join(map(repr, levels)), "--placement", placement,
+    ]))
+    config = config_from_json(doc)
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    for row, level in zip(rows, levels, strict=True):
+        rep = report(config, initial_p=0.07, gap=gap)
+        final_p = qcool.noisy_final_probability(
+            config, 0.07, NoiseModel(level, placement)
+        )
+        want = {
+            "method": rep.method,
+            "total_qubits": rep.total_qubits,
+            "initial_temp_mk": rep.initial_temperature.millikelvin,
+            # Noise 1 leaves the target at 1/2: no finite temperature.
+            "final_temp_mk": None if final_p >= 0.5 else (
+                qcool.temperature_from_probability(final_p, gap).millikelvin
+            ),
+            "initial_p": rep.initial_excitation,
+            "final_p": final_p,
+            "noise_p": level,
+            "work": rep.work_in_gap_units,
+            "work_joules": rep.work_joules,
+            "total_gates": rep.gate_counts.total,
+            "resets": rep.gate_counts.resets,
+        }
+        assert json.dumps(row) == json.dumps(want), level
+
+
+def test_sweep_rows_find_each_round_cycles_once(runner, tmp_path, monkeypatch):
+    # Sixteen semi-open rows share three distinct round unitaries (the
+    # first round's, and two rankings of the later rounds), so each one's
+    # transpositions are listed once, not once per row.
+    import qcool.methods
+    import qcool.protocols
+    import qcool.unitary
+
+    qcool.methods._resolve_protocol.cache_clear()
+    monkeypatch.setattr(
+        qcool.protocols, "_shared", qcool.protocols._Shared(1 << 20)
+    )
+    calls = []
+    real = qcool.unitary._transpositions
+    monkeypatch.setattr(
+        qcool.unitary, "_transpositions", lambda c: calls.append(c) or real(c)
+    )
+    cfg = write_config(tmp_path, {"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]})
+    probs = ",".join(repr(0.04 + 0.004 * i) for i in range(16))
+    out = run_ok(runner, ["sweep", "--config", cfg, "--probs", probs, "--csv"])
+    assert len(out.splitlines()) == 17
+    assert len(calls) == 3
+
+
 def test_noise_sweep_placement_changes_result(runner, tmp_path):
     # disjoint round-1 clusters pack into shared layers, so the two
     # placements apply different noise channels

@@ -1008,6 +1008,28 @@ def test_plans_hold_structure_only():
             assert rnd.repeat == 1 or rnd.resets
 
 
+def test_semi_open_rows_share_their_round_unitaries(monkeypatch):
+    # Later rounds depend on p only through the thermal ranking, so rows
+    # at different p hold the same unitary objects, and a round that
+    # repeats an earlier one's ranking is synthesized once.
+    config = SemiOpen((5, 5, 5, 5))
+    plans = [[r.unitary for r in _rounds(config, p)] for p in (0.04, 0.07, 0.1)]
+    for plan in plans[1:]:
+        assert all(a is b for a, b in zip(plan, plans[0]))
+    distinct = {id(u): u for u in plans[0]}
+    assert len(distinct) < len(plans[0])
+    calls = []
+    real = methods.synthesize_circuit
+    monkeypatch.setattr(
+        methods, "synthesize_circuit", lambda u: calls.append(u) or real(u)
+    )
+    circuit = build_circuit(config, 0.07)
+    assert sorted(map(id, calls)) == sorted(distinct)
+    v = thermal_product_vector(0.07, circuit.n_qubits)
+    got = marginal(simulate(circuit, v), 1)
+    assert got == pytest.approx(final_probability(config, 0.07), rel=1e-12)
+
+
 def test_walk_refuses_past_the_cost_cap(monkeypatch):
     # 12-qubit rounds that reset one qubit keep 11: the map over their
     # marginal costs more than walking 199 repeats, so those walk.  A

@@ -8,6 +8,7 @@ from helpers import (
 )
 
 from qcool import (
+    CoolingUnitary,
     ThermalSpec,
     heterogeneous_max_cooling,
     marginal,
@@ -19,6 +20,7 @@ from qcool import (
     thermal_product_vector,
     work_cost,
 )
+from qcool import protocols
 
 ALL_PROTOCOLS = (ppa_protocol, mirror_protocol, minimal_work_protocol)
 
@@ -157,3 +159,89 @@ def test_heterogeneous_other_targets():
         )
     with pytest.raises(ValueError):
         heterogeneous_max_cooling(spec, target=4)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mirror_matches_cycle_built_unitary(n):
+    dim = 1 << n
+    weight = [bin(j).count("1") for j in range(dim)]
+    cycles = [
+        (j, dim - 1 - j) for j in range(dim >> 1, dim)
+        if weight[j] < weight[dim - 1 - j]
+    ]
+    want = CoolingUnitary(n, cycles)
+    got = mirror_protocol(n)
+    for attr in ("indices", "data", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+@pytest.fixture()
+def fresh_table(monkeypatch):
+    table = protocols._Shared(protocols._shared.cap)
+    monkeypatch.setattr(protocols, "_shared", table)
+    return table
+
+
+def test_heterogeneous_shares_one_unitary_per_ranking(fresh_table):
+    # 100 (t(1-p)^2) ranks below 011 ((1-t)p^2) for t = 0.01 and 0.011,
+    # and above it for t = 0.02.
+    first = heterogeneous_max_cooling(ThermalSpec((0.01, 0.1, 0.1)))
+    same = heterogeneous_max_cooling(ThermalSpec((0.011, 0.1, 0.1)))
+    flipped = heterogeneous_max_cooling(ThermalSpec((0.02, 0.1, 0.1)))
+    assert same is first
+    assert flipped is not first
+    assert not np.array_equal(flipped.permutation, first.permutation)
+    # Another target lays the same ranking out differently.
+    other = heterogeneous_max_cooling(ThermalSpec((0.01, 0.1, 0.1)), target=2)
+    assert other is not first
+    assert heterogeneous_max_cooling(ThermalSpec((0.01, 0.1, 0.1))) is first
+
+
+def _reference_heterogeneous(spec, target=1):
+    # Rank k lands on k's bits with its top bit moved to the target.
+    n = spec.n_qubits
+    order = thermal_order(spec)
+    perm = np.empty(1 << n, dtype=np.int64)
+    for k, state in enumerate(order):
+        top, rest = k >> (n - 1), k & ((1 << (n - 1)) - 1)
+        low = n - target
+        perm[state] = (
+            ((rest >> low) << (low + 1)) | (top << low) | (rest & ((1 << low) - 1))
+        )
+    return perm
+
+
+def test_heterogeneous_key_collision_returns_the_right_unitary(
+    fresh_table, monkeypatch
+):
+    monkeypatch.setattr(protocols, "_order_key", lambda order: 0)
+    specs = [
+        ThermalSpec((0.01, 0.1, 0.1)),
+        ThermalSpec((0.02, 0.1, 0.1)),
+        ThermalSpec((0.3, 0.1, 0.1)),
+        ThermalSpec((0.01, 0.1, 0.1)),
+    ]
+    for spec in specs:
+        for target in (1, 3):
+            u = heterogeneous_max_cooling(spec, target=target)
+            assert np.array_equal(
+                u.permutation, _reference_heterogeneous(spec, target)
+            )
+
+
+def test_shared_table_stays_within_its_bound(monkeypatch):
+    # The default holds at most 2**20 basis states, about 100 MiB; the
+    # same rules are checked here on a 64-state table.
+    assert protocols._shared.cap == 1 << 20
+    table = protocols._Shared(64)
+    monkeypatch.setattr(protocols, "_shared", table)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        spec = ThermalSpec(tuple(rng.uniform(0.01, 0.49, n)))
+        u = heterogeneous_max_cooling(spec)
+        assert table.states == sum(x.dim for x in table.table.values())
+        assert table.states <= 64
+        # A unitary past the cap on its own is never kept.
+        assert (u in table.table.values()) == (u.dim <= 64)
