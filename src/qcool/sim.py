@@ -11,15 +11,19 @@ of those qubits is replaced by the uniform mixture:
 
     v' = (1 - p) v + p (marginal over untouched) x (uniform on touched)
 
-One gate kernel and one depolarizing kernel update a (2,)*n view of the
-vector in place; `simulate` runs them on a single working copy, and the
-public `apply_mcnot` and `depolarize` run them on a copy of their input.
+One schedule (`_schedule`) and one kernel (`_run`) do every simulation:
+`simulate` streams the schedule into the kernel on the whole register,
+and per-layer noise rows run it on the live qubits only (`_live_marginal`).
+The public `apply_mcnot`, `depolarize` and `reset_qubits` run one kernel
+step on a copy of their input.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -109,8 +113,20 @@ def _mix_toward_uniform(
     t += uniform
 
 
+@functools.lru_cache(maxsize=4096)
 def _axes(mask: int) -> tuple[int, ...]:
     return tuple(q - 1 for q in _qubits(mask))
+
+
+def _checked_qubits(qubits: Sequence[int], n: int) -> tuple[int, ...]:
+    """Sorted distinct qubits; ValueError unless each is an integer in 1..n."""
+    try:
+        qs = sorted(set(map(operator.index, qubits)))
+    except TypeError:
+        raise ValueError(f"qubits {qubits!r} must be integers") from None
+    if not qs or qs[0] < 1 or qs[-1] > n:
+        raise ValueError(f"qubits {qubits!r} invalid for {n}-qubit register")
+    return tuple(qs)
 
 
 def apply_mcnot(v: np.ndarray, gate: McNot) -> np.ndarray:
@@ -133,11 +149,8 @@ def depolarize(v: np.ndarray, qubits: Sequence[int], probability: float) -> np.n
         raise ValueError("noise probability must lie in [0, 1]")
     out = np.array(v, dtype=np.float64, order="C").ravel()
     n = _register_size(out)
-    qs = sorted(set(int(q) for q in qubits))
-    if not qs or qs[0] < 1 or qs[-1] > n:
-        raise ValueError(f"qubits {qubits!r} invalid for {n}-qubit register")
+    axes = tuple(q - 1 for q in _checked_qubits(qubits, n))
     if probability > 0.0:
-        axes = tuple(q - 1 for q in qs)
         _mix_toward_uniform(out.reshape((2,) * n), axes, probability)
     return out
 
@@ -148,10 +161,7 @@ def reset_qubits(v: np.ndarray, qubits: Sequence[int], bath_excitation: float) -
         raise ValueError("bath excitation must lie in [0, 1/2]")
     v = np.asarray(v, dtype=np.float64)
     n = _register_size(v)
-    qs = sorted(set(int(q) for q in qubits))
-    if not qs or qs[0] < 1 or qs[-1] > n:
-        raise ValueError(f"qubits {qubits!r} invalid for {n}-qubit register")
-    return _reset(v, *_reset_plan(n, qs, bath_excitation))
+    return _reset(v, *_reset_plan(n, _checked_qubits(qubits, n), bath_excitation))
 
 
 def _reset_plan(
@@ -195,6 +205,53 @@ def marginal(v: np.ndarray, qubit: int = 1) -> float:
     return float(v.reshape(1 << (qubit - 1), 2, -1)[:, 1, :].ravel().sum())
 
 
+def _schedule(circuit: Circuit, placement: str | None) -> Iterator[tuple]:
+    """_run's steps for the circuit on the whole register, row by row.
+
+    A row, gate or reset, is (0, target, mask, polarity, mixed, 0), mixed
+    the qubits depolarized right after it; a layer that closes before an
+    overlapping gate, before a reset or at the end is (0, 0, 0, 0, layer, 0).
+    placement is where nonzero noise strikes, or None without noise.
+    """
+    per_gate, per_layer = placement == "per-gate", placement == "per-layer"
+    layer = 0  # mask of the qubits the open layer touched
+    for target, mask, polarity in circuit.rows.tolist():
+        touched = mask | 1 << (target - 1) if target else mask
+        if layer and (not target or layer & touched):
+            yield 0, 0, 0, 0, layer, 0
+            layer = 0
+        if target and per_layer:
+            layer |= touched
+        yield 0, target, mask, polarity, touched if target and per_gate else 0, 0
+    if layer:
+        yield 0, 0, 0, 0, layer, 0
+
+
+def _run(
+    t: np.ndarray, steps: Iterable[tuple], probability: float, bath: float
+) -> np.ndarray:
+    """Apply steps to the (2,)*k tensor t; returns the final tensor.
+
+    A step (new, target, mask, polarity, mixed, dropped) tensors `new`
+    axes in at the bath, applies a gate row or resets the axes in mask
+    (target 0), depolarizes the axes in mixed, and sums out those in
+    dropped.  Axis a is bit a of each mask and target a + 1.
+    """
+    fresh = np.array([1.0 - bath, bath])
+    for new, target, mask, polarity, mixed, dropped in steps:
+        for _ in range(new):
+            t = np.multiply.outer(t, fresh)
+        if target:
+            _swap_target(t, target, mask, polarity)
+        elif mask:
+            t = _reset(t, *_reset_plan(t.ndim, _qubits(mask), bath)).reshape(t.shape)
+        if mixed:
+            _mix_toward_uniform(t, _axes(mixed), probability)
+        if dropped:
+            t = t.sum(axis=_axes(dropped))
+    return t
+
+
 def simulate(
     circuit: Circuit,
     v0: np.ndarray,
@@ -215,33 +272,9 @@ def simulate(
         raise ValueError(
             f"circuit width {circuit.n_qubits} does not match vector ({n} qubits)"
         )
-    shape = (2,) * n
-    t = v.reshape(shape)
     p = noise.probability if noise is not None else 0.0
-    per_layer = noise is not None and noise.placement == "per-layer"
-    layer = 0  # mask of the qubits the open layer touched
-
-    for target, mask, polarity in circuit.rows.tolist():
-        if not target:
-            if layer:
-                _mix_toward_uniform(t, _axes(layer), p)
-                layer = 0
-            v = reset_qubits(v, _qubits(mask), bath_excitation)
-            t = v.reshape(shape)
-            continue
-        touched = mask | 1 << (target - 1)
-        if layer & touched:
-            _mix_toward_uniform(t, _axes(layer), p)
-            layer = 0
-        _swap_target(t, target, mask, polarity)
-        if p > 0.0:
-            if per_layer:
-                layer |= touched
-            else:
-                _mix_toward_uniform(t, _axes(touched), p)
-    if layer:
-        _mix_toward_uniform(t, _axes(layer), p)
-    return v
+    steps = _schedule(circuit, noise.placement if p > 0.0 else None)
+    return _run(v.reshape((2,) * n), steps, p, bath_excitation).ravel()
 
 
 def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
@@ -266,83 +299,48 @@ def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
 
 def _run_live(program: tuple, p: float, probability: float) -> float:
     """_live_marginal's result from the program _live_program built."""
-    fresh = np.array([1.0 - p, p])
-    t = np.ones(())
-    for new, row, mixed, dropped in program:
-        for _ in range(new):
-            t = np.multiply.outer(t, fresh)
-        if row:
-            _swap_target(t, *row)
-        if mixed:
-            _mix_toward_uniform(t, mixed, probability)
-        if dropped:
-            t = t.sum(axis=dropped)
+    t = _run(np.ones(()), program, probability, p)
     return p if t.ndim == 0 else float(t[1])
 
 
 def _live_program(circuit: Circuit, placement: str | None) -> tuple:
-    """simulate's steps on circuit, as steps on the live qubits' axes.
+    """_schedule's steps moved onto the live qubits' axes.
 
-    placement is where nonzero noise strikes, or None without noise;
-    the strength does not change the steps.  Each step is (new, row,
-    mixed, dropped): append `new` axes at the bath, apply the gate row
-    (on axes; None for a lone mix), depolarize the `mixed` axes, then
-    sum out the `dropped` ones.
+    A gate tensors in the qubits it brings to life and sums out those
+    it touches last; resets, and mixes of no live qubit, drop out.
     """
-    # simulate's schedule as (target, mask, polarity, mixed): a gate row
-    # or a reset row (target 0), with the qubits depolarized after it.
-    per_gate = placement == "per-gate"
-    steps, layer = [], 0
-    for target, mask, polarity in circuit.rows.tolist():
-        touched = mask | 1 << (target - 1) if target else mask
-        if layer and (not target or layer & touched):
-            steps.append((0, 0, 0, layer))
-            layer = 0
-        mixed = 0
-        if target and placement is not None:
-            if per_gate:
-                mixed = touched
-            else:
-                layer |= touched
-        steps.append((target, mask, polarity, mixed))
-    if layer:
-        steps.append((0, 0, 0, layer))
+    steps = tuple(_schedule(circuit, placement))
 
     # Backward: a gate drops each qubit it touches that no later gate
     # reads before a reset discards it.  Qubit 1 is read at the end.
     needed, drops = 1, []
-    for target, mask, _, _ in reversed(steps):
-        if target:
-            touched = mask | 1 << (target - 1)
-            drops.append(touched & ~needed)
-            needed |= touched
-        else:
-            drops.append(0)
-            needed &= ~mask
+    for _, target, mask, _, _, _ in reversed(steps):
+        touched = mask | 1 << (target - 1) if target else 0
+        drops.append(touched & ~needed)
+        needed = needed | touched if target else needed & ~mask
     drops.reverse()
 
     axis: dict[int, int] = {}  # each live qubit's axis, in axis order
     program, width = [], 0
-    for (target, mask, polarity, mixed), drop in zip(steps, drops):
-        row, new, mixed_axes, dropped = None, 0, (), ()
+    for (_, target, mask, polarity, mixed, _), drop in zip(steps, drops):
+        new = on = closed = mixed_axes = dropped = 0
         if target:
             for q in _qubits(mask | 1 << (target - 1)):
                 if q not in axis:
                     axis[q] = len(axis)
                     new += 1
             width = max(width, len(axis))
-            on = closed = 0
             for q in _qubits(mask):
                 on |= 1 << axis[q]
                 closed |= (polarity >> (q - 1) & 1) << axis[q]
-            row = (axis[target] + 1, on, closed)
+            target = axis[target] + 1
         if mixed:
-            mixed_axes = tuple(a for q, a in axis.items() if mixed >> (q - 1) & 1)
+            mixed_axes = sum(1 << a for q, a in axis.items() if mixed >> (q - 1) & 1)
         if drop:
-            dropped = tuple(axis[q] for q in _qubits(drop))
+            dropped = sum(1 << axis[q] for q in _qubits(drop))
             kept = [q for q in axis if not drop >> (q - 1) & 1]
             axis = {q: a for a, q in enumerate(kept)}
-        if row or mixed_axes:
-            program.append((new, row, mixed_axes, dropped))
+        if target or mixed_axes:
+            program.append((new, target, on, closed, mixed_axes, dropped))
     check_qubit_cap(width)
     return tuple(program)

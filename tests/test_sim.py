@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ import qcool.sim as sim_module
 from qcool import (
     HBAC,
     Circuit,
+    Dynamic,
     McNot,
     NoiseModel,
     ResetInstr,
@@ -140,6 +143,24 @@ def test_reset_validation():
         reset_qubits(v, (1,), 0.7)
     with pytest.raises(ValueError):
         reset_qubits(v, (), 0.1)
+
+
+@pytest.mark.parametrize("qubit", [1.5, 2.7, 2.0, np.float64(2.0), "2"])
+def test_kernels_refuse_non_integer_qubits(qubit):
+    v = thermal_product_vector(0.2, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        depolarize(v, (1, qubit), 0.2)
+    with pytest.raises(ValueError, match="must be integers"):
+        reset_qubits(v, (qubit,), 0.1)
+
+
+def test_kernels_take_any_integer_type_for_qubits():
+    v = thermal_product_vector(0.2, 3)
+    for qubits in ((np.int64(2), np.uint8(3)), np.array([3, 2])):
+        assert np.array_equal(depolarize(v, qubits, 0.2), depolarize(v, (2, 3), 0.2))
+        assert np.array_equal(
+            reset_qubits(v, qubits, 0.1), reset_qubits(v, (2, 3), 0.1)
+        )
 
 
 def test_marginal_convention():
@@ -303,6 +324,28 @@ def test_simulate_matches_stepwise_oracle_large(config):
             want = simulate_stepwise(circuit, v, noise, bath_excitation=p)
             assert np.array_equal(got, want), (noise_p, placement)
             assert marginal(got, 1) == marginal_mask(want, 1)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseModel(0.01, "per-gate"), NoiseModel(0.01, "per-layer")],
+    ids=["noiseless", "per-gate", "per-layer"],
+)
+def test_simulate_memory_is_bounded_by_the_row_count(noise):
+    # simulate streams its schedule into the kernel one row at a time and
+    # peaks at 4.3 MiB here, mostly the rows as a list; a step tuple held
+    # per row for the whole circuit measured 10.5-20.4 MiB.
+    p = 0.1
+    circuit = build_circuit(Dynamic(12), p)
+    assert len(circuit) == 29_234
+    v = thermal_product_vector(p, 12)
+    tracemalloc.start()
+    try:
+        simulate(circuit, v, noise=noise, bath_excitation=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 # -- properties ---------------------------------------------------------------
