@@ -30,13 +30,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import sim
+from . import protocols, sim
 from .circuits import _MAX_WIDTH, Circuit, GateCounts, ResetInstr, embed
 from .constants import DEFAULT_QUBIT_CAP, check_qubit_cap
 from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
     BUILTIN_PROTOCOLS,
-    _sort_unitary,
     _weights,
     heterogeneous_max_cooling,
     protocol_unitary,
@@ -124,13 +123,14 @@ def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=16)
 def _resolve_protocol(choice: ProtocolChoice, n_qubits: int) -> CoolingUnitary:
-    # Cached so that sweeps build each unitary, and its cycles, once per
-    # process; CoolingUnitary is immutable, so sharing it is safe.
+    # Kept in protocols._shared so that sweeps build each unitary, and
+    # its cycles, once per process while it stays in the table.
     if isinstance(choice, CustomProtocol):
-        return CoolingUnitary(n_qubits, choice.cycles)
-    return protocol_unitary(choice, n_qubits)
+        build = functools.partial(CoolingUnitary, n_qubits, choice.cycles)
+    else:
+        build = functools.partial(protocol_unitary, choice, n_qubits)
+    return protocols._shared.get((choice, n_qubits), build)
 
 
 @dataclass(frozen=True)
@@ -357,21 +357,38 @@ def dynamic_final_p(p: float, n_qubits: int) -> float:
         raise ValueError("n_qubits must be >= 1")
     q = 1.0 - p
     acc = 0.0
-    for w in range(n, n // 2, -1):
-        acc += math.comb(n, w) * p**w * q ** (n - w)
-    if n % 2 == 0:
-        acc += (math.comb(n, n // 2) // 2) * p ** (n // 2) * q ** (n // 2)
+    try:
+        for w in range(n, n // 2, -1):
+            acc += math.comb(n, w) * p**w * q ** (n - w)
+        if n % 2 == 0:
+            acc += (math.comb(n, n // 2) // 2) * p ** (n // 2) * q ** (n // 2)
+    except OverflowError:
+        # From n = 1,030 on, the middle binomial coefficients exceed
+        # the largest float, whatever p is.
+        raise ValueError(
+            f"n_qubits {n} too large: its binomial coefficients overflow a float"
+        ) from None
     return acc
 
 
 def sub_optimal_final_p(p: float, cluster_size: int, rounds: int) -> float:
-    """Iterate the n-qubit dynamic map r times."""
+    """Iterate the n-qubit dynamic map r times.
+
+    The iterates settle within a few dozen rounds, on a fixed point or,
+    for n = 2, on two adjacent floats in turn; the loop stops at the
+    first repeat and answers from the parity of the rounds left, so its
+    cost does not grow with r.
+    """
     p = check_excitation(p)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    t = p
-    for _ in range(rounds):
-        t = dynamic_final_p(t, cluster_size)
+    before, t = None, p
+    for k in range(rounds):
+        after = dynamic_final_p(t, cluster_size)
+        if after == t or after == before:
+            # From round k + 1 on the iterates alternate after, t, ...
+            return after if (rounds - k - 1) % 2 == 0 else t
+        before, t = t, after
     return t
 
 
@@ -424,11 +441,11 @@ def hbac_final_p(
     per_round = (8 << config.cluster_size) + 4_500
     _check_cost(config.rounds * per_round, "rederived rounds")
     v = thermal_product_vector(p, config.cluster_size)
+    reset = sim._reset_plan(config.cluster_size, config.reset_qubits, p)
     for k in range(rounds):
         if k:
-            v = sim.reset_qubits(v, config.reset_qubits, p)
-        unitary = _sort_unitary(np.argsort(-v, kind="stable"))
-        v = unitary.apply_to_prob_vector(v)
+            v = sim._reset(v, *reset)
+        v = v[np.argsort(-v, kind="stable")]
     return sim.marginal(v, 1)
 
 

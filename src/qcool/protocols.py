@@ -12,6 +12,8 @@ All built-in protocols are phase-free permutations.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .thermo import ThermalSpec
@@ -69,14 +71,6 @@ def thermal_order(spec: ThermalSpec) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
-def _sort_unitary(order: np.ndarray) -> CoolingUnitary:
-    # Send the rank-k state to index k.
-    dim = order.size
-    perm = np.empty(dim, dtype=np.int64)
-    perm[order] = np.arange(dim)
-    return CoolingUnitary.from_permutation(perm)
-
-
 def ppa_protocol(n_qubits: int) -> CoolingUnitary:
     """Full stable sort of the thermal diagonal into descending order.
 
@@ -89,7 +83,10 @@ def ppa_protocol(n_qubits: int) -> CoolingUnitary:
     dim = 1 << n_qubits
     w = _weights(dim)
     order = np.lexsort((np.arange(dim), w))
-    return _sort_unitary(order)
+    # Send the rank-k state to index k.
+    perm = np.empty(dim, dtype=np.int64)
+    perm[order] = np.arange(dim)
+    return CoolingUnitary.from_permutation(perm)
 
 
 def mirror_protocol(n_qubits: int) -> CoolingUnitary:
@@ -160,11 +157,13 @@ def _assign_half(
 
 
 class _Shared:
-    """Unitaries kept for reuse, at most cap basis states in all.
+    """Cooling unitaries kept for reuse under exact keys, bounded in states.
 
-    Keys are small tuples, so no 2**n-entry array is held besides the
-    unitaries themselves.  An entry past the cap on its own is not
-    kept; otherwise the least recently used entries go first.
+    get returns one shared unitary per key, so its cycles and gate count
+    are computed once for all callers (unitaries are immutable).  Past
+    cap basis states in all, the least recently used entries go first,
+    but the newest is always kept: the table holds at most
+    max(cap, newest) states.
     """
 
     def __init__(self, cap: int) -> None:
@@ -172,30 +171,25 @@ class _Shared:
         self.table: dict[tuple, CoolingUnitary] = {}
         self.states = 0
 
-    def take(self, key: tuple) -> CoolingUnitary | None:
+    def get(self, key: tuple, build: Callable[[], CoolingUnitary]) -> CoolingUnitary:
+        """The unitary under key, built and stored if absent; now newest."""
         u = self.table.pop(key, None)
-        if u is not None:
-            self.states -= u.dim
+        if u is None:
+            u = build()
+            self.states += u.dim
+        self.table[key] = u
+        while self.states > self.cap and len(self.table) > 1:
+            self.states -= self.table.pop(next(iter(self.table))).dim
         return u
 
-    def put(self, key: tuple, u: CoolingUnitary) -> None:
-        if u.dim > self.cap:
-            return
-        self.table[key] = u
-        self.states += u.dim
-        while self.states > self.cap:
-            self.states -= self.table.pop(next(iter(self.table))).dim
 
-
-# At most 2**20 basis states: a 20-qubit unitary on its own, or 2**15
-# 5-qubit ones.  With its cycles and transpositions cached a unitary
-# holds about 92 bytes a state (measured at 16 and 18 qubits), so the
-# table keeps at most about 100 MiB alive.
+# Every protocol and later-round unitary a sweep reuses.  At most 2**20
+# basis states besides the newest: a 20-qubit unitary on its own, or
+# 2**15 5-qubit ones.  With its cycles and transpositions cached a
+# unitary holds 72-92 bytes a state (measured at 14 to 18 qubits), so
+# the table keeps about 100 MiB alive, plus 8 bytes a state for each
+# ranking key.
 _shared = _Shared(1 << 20)
-
-
-def _order_key(order: np.ndarray) -> int:
-    return hash(order.tobytes())
 
 
 def heterogeneous_max_cooling(spec: ThermalSpec, target: int = 1) -> CoolingUnitary:
@@ -208,31 +202,25 @@ def heterogeneous_max_cooling(spec: ThermalSpec, target: int = 1) -> CoolingUnit
     descending sort.  Homogeneous input with nonzero excitation
     reproduces the stable-sort protocol exactly.
 
-    Calls with the same ranking and target return one shared unitary,
-    so its cycles and gate count are computed once for all of them
-    (unitaries are immutable).  The table is keyed by the ranking's
-    hash, every hit is checked against the full ranking, and it holds
-    at most 2**20 basis states in all (see _shared).
+    Calls with the same ranking and target return one shared unitary
+    from _shared, keyed by the ranking itself.
     """
     n = spec.n_qubits
     if not 1 <= target <= n:
         raise ValueError(f"target {target} outside 1..{n}")
     order = thermal_order(spec)
-    dim = 1 << n
-    k = np.arange(dim, dtype=np.int64)
-    pos_t = n - target
-    b = k >> (n - 1)
-    rest = k & ((1 << (n - 1)) - 1)
-    dest = ((rest >> pos_t) << (pos_t + 1)) | (b << pos_t) | (rest & ((1 << pos_t) - 1))
-    key = (n, target, _order_key(order))
-    u = _shared.take(key)
-    # u sends order[k] to dest[k] exactly when it is the unitary wanted.
-    if u is None or not np.array_equal(u.indices[dest], order):
-        perm = np.empty(dim, dtype=np.int64)
+
+    def build() -> CoolingUnitary:
+        k = np.arange(1 << n, dtype=np.int64)
+        pos_t = n - target
+        b = k >> (n - 1)
+        rest = k & ((1 << (n - 1)) - 1)
+        dest = ((rest >> pos_t) << (pos_t + 1)) | (b << pos_t) | (rest & ((1 << pos_t) - 1))
+        perm = np.empty(1 << n, dtype=np.int64)
         perm[order] = dest
-        u = CoolingUnitary.from_permutation(perm)
-    _shared.put(key, u)
-    return u
+        return CoolingUnitary.from_permutation(perm)
+
+    return _shared.get((n, target, order.tobytes()), build)
 
 
 def protocol_unitary(protocol: str, n_qubits: int) -> CoolingUnitary:

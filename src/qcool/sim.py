@@ -198,6 +198,10 @@ def marginal(v: np.ndarray, qubit: int = 1) -> float:
     """Probability that the given qubit reads 1."""
     v = np.asarray(v)
     n = _register_size(v)
+    try:
+        qubit = operator.index(qubit)
+    except TypeError:
+        raise ValueError(f"qubit {qubit!r} must be an integer") from None
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} outside 1..{n}")
     # Summing one contiguous run keeps the result bit-identical to a sum

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qcool.circuits import Circuit, McNot, ResetInstr
+from qcool.methods import dynamic_final_p
 from qcool.qasm import THERMAL_RESET_PRAGMA
 from qcool.sim import NoiseModel, reset_qubits
 
@@ -133,6 +134,14 @@ def simulate_stepwise(
     if layer:
         v = depolarize_copy(v, layer, p)
     return v
+
+
+def iterated_dynamic_p(p: float, cluster_size: int, rounds: int) -> float:
+    """sub_optimal_final_p as the plain loop: the dynamic map, r times."""
+    t = p
+    for _ in range(rounds):
+        t = dynamic_final_p(t, cluster_size)
+    return t
 
 
 def sorted_half_sum(v: np.ndarray) -> float:

@@ -552,7 +552,6 @@ def test_sweep_rows_find_each_round_cycles_once(runner, tmp_path, monkeypatch):
     import qcool.protocols
     import qcool.unitary
 
-    qcool.methods._resolve_protocol.cache_clear()
     monkeypatch.setattr(
         qcool.protocols, "_shared", qcool.protocols._Shared(1 << 20)
     )

@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import exact_walk, sorted_half_sum
+from helpers import exact_walk, iterated_dynamic_p, sorted_half_sum
 
 from qcool import (
     Circuit,
@@ -50,7 +52,7 @@ from qcool import (
     work_cost,
 )
 from qcool.constants import BOLTZMANN_J_PER_K
-from qcool import methods
+from qcool import methods, protocols
 from qcool.methods import (
     _METHODS,
     _circuit,
@@ -114,6 +116,37 @@ def test_low_temperature_ratio_approaches_2_over_n_plus_1():
         assert abs(ratio - 2.0 / (n + 1)) <= 0.05 * (2.0 / (n + 1)), (n, ratio)
 
 
+def test_dynamic_final_p_refuses_binomials_past_a_float():
+    assert dynamic_final_p(0.1, 1029) == 0.0
+    for p in (0.0, 0.1):
+        with pytest.raises(ValueError, match="n_qubits 1030"):
+            dynamic_final_p(p, 1030)
+    with pytest.raises(ValueError, match="n_qubits 1030"):
+        final_probability(Dynamic(1030), 0.1)
+
+
+def test_sub_optimal_final_p_stops_at_the_first_repeat():
+    # The iterates settle on a fixed point, or for n = 2 on two adjacent
+    # floats in turn; the answer is the plain loop's bit for bit.
+    ps = (0.0, 5e-324, 1e-300, 0.1, 0.20845854145854145, 0.3, 0.49999999999999994)
+    for n in range(2, 6):
+        for p in ps:
+            for r in (1, 2, 3, 7, 60, 61, 200, 201):
+                want = iterated_dynamic_p(p, n, r)
+                assert sub_optimal_final_p(p, n, r) == want, (n, p, r)
+    # Two qubits at this p alternate between two floats from the start.
+    p = 0.20845854145854145
+    other = iterated_dynamic_p(p, 2, 1)
+    assert other != p == iterated_dynamic_p(p, 2, 2)
+    assert sub_optimal_final_p(p, 2, 10**18) == p
+    assert sub_optimal_final_p(p, 2, 10**18 + 1) == other
+    # 10**18 rounds answer at once, also through the config and a
+    # noiseless noise model; the plain loop would run for days.
+    want = iterated_dynamic_p(0.1, 3, 200)
+    assert final_probability(SubOptimal(3, 10**18), 0.1) == want
+    assert noisy_final_probability(SubOptimal(3, 10**18), 0.1, NoiseModel(0.0)) == want
+
+
 def test_sub_optimal_final_p():
     assert sub_optimal_final_p(0.1, 3, 1) == dynamic_final_p(0.1, 3)
     assert sub_optimal_final_p(0.1, 3, 2) == pytest.approx(0.002308096, abs=1e-15)
@@ -162,6 +195,27 @@ def test_hbac_rederive_option():
     redo = hbac_final_p(0.1, 3, 30, rederive_each_round=True)
     # n=3 resorting never helps; both sit at the same fixed point
     assert redo == pytest.approx(fixed, abs=1e-12)
+
+
+def test_hbac_rederive_matches_a_sort_unitary_each_round():
+    def rederived(p, n, rounds, resets):
+        v = thermal_product_vector(p, n)
+        for k in range(rounds):
+            if k:
+                v = reset_qubits(v, resets, p)
+            order = np.argsort(-v, kind="stable")
+            perm = np.empty(v.size, dtype=np.int64)
+            perm[order] = np.arange(v.size)
+            v = CoolingUnitary.from_permutation(perm).apply_to_prob_vector(v)
+        return marginal(v, 1)
+
+    for n, resets in ((3, (2, 3)), (4, (4,)), (5, (2, 4))):
+        for p in (1e-3, 0.1, 0.4999999):
+            for rounds in (1, 2, 7):
+                got = hbac_final_p(
+                    p, n, rounds, reset_qubits=resets, rederive_each_round=True
+                )
+                assert got == rederived(p, n, rounds, resets), (n, p, rounds)
 
 
 def test_hbac_rederive_refuses_past_the_cost_cap(monkeypatch):
@@ -1051,6 +1105,37 @@ def test_walk_refuses_past_the_cost_cap(monkeypatch):
             noisy_final_probability(HBAC(12, rounds, (2,)), 0.1, NoiseModel(0.01))
     assert not resets
     assert methods._loop_cost(12, 10**6 - 1) > methods._MAX_COST
+
+
+def test_resolve_protocol_shares_one_unitary(monkeypatch):
+    monkeypatch.setattr(protocols, "_shared", protocols._Shared(1 << 20))
+    for choice in ("ppa", CustomProtocol((("011", "100"),))):
+        u = methods._resolve_protocol(choice, 3)
+        assert methods._resolve_protocol(choice, 3) is u
+
+
+def test_reports_keep_at_most_the_shared_cap_of_unitaries(monkeypatch):
+    # Nine reports build unitaries of 2**14 to 2**16 states.  A table
+    # capped at 2**15 states keeps only the newest of them, so about
+    # 5 MiB stays allocated once the last plan is dropped; keeping all
+    # nine would hold about 24 MiB.
+    table = protocols._Shared(1 << 15)
+    monkeypatch.setattr(protocols, "_shared", table)
+    methods._rounds.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in (14, 15, 16):
+            for protocol in ("ppa", "mirror", "minimal-work"):
+                report(Dynamic(n, protocol), initial_p=0.1)
+        methods._rounds.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 << 20
+    newest = list(table.table.values())[-1]
+    assert table.states - newest.dim <= 1 << 15
 
 
 def test_report_with_physical_gap():

@@ -152,6 +152,8 @@ def test_kernels_refuse_non_integer_qubits(qubit):
         depolarize(v, (1, qubit), 0.2)
     with pytest.raises(ValueError, match="must be integers"):
         reset_qubits(v, (qubit,), 0.1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        marginal(v, qubit)
 
 
 def test_kernels_take_any_integer_type_for_qubits():
