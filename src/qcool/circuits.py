@@ -198,9 +198,11 @@ class Circuit:
         return hash((self.n_qubits, self.rows.tobytes()))
 
     def __repr__(self) -> str:
+        # At most 8 rows: the per-gate view of minimal-work n = 16 is 111 MB.
+        head = repr(Circuit._from_rows(self.n_qubits, self.rows[:8]).instructions)
         return (
-            f"Circuit(n_qubits={self.n_qubits}, "
-            f"instructions={self.instructions!r})"
+            f"Circuit(n_qubits={self.n_qubits}, rows={len(self)}, "
+            f"instructions={head[:-1]}{', ...' if len(self) > 8 else ''}))"
         )
 
     def __len__(self) -> int:

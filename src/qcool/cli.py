@@ -21,7 +21,7 @@ import click
 from . import __version__, methods
 from .circuits import simplify_adjacent
 from .errors import QcoolError, ResourceLimitError
-from .qasm import _chunks as _qasm_chunks, write_qasm
+from .qasm import write_qasm
 from .sim import NoiseModel
 from .synth import synthesize_circuit
 from .thermo import (
@@ -181,11 +181,7 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
         circuit = methods.build_circuit(config, p)
     if simplify:
         circuit = simplify_adjacent(circuit)
-    if out is None:
-        for chunk in _qasm_chunks(circuit):
-            click.echo(chunk, nl=False)
-    else:
-        write_qasm(circuit, out)
+    write_qasm(circuit, sys.stdout if out is None else out)
 
 
 @cli.command()

@@ -31,7 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import protocols, sim
-from .circuits import _MAX_WIDTH, Circuit, GateCounts, ResetInstr, embed
+from .circuits import _MAX_WIDTH, Circuit, GateCounts, embed
 from .constants import DEFAULT_QUBIT_CAP, check_qubit_cap
 from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
@@ -382,14 +382,24 @@ def sub_optimal_final_p(p: float, cluster_size: int, rounds: int) -> float:
     p = check_excitation(p)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    before, t = None, p
-    for k in range(rounds):
-        after = dynamic_final_p(t, cluster_size)
-        if after == t or after == before:
-            # From round k + 1 on the iterates alternate after, t, ...
-            return after if (rounds - k - 1) % 2 == 0 else t
-        before, t = t, after
-    return t
+    return _settle(lambda t: dynamic_final_p(t, cluster_size), p, rounds)
+
+
+def _settle(step, x, steps: int, same=operator.eq):
+    """step applied steps times to x, stopped at the first repeat.
+
+    Once an iterate equals the one before it (a fixed point) or the one
+    two before (a 2-cycle), the iterates alternate, so the answer is
+    read off the parity of the steps left.
+    """
+    before = None
+    for k in range(steps):
+        after = step(x)
+        if same(after, x) or (k > 0 and same(after, before)):
+            # From step k + 1 on the iterates alternate after, x, ...
+            return after if (steps - k - 1) % 2 == 0 else x
+        before, x = x, after
+    return x
 
 
 def _hetero_round_final_p(t: float, p: float, n_qubits: int) -> float:
@@ -431,6 +441,7 @@ def hbac_final_p(
     fixed permutation.  Each such round sorts and permutes 2**n entries,
     about 8 units each in _map_pays's, plus about 45 us of calls; rounds
     that would cost more than _MAX_COST are refused before the first.
+    The rounds stop once the vector repeats, as in sub_optimal_final_p.
     """
     p = check_excitation(p)
     # HBAC checks the arguments; reset_qubits None means every auxiliary.
@@ -440,12 +451,15 @@ def hbac_final_p(
         return _walk(_rounds(config, p), p)[0]
     per_round = (8 << config.cluster_size) + 4_500
     _check_cost(config.rounds * per_round, "rederived rounds")
-    v = thermal_product_vector(p, config.cluster_size)
     reset = sim._reset_plan(config.cluster_size, config.reset_qubits, p)
-    for k in range(rounds):
-        if k:
-            v = sim._reset(v, *reset)
-        v = v[np.argsort(-v, kind="stable")]
+
+    def resort(v: np.ndarray) -> np.ndarray:
+        return v[np.argsort(-v, kind="stable")]
+
+    v = resort(thermal_product_vector(p, config.cluster_size))
+    v = _settle(
+        lambda v: resort(sim._reset(v, *reset)), v, rounds - 1, np.array_equal
+    )
     return sim.marginal(v, 1)
 
 
@@ -803,16 +817,15 @@ def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
         key = id(rnd.unitary)
         if key not in synthesized:
             synthesized[key] = synthesize_circuit(rnd.unitary)
-        once: list[Circuit] = []
+        if len(rounds) == len(rnd.clusters) == rnd.repeat == 1 and not rnd.resets:
+            return embed(synthesized[key], width, rnd.clusters[0])
+        once: list[np.ndarray] = []
         for phys in rnd.clusters:
             if rnd.resets:
-                reset = ResetInstr(tuple(phys[q - 1] for q in rnd.resets))
-                once.append(Circuit(width, (reset,)))
-            once.append(embed(synthesized[key], width, phys))
-        if len(rounds) == len(once) == rnd.repeat == 1:
-            return once[0]
-        block = np.concatenate([c.rows for c in once])
-        blocks.append(np.tile(block, (rnd.repeat, 1)))
+                mask = sum(1 << (phys[q - 1] - 1) for q in rnd.resets)
+                once.append(np.array([(0, mask, 0)]))
+            once.append(embed(synthesized[key], width, phys).rows)
+        blocks.append(np.tile(np.concatenate(once), (rnd.repeat, 1)))
     return Circuit._from_rows(width, np.concatenate(blocks))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -137,6 +137,9 @@ def export_qasm(circuit: Circuit) -> str:
     return "".join(_chunks(circuit))
 
 
-def write_qasm(circuit: Circuit, path: str | Path) -> None:
+def write_qasm(circuit: Circuit, path: str | Path | TextIO) -> None:
+    """Write export_qasm(circuit) chunk by chunk to a path or a text stream."""
+    if hasattr(path, "write"):
+        return path.writelines(_chunks(circuit))
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.writelines(_chunks(circuit))

@@ -13,7 +13,10 @@ of those qubits is replaced by the uniform mixture:
 
 One schedule (`_schedule`) and one kernel (`_run`) do every simulation:
 `simulate` streams the schedule into the kernel on the whole register,
-and per-layer noise rows run it on the live qubits only (`_live_marginal`).
+and per-layer noise rows run it on the live qubits only: the library's
+rows build the live program once per circuit (`methods._layer_program`
+calls `_live_program`) and run it per noise level (`_run_live`);
+`_live_marginal` does both in one call.
 The public `apply_mcnot`, `depolarize` and `reset_qubits` run one kernel
 step on a copy of their input.
 """

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from qcool.circuits import Circuit, McNot, ResetInstr
 from qcool.methods import dynamic_final_p
 from qcool.qasm import THERMAL_RESET_PRAGMA
-from qcool.sim import NoiseModel, reset_qubits
+from qcool.sim import NoiseModel, marginal, reset_qubits
+from qcool.thermo import thermal_product_vector
 
 
 def apply_mcnot_int(state: int, target: int, controls, n: int) -> int:
@@ -142,6 +143,18 @@ def iterated_dynamic_p(p: float, cluster_size: int, rounds: int) -> float:
     for _ in range(rounds):
         t = dynamic_final_p(t, cluster_size)
     return t
+
+
+def rederived_hbac_ps(p: float, n: int, rounds: int, resets) -> list[float]:
+    """hbac_final_p(..., rederive_each_round=True) as the plain loop: the
+    target excitation after each of rounds resort-and-reset rounds."""
+    v, out = thermal_product_vector(p, n), []
+    for k in range(rounds):
+        if k:
+            v = reset_qubits(v, resets, p)
+        v = v[np.argsort(-v, kind="stable")]
+        out.append(marginal(v, 1))
+    return out
 
 
 def sorted_half_sum(v: np.ndarray) -> float:

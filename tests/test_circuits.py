@@ -15,14 +15,17 @@ from helpers import (
 
 from qcool import (
     Circuit,
+    Dynamic,
     GateCounts,
     McNot,
     ResetInstr,
+    build_circuit,
     embed,
     export_qasm,
     gate_counts,
     simplify_adjacent,
 )
+from qcool import circuits
 from qcool.qasm import _CHUNK_ROWS
 
 
@@ -128,6 +131,41 @@ def test_simplify_adjacent():
     assert len(kept) == 3
     mixed = simplify_adjacent(Circuit(2, (b, a, a)))
     assert mixed.instructions == (b,)
+
+
+@pytest.mark.parametrize(
+    "n, protocol, rows, removed",
+    [
+        (12, "minimal-work", 29234, 5064),
+        (12, "ppa", 45058, 7538),
+        (12, "mirror", 12926, 0),
+        (14, "minimal-work", 147816, 22346),
+    ],
+)
+def test_simplify_adjacent_on_synthesized_circuits(n, protocol, rows, removed):
+    c = build_circuit(Dynamic(n, protocol))
+    simple = simplify_adjacent(c)
+    assert (len(c), len(c) - len(simple)) == (rows, removed)
+    assert simple == reference_simplify(c)
+
+
+def test_repr_lists_at_most_eight_instructions(monkeypatch):
+    gates = (McNot(2, ((1, 0),)), ResetInstr((1, 2)), McNot(1))
+    small = repr(Circuit(2, gates))
+    assert "rows=3" in small and all(repr(g) in small for g in gates)
+    big = build_circuit(Dynamic(12))
+    made = 0
+    instruction = circuits._instruction
+
+    def counted(*row):
+        nonlocal made
+        made += 1
+        return instruction(*row)
+
+    monkeypatch.setattr(circuits, "_instruction", counted)
+    text = repr(big)
+    assert made <= 8
+    assert "rows=29234" in text and text.count("McNot(") == 8
 
 
 def test_circuit_value_semantics():

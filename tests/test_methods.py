@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import exact_walk, iterated_dynamic_p, sorted_half_sum
+from helpers import exact_walk, iterated_dynamic_p, rederived_hbac_ps, sorted_half_sum
 
 from qcool import (
     Circuit,
@@ -20,6 +20,7 @@ from qcool import (
     EnergyGap,
     GateCounts,
     HBAC,
+    McNot,
     NoiseModel,
     PopulationInversionError,
     ResetInstr,
@@ -218,9 +219,39 @@ def test_hbac_rederive_matches_a_sort_unitary_each_round():
                 assert got == rederived(p, n, rounds, resets), (n, p, rounds)
 
 
+def test_hbac_rederive_stops_at_a_repeat_bit_for_bit():
+    # n = 6 at p = 0.45 resetting qubit 6 enters a 2-cycle at round
+    # 3,546; the other cases reach a fixed point after 10 to 1,097.
+    cases = ((6, 0.45, (6,)), (4, 1e-3, (2, 3, 4)), (5, 0.4999999, (5,)))
+    for n, p, resets in cases:
+        plain = rederived_hbac_ps(p, n, 4001, resets)
+        for rounds in (1, 2, 3, 11, 1098, 3545, 3546, 3547, 3548, 4000, 4001):
+            got = hbac_final_p(
+                p, n, rounds, reset_qubits=resets, rederive_each_round=True
+            )
+            assert got == plain[rounds - 1], (n, p, resets, rounds)
+
+
+def test_hbac_rederive_runs_no_round_past_the_first_repeat(monkeypatch):
+    sorts = 0
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        nonlocal sorts
+        sorts += 1
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(methods.np, "argsort", counted)
+    settled = hbac_final_p(0.1, 8, 1000, rederive_each_round=True)
+    sorts = 0
+    assert hbac_final_p(0.1, 8, 160000, rederive_each_round=True) == settled
+    assert sorts < 1000
+
+
 def test_hbac_rederive_refuses_past_the_cost_cap(monkeypatch):
-    # Resorting need not reach a fixed point, so its rounds cannot stop
-    # early; too many are refused before the first sort.
+    # Resorting need not repeat within the rounds asked for, so the
+    # estimate counts every round; too many are refused before the
+    # first sort.
     def forbidden(*args, **kwargs):
         raise AssertionError("sorted a refused round")
 
@@ -403,6 +434,16 @@ def test_build_circuit_hbac_reset_layers():
     assert len(resets) == 3  # strictly between the four cooling blocks
     assert all(r.qubits == (2, 3) for r in resets)
     assert gate_counts(c).total == 4 * 5
+
+
+def test_build_circuit_makes_no_instruction_objects(monkeypatch):
+    def refused(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(McNot, "__post_init__", refused)
+    monkeypatch.setattr(ResetInstr, "__post_init__", refused)
+    for config in (HBAC(3, 3), SubOptimal(3, 2), SemiOpen((3, 3))):
+        assert len(build_circuit(config, 0.1)) > 0
 
 
 def test_build_circuit_semi_open():

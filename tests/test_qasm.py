@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,11 @@ def test_write_qasm(tmp_path):
     c = transposition_circuit(0, 3, 2)
     write_qasm(c, path)
     assert path.read_text() == export_qasm(c)
+
+
+def test_write_qasm_to_an_open_stream():
+    # Dynamic(12) spans several chunks; HBAC carries reset pragmas.
+    for c in (build_circuit(Dynamic(12)), build_circuit(HBAC(3, 3), 0.1)):
+        stream = io.StringIO()
+        write_qasm(c, stream)
+        assert not stream.closed and stream.getvalue() == export_qasm(c)
