@@ -20,6 +20,7 @@ import click
 
 from . import __version__, methods
 from .circuits import simplify_adjacent
+from .constants import check_qubit_cap
 from .errors import QcoolError, ResourceLimitError
 from .qasm import write_qasm
 from .sim import NoiseModel
@@ -275,6 +276,8 @@ def bench(min_n, max_n, step, seed, compact, as_csv, out):
 
     if min_n < 1 or max_n < min_n or step < 1:
         raise click.UsageError("need 1 <= min-n <= max-n and step >= 1")
+    # The widest row is the last; refuse it before building the first.
+    check_qubit_cap(max_n - (max_n - min_n) % step)
     dtype = np.float32 if compact else np.complex128
     rows = []
     for n in range(min_n, max_n + 1, step):

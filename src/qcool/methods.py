@@ -125,7 +125,7 @@ def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
 
 def _resolve_protocol(choice: ProtocolChoice, n_qubits: int) -> CoolingUnitary:
     # Kept in protocols._shared so that sweeps build each unitary, and
-    # its cycles, once per process while it stays in the table.
+    # its transpositions, once per process while it stays in the table.
     if isinstance(choice, CustomProtocol):
         build = functools.partial(CoolingUnitary, n_qubits, choice.cycles)
     else:

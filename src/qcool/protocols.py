@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .constants import check_qubit_cap
 from .thermo import ThermalSpec
 from .unitary import CoolingUnitary
 
@@ -67,6 +68,7 @@ def thermal_order(spec: ThermalSpec) -> np.ndarray:
     order[k] is the k-th most probable basis state of the product thermal
     state described by spec.
     """
+    check_qubit_cap(spec.n_qubits)
     probs = _grouped_probabilities(spec)
     return np.argsort(-probs, kind="stable")
 
@@ -80,6 +82,7 @@ def ppa_protocol(n_qubits: int) -> CoolingUnitary:
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
+    check_qubit_cap(n_qubits)
     dim = 1 << n_qubits
     w = _weights(dim)
     order = np.lexsort((np.arange(dim), w))
@@ -98,6 +101,7 @@ def mirror_protocol(n_qubits: int) -> CoolingUnitary:
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
+    check_qubit_cap(n_qubits)
     dim = 1 << n_qubits
     w = _weights(dim)
     j = np.arange(dim >> 1, dim)
@@ -122,6 +126,7 @@ def minimal_work_protocol(n_qubits: int) -> CoolingUnitary:
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
+    check_qubit_cap(n_qubits)
     dim = 1 << n_qubits
     half = dim >> 1
     w = _weights(dim)
@@ -159,11 +164,11 @@ def _assign_half(
 class _Shared:
     """Cooling unitaries kept for reuse under exact keys, bounded in states.
 
-    get returns one shared unitary per key, so its cycles and gate count
-    are computed once for all callers (unitaries are immutable).  Past
-    cap basis states in all, the least recently used entries go first,
-    but the newest is always kept: the table holds at most
-    max(cap, newest) states.
+    get returns one shared unitary per key, so its transpositions and
+    gate count are computed once for all callers (unitaries are
+    immutable).  Past cap basis states in all, the least recently used
+    entries go first, but the newest is always kept: the table holds at
+    most max(cap, newest) states.
     """
 
     def __init__(self, cap: int) -> None:
@@ -185,10 +190,10 @@ class _Shared:
 
 # Every protocol and later-round unitary a sweep reuses.  At most 2**20
 # basis states besides the newest: a 20-qubit unitary on its own, or
-# 2**15 5-qubit ones.  With its cycles and transpositions cached a
-# unitary holds 72-92 bytes a state (measured at 14 to 18 qubits), so
-# the table keeps about 100 MiB alive, plus 8 bytes a state for each
-# ranking key.
+# 2**15 5-qubit ones.  A unitary keeps its sparse arrays and, once
+# synthesized or counted, its transposition arrays: 28-48 bytes a state
+# (measured at 14 to 18 qubits), so the table keeps at most about
+# 50 MiB alive, plus 8 bytes a state for each ranking key.
 _shared = _Shared(1 << 20)
 
 

@@ -116,9 +116,7 @@ class CoolingUnitary:
     the backing arrays are marked read-only.
     """
 
-    __slots__ = (
-        "_n", "_data", "_indices", "_indptr", "_perm", "_cycles", "_pairs"
-    )
+    __slots__ = ("_n", "_data", "_indices", "_indptr", "_pairs")
 
     def __init__(
         self,
@@ -130,6 +128,7 @@ class CoolingUnitary:
     ) -> None:
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
+        check_qubit_cap(n_qubits)
         dim = 1 << n_qubits
         perm = np.arange(dim, dtype=np.int32)
         for states in _parse_cycles(cycles, n_qubits):
@@ -149,8 +148,6 @@ class CoolingUnitary:
         self._indptr = np.arange(dim + 1, dtype=np.int32)
         for arr in (self._data, self._indices, self._indptr):
             arr.flags.writeable = False
-        self._perm = None
-        self._cycles = None
         self._pairs = None
 
     @classmethod
@@ -175,6 +172,7 @@ class CoolingUnitary:
         dim = perm.size
         if n_qubits is None:
             n_qubits = int(dim).bit_length() - 1
+        check_qubit_cap(n_qubits)
         if dim != (1 << n_qubits) or dim < 2:
             raise ValueError("permutation length must be 2**n_qubits")
         if (
@@ -218,42 +216,36 @@ class CoolingUnitary:
 
     @property
     def permutation(self) -> np.ndarray:
-        """Forward permutation: state s is sent to permutation[s]."""
-        if self._perm is None:
-            perm = np.empty(self.dim, dtype=np.int32)
-            perm[self._indices] = np.arange(self.dim, dtype=np.int32)
-            perm.flags.writeable = False
-            self._perm = perm
-        return self._perm
+        """Forward permutation, rebuilt on each call: s goes to permutation[s]."""
+        perm = np.empty(self.dim, dtype=np.int32)
+        perm[self._indices] = np.arange(self.dim, dtype=np.int32)
+        perm.flags.writeable = False
+        return perm
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition of the induced permutation.
 
         Each cycle starts at its smallest state; cycles are ordered by
-        that state; fixed points are omitted.
+        that state; fixed points are omitted.  Recomputed on each call.
         """
-        if self._cycles is None:
-            perm = self.permutation
-            seen = np.zeros(self.dim, dtype=bool)
-            out: list[tuple[int, ...]] = []
-            for start in range(self.dim):
-                if seen[start] or perm[start] == start:
-                    continue
-                cyc = [start]
-                seen[start] = True
-                cur = int(perm[start])
-                while cur != start:
-                    cyc.append(cur)
-                    seen[cur] = True
-                    cur = int(perm[cur])
-                out.append(tuple(cyc))
-            self._cycles = tuple(out)
-        return self._cycles
+        perm = self.permutation.tolist()
+        seen = bytearray(len(perm))
+        out: list[tuple[int, ...]] = []
+        for start, cur in enumerate(perm):
+            if seen[start] or cur == start:
+                continue
+            cyc = [start]
+            while cur != start:
+                cyc.append(cur)
+                seen[cur] = 1
+                cur = perm[cur]
+            out.append(tuple(cyc))
+        return tuple(out)
 
     @property
     def _cycle_transpositions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_transpositions(self.cycles), cached like cycles."""
+        """_transpositions(self.cycles): the one derived form kept, read-only."""
         if self._pairs is None:
             self._pairs = _transpositions(self.cycles)
             for arr in self._pairs:
@@ -293,7 +285,7 @@ class CoolingUnitary:
         """Adjoint (which inverts a unitary)."""
         perm = self.permutation
         data = np.conj(self._data[perm]) if np.iscomplexobj(self._data) else self._data[perm]
-        return CoolingUnitary._from_csr(self._n, data.copy(), perm.copy())
+        return CoolingUnitary._from_csr(self._n, data, perm)
 
     def apply_to_prob_vector(self, v: np.ndarray) -> np.ndarray:
         """Diagonal of U rho U' for a diagonal rho with diagonal v.

@@ -206,6 +206,30 @@ def reference_minimal_work_permutation(n: int) -> np.ndarray:
     return perm
 
 
+def reference_cycles(perm) -> tuple[tuple[int, ...], ...]:
+    """Canonical cycles of a forward permutation array, state by state.
+
+    Each cycle starts at its least state, cycles are ordered by it, and
+    fixed points are left out.  Walks the array with numpy scalar
+    indexing and a boolean seen array.
+    """
+    perm = np.asarray(perm)
+    seen = np.zeros(perm.size, dtype=bool)
+    out = []
+    for start in range(perm.size):
+        if seen[start] or perm[start] == start:
+            continue
+        cyc = [start]
+        seen[start] = True
+        cur = int(perm[start])
+        while cur != start:
+            cyc.append(cur)
+            seen[cur] = True
+            cur = int(perm[cur])
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
 def pairing_work_values(n: int, p: float) -> list[float]:
     """Work of every transposition pairing of must-move states.
 

@@ -941,6 +941,28 @@ def test_bench_csv_and_validation(runner):
     )
 
 
+def test_bench_refuses_a_range_past_the_cap_before_its_first_row(
+    runner, monkeypatch
+):
+    # The last n of the range is the widest; no row is built before the
+    # refusal, so building one fails the test.
+    import qcool.unitary
+
+    def build(*args, **kwargs):
+        raise AssertionError("bench built a row before checking the cap")
+
+    monkeypatch.setattr(qcool.unitary, "random_permutation_unitary", build)
+    for args, n in ((["--min-n", "4", "--max-n", "25", "--step", "7"], 25),
+                    (["--min-n", "24", "--max-n", "26", "--step", "2"], 26)):
+        result = runner.invoke(cli, ["bench", *args])
+        assert result.exit_code == 3, result.output
+        assert f"{n} qubits exceeds the cap of 24" in result.stderr
+    # A range whose last row fits runs, although max-n is past the cap.
+    monkeypatch.undo()
+    out = run_ok(runner, ["bench", "--min-n", "4", "--max-n", "27", "--step", "12"])
+    assert [r["n"] for r in json.loads(out)] == [4, 16]
+
+
 def test_version_flag(runner):
     out = run_ok(runner, ["--version"])
     assert "qcool" in out

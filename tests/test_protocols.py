@@ -9,6 +9,7 @@ from helpers import (
 
 from qcool import (
     CoolingUnitary,
+    ResourceLimitError,
     ThermalSpec,
     heterogeneous_max_cooling,
     marginal,
@@ -231,7 +232,7 @@ def test_heterogeneous_key_collision_returns_the_right_unitary(fresh_table):
 
 def test_shared_table_stays_within_its_bound(monkeypatch):
     # The default holds at most 2**20 basis states besides its newest
-    # entry, about 100 MiB; the same rules are checked here on a
+    # entry, about 50 MiB; the same rules are checked here on a
     # 64-state table.
     assert protocols._shared.cap == 1 << 20
     table = protocols._Shared(64)
@@ -246,3 +247,44 @@ def test_shared_table_stays_within_its_bound(monkeypatch):
         # the others fit in the cap beside it.
         assert list(table.table.values())[-1] is u
         assert table.states <= 64 or len(table.table) == 1
+
+
+# Every public builder of a 2**n array, with the width it is asked for.
+WIDE_BUILDERS = {
+    "ppa_protocol": ppa_protocol,
+    "mirror_protocol": mirror_protocol,
+    "minimal_work_protocol": minimal_work_protocol,
+    "protocol_unitary": lambda n: protocol_unitary("ppa", n),
+    "thermal_order": lambda n: thermal_order(ThermalSpec((0.1,) * n)),
+    "heterogeneous_max_cooling": (
+        lambda n: heterogeneous_max_cooling(ThermalSpec((0.1,) * n))
+    ),
+    "CoolingUnitary": lambda n: CoolingUnitary(n, [[0, 1]]),
+    "CoolingUnitary.identity": CoolingUnitary.identity,
+}
+
+
+def _refuse_allocation(monkeypatch):
+    """Make numpy's array builders fail, so a missed cap fails fast."""
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("a 2**n array was allocated before the cap check")
+
+    for name in ("arange", "bincount", "empty", "ones", "zeros"):
+        monkeypatch.setattr(np, name, allocate)
+
+
+@pytest.mark.parametrize("n", [25, 40])
+@pytest.mark.parametrize("name", sorted(WIDE_BUILDERS))
+def test_builders_refuse_registers_past_the_cap(monkeypatch, name, n):
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=f"{n} qubits exceeds the cap of 24"):
+        WIDE_BUILDERS[name](n)
+
+
+def test_from_permutation_refuses_registers_past_the_cap(monkeypatch):
+    # A broadcast view of 2**25 entries holds no memory of its own.
+    perm = np.broadcast_to(np.int32(0), (1 << 25,))
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="25 qubits exceeds the cap of 24"):
+        CoolingUnitary.from_permutation(perm)

@@ -1,7 +1,11 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from helpers import reference_cycles
 
 from qcool import (
     ConfigError,
@@ -10,10 +14,14 @@ from qcool import (
     OverlappingCyclesError,
     ResourceLimitError,
     load_cycles_json,
+    minimal_work_protocol,
+    mirror_protocol,
     parse_state_label,
+    ppa_protocol,
     random_permutation_unitary,
     unitary_from_json,
 )
+from qcool.synth import synthesized_gate_count
 
 
 def test_parse_state_label():
@@ -282,3 +290,72 @@ def test_cycles_json(tmp_path):
         load_cycles_json({"n": 3, "cycles": [["21", "10"]]})
     with pytest.raises(ConfigError):
         load_cycles_json(tmp_path / "nope.json")
+
+
+# -- cycles at register sizes where long walks hide -------------------------
+
+PROTOCOLS = {
+    "ppa": ppa_protocol,
+    "mirror": mirror_protocol,
+    "minimal-work": minimal_work_protocol,
+}
+
+
+def _expected_transpositions(cycles):
+    """(first, other, distance) of (s1 sk), k > 1, in plain Python."""
+    first = [c[0] for c in cycles for _ in c[1:]]
+    other = [s for c in cycles for s in c[1:]]
+    distance = [bin(a ^ b).count("1") for a, b in zip(first, other)]
+    return first, other, distance
+
+
+def _check_cycles_against_reference(u):
+    want = reference_cycles(u.permutation)
+    assert u.cycles == want
+    for got, expected in zip(u._cycle_transpositions, _expected_transpositions(want)):
+        assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [12, 14, 16, 18])
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_protocol_cycles_match_reference_walk(name, n):
+    _check_cycles_against_reference(PROTOCOLS[name](n))
+
+
+@pytest.mark.parametrize("n", [12, 16, 18])
+def test_random_cycles_match_reference_walk(n):
+    _check_cycles_against_reference(random_permutation_unitary(n, n))
+
+
+@pytest.mark.parametrize(
+    "n, gates", [(12, 29_234), (14, 147_816), (16, 719_573), (18, 3_432_308)]
+)
+def test_minimal_work_gate_counts(n, gates):
+    assert synthesized_gate_count(minimal_work_protocol(n)) == gates
+
+
+def test_permutation_and_cycles_are_fresh_and_equal():
+    u = minimal_work_protocol(12)
+    first, second = u.permutation, u.permutation
+    assert first is not second and np.array_equal(first, second)
+    assert not first.flags.writeable and not second.flags.writeable
+    assert u.cycles == u.cycles
+    assert isinstance(u.cycles, tuple)
+    assert all(isinstance(c, tuple) for c in u.cycles)
+
+
+@pytest.mark.parametrize("build", [minimal_work_protocol, ppa_protocol])
+def test_counted_unitary_keeps_only_its_transpositions(build):
+    # The sparse arrays hold 24 bytes a state and the transposition
+    # arrays 24 bytes a transposition; neither the forward permutation
+    # nor the cycle tuples stay alive.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        u = build(14)
+        synthesized_gate_count(u)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 56 * u.dim, kept / u.dim
