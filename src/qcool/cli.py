@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -120,17 +121,16 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
         Path(out).write_text(text)
 
 
-def _rows(config, initial_p, gap, models=(None,)) -> list[dict]:
-    """One result row per noise model (None: noiseless), from one report.
+def _rows(config, reports, gap, models=(None,)) -> list[dict]:
+    """One result row per report and noise model (None: noiseless).
 
     A row's final_p is the noisy circuit's; at noise 0 that is the
     report's final_excitation bit for bit, so it is not computed again.
     """
-    rep = methods.report(config, initial_p=initial_p, gap=gap)
     physical = gap is not None and not gap.dimensionless
     rows = []
-    for noise in models:
-        final_p = rep.final_excitation
+    for rep, noise in itertools.product(reports, models):
+        initial_p, final_p = rep.initial_excitation, rep.final_excitation
         if noise is not None and noise.probability != 0.0:
             final_p = methods.noisy_final_probability(config, initial_p, noise)
         # Work is the noiseless driving cost; depolarizing exchanges heat,
@@ -197,7 +197,7 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
     config = methods.config_from_json(config_path)
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
-    rows = _rows(config, p, gap)
+    rows = _rows(config, [methods.report(config, initial_p=p, gap=gap)], gap)
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -228,7 +228,8 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, as_csv, out):
         ps = _parse_float_list(probs, "--probs")
     # Checked here so a bad value exits 2 before any row is computed.
     ps = [methods.check_excitation(p) for p in ps]
-    rows = [row for config in configs for p in ps for row in _rows(config, p, gap)]
+    # Each config's points are planned and walked together.
+    rows = [row for c in configs for row in _rows(c, methods._reports(c, ps, gap), gap)]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -251,7 +252,10 @@ def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placeme
     p = methods.check_excitation(p)
     noise = _parse_float_list(noise_probs, "--noise-probs")
     models = [NoiseModel(q, placement) for q in noise]
-    rows = [row for config in configs for row in _rows(config, p, gap, models)]
+    rows = [
+        row for c in configs
+        for row in _rows(c, [methods.report(c, initial_p=p, gap=gap)], gap, models)
+    ]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 

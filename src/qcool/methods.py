@@ -37,7 +37,6 @@ from .errors import ConfigError, PopulationInversionError, ResourceLimitError
 from .protocols import (
     BUILTIN_PROTOCOLS,
     _weights,
-    heterogeneous_max_cooling,
     protocol_unitary,
 )
 from .synth import synthesize_circuit, synthesized_gate_count
@@ -153,11 +152,11 @@ class Dynamic:
     def label(self) -> str:
         return f"dynamic-n{self.n_qubits}"
 
-    def closed_form(self, p: float) -> float:
-        return dynamic_final_p(p, self.n_qubits)
+    def closed_form(self, ps: Sequence[float]) -> list[float]:
+        return [dynamic_final_p(p, self.n_qubits) for p in ps]
 
     def plan(self, p: float | None) -> list[_Round]:
-        return _cluster_tree(self, self.n_qubits, 1, p)
+        return _cluster_tree(self, self.n_qubits, 1)
 
 
 @dataclass(frozen=True)
@@ -201,11 +200,11 @@ class SubOptimal(_Clustered):
     def label(self) -> str:
         return f"suboptimal-n{self.cluster_size}-r{self.rounds}"
 
-    def closed_form(self, p: float) -> float:
-        return sub_optimal_final_p(p, self.cluster_size, self.rounds)
+    def closed_form(self, ps: Sequence[float]) -> list[float]:
+        return [sub_optimal_final_p(p, self.cluster_size, self.rounds) for p in ps]
 
     def plan(self, p: float | None) -> list[_Round]:
-        return _cluster_tree(self, self.cluster_size, self.rounds, p)
+        return _cluster_tree(self, self.cluster_size, self.rounds)
 
 
 @dataclass(frozen=True)
@@ -250,11 +249,11 @@ class HBAC(_Clustered):
             base += "-reset" + "+".join(str(q) for q in self.reset_qubits)
         return base
 
-    def closed_form(self, p: float) -> None:
+    def closed_form(self, ps: Sequence[float]) -> None:
         return None  # heat-bath rounds are defined by the walk
 
     def plan(self, p: float | None) -> list[_Round]:
-        (first,) = _cluster_tree(self, self.cluster_size, 1, p)
+        (first,) = _cluster_tree(self, self.cluster_size, 1)
         if self.rounds == 1:
             return [first]
         again = _Round(
@@ -286,8 +285,8 @@ class SemiOpen:
     def label(self) -> str:
         return "semiopen-" + "+".join(str(n) for n in self.cluster_sizes)
 
-    def closed_form(self, p: float) -> float:
-        return semi_open_final_p(p, self.cluster_sizes)
+    def closed_form(self, ps: Sequence[float]) -> list[float]:
+        return _semi_open_final_ps(ps, self.cluster_sizes)
 
     def plan(self, p: float | None) -> list[_Round]:
         if p is None and len(self.cluster_sizes) > 1:
@@ -295,19 +294,38 @@ class SemiOpen:
                 "semi-open circuits need initial_p: later rounds "
                 "depend on the reached temperature"
             )
+        return self._plans(np.array([p or 0.0]))[0][1]
+
+    def _plans(self, ps: np.ndarray) -> list[tuple[np.ndarray, list[_Round]]]:
+        """(rows of ps, their rounds) for each plan that points of ps share.
+
+        A later round maximally cools (t, p, ..., p), t the target the
+        round before reached, so rows whose rankings agree share its
+        unitary.  A hot t is ranked like any other; the walk refuses it.
+        """
         check_qubit_cap(max(self.cluster_sizes))
-        out, free, t = [], 2, p
-        for i, n in enumerate(self.cluster_sizes):
-            if i:
-                t = _cooled(self, i, u, start)
-            start = (t,) + (p,) * (n - 1)
-            u = (
-                heterogeneous_max_cooling(ThermalSpec(start)) if i
-                else _resolve_protocol(self.protocol, n)
-            )
-            out.append(_Round(u, ((1, *range(free, free + n - 1)),)))
+        first, *later = self.cluster_sizes
+        u = _resolve_protocol(self.protocol, first)
+        # (rows, rounds, excitation the target entered the last round at)
+        groups = [(np.arange(len(ps)), [_Round(u, ((1, *range(2, first + 1)),))], ps)]
+        free = first + 1
+        for n in later:
+            cluster = ((1, *range(free, free + n - 1)),)
             free += n - 1
-        return out
+            split = []
+            for rows, rounds, t in groups:
+                last, p = rounds[-1].unitary, ps[rows]
+                v = product_diagonal([t] + [p] * (last.n_qubits - 1))
+                t = np.array(_targets(v.take(last.indices, axis=1)))
+                orders = protocols._thermal_orders(t, p, n)
+                same: dict[bytes, list[int]] = {}
+                for i, order in enumerate(orders):
+                    same.setdefault(order.tobytes(), []).append(i)
+                for i in same.values():
+                    rnd = _Round(protocols._max_cooling(orders[i[0]]), cluster)
+                    split.append((rows[i], [*rounds, rnd], t[i]))
+            groups = split
+        return [(rows, rounds) for rows, rounds, _ in groups]
 
 
 MethodConfig = Union[Dynamic, SubOptimal, HBAC, SemiOpen]
@@ -402,24 +420,23 @@ def _settle(step, x, steps: int, same=operator.eq):
     return x
 
 
-def _hetero_round_final_p(t: float, p: float, n_qubits: int) -> float:
-    # Maximal cooling of a (t, p, ..., p) register leaves the target with
-    # the summed probability of the smallest half of the joint diagonal.
-    spec = ThermalSpec((t,) + (p,) * (n_qubits - 1))
-    v = thermal_product_vector(spec)
-    half = np.sort(v, kind="stable")[: v.size // 2]
-    return math.fsum(half)
-
-
 def semi_open_final_p(p: float, cluster_sizes: Sequence[int]) -> float:
     """Target excitation after successive rounds on fresh auxiliaries."""
     p = check_excitation(p)
     sizes = [int(n) for n in cluster_sizes]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("cluster sizes must be positive")
-    t = dynamic_final_p(p, sizes[0])
+    return _semi_open_final_ps([p], sizes)[0]
+
+
+def _semi_open_final_ps(ps: Sequence[float], sizes: Sequence[int]) -> list[float]:
+    # Maximal cooling of a (t, p, ..., p) register leaves the target with
+    # the exact sum of the smallest half of each row of the diagonal.
+    t = [dynamic_final_p(p, sizes[0]) for p in ps]
     for n in sizes[1:]:
-        t = _hetero_round_final_p(t, p, n)
+        check_qubit_cap(n)
+        v = np.sort(product_diagonal([t] + [ps] * (n - 1)), axis=1, kind="stable")
+        t = [math.fsum(row) for row in v[:, : v.shape[1] // 2].tolist()]
     return t
 
 
@@ -448,7 +465,7 @@ def hbac_final_p(
     resets = () if reset_qubits is None else tuple(reset_qubits)
     config = HBAC(cluster_size, rounds, resets, protocol)
     if not rederive_each_round:
-        return _walk(_rounds(config, p), p)[0]
+        return final_probability(config, p)
     per_round = (8 << config.cluster_size) + 4_500
     _check_cost(config.rounds * per_round, "rederived rounds")
     reset = sim._reset_plan(config.cluster_size, config.reset_qubits, p)
@@ -485,14 +502,7 @@ def work_cost(
             f"state length {v.size} does not match {unitary.dim} basis states"
         )
     after = unitary.apply_to_prob_vector(v)
-    return gap.value * _energy_change(_weights(v.size), v, after)
-
-
-def _energy_change(
-    weights: np.ndarray, before: np.ndarray, after: np.ndarray
-) -> float:
-    """Energy after minus before, in gap units; weights from _weights."""
-    return float(np.dot(weights, after - before))
+    return gap.value * float(np.dot(_weights(v.size), after - v))
 
 
 @dataclass(frozen=True)
@@ -513,15 +523,10 @@ class _Round:
     repeat: int = 1
 
 
-def _cooled(config: MethodConfig, k: int, u: CoolingUnitary, start) -> float:
-    """Target excitation u leaves from excitations start; must be below 1/2."""
-    t = sim.marginal(u.apply_to_prob_vector(product_diagonal(start)), 1)
-    if t >= 0.5:
-        raise PopulationInversionError(
-            f"{method_label(config)}: round {k + 1} would start from a hot "
-            f"target (excitation {t} >= 1/2)"
-        )
-    return t
+def _targets(v: np.ndarray) -> list[float]:
+    # sim.marginal(row, 1) of each row, bit for bit: summing the 2-D
+    # array along its rows may add in another order.
+    return [float(np.add.reduce(row)) for row in v[:, v.shape[1] // 2 :]]
 
 
 @functools.lru_cache(maxsize=1)
@@ -529,19 +534,48 @@ def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
     """The method as a sequence of rounds at bath excitation p.
 
     With p None the rounds are planned without checking that each starts
-    cold; that suffices for circuits unless the unitaries depend on p.
-    The last plan is kept, so that the noiseless and the noisy walk of
-    one result row share it; plans are immutable.  Vectors are capped
-    at cluster width by the plans; the register needs only its qubit
-    maps and circuit rows, which hold at most 63 qubits.
+    cold, which suffices for circuits unless the unitaries depend on p;
+    with p they are the plan _groups walked.  The last plan is kept, for
+    the noisy walks of the same row; plans are immutable.
+    """
+    if p is None:
+        check_qubit_cap(config.width, _MAX_WIDTH)
+        return tuple(config.plan(None))
+    return _groups(config, (p,))[0][1]
+
+
+@functools.lru_cache(maxsize=1)
+def _groups(config: MethodConfig, ps: tuple[float, ...]) -> tuple[tuple, ...]:
+    """(rows, rounds, t, work) for each plan that points of ps share.
+
+    Only semi-open plans depend on p.  Each group's rows, at most
+    _MAX_BATCH vector entries at a time, are walked as one array, which
+    checks that each round starts cold; the error raised is the first
+    failing row's own.  The last evaluation is kept for the noisy rows
+    and circuit of its point.  Vectors are capped at cluster width by
+    the plans; the register needs only its qubit maps and circuit rows.
     """
     check_qubit_cap(config.width, _MAX_WIDTH)
-    return tuple(config.plan(p))
+    # Other methods run one protocol unitary at cluster width.
+    plan = None if isinstance(config, SemiOpen) else tuple(config.plan(None))
+    width = max(config.cluster_sizes) if plan is None else plan[0].unitary.n_qubits
+    step, label, out = max(1, _MAX_BATCH >> width), method_label(config), []
+    try:
+        for lo in range(0, len(ps), step):
+            points = np.array(ps[lo : lo + step])
+            plans = [(np.arange(len(points)), plan)] if plan else config._plans(points)
+            for rows, rounds in plans:
+                t, work = _walk(rounds, points[rows], label=label)
+                out.append((rows + lo, tuple(rounds), tuple(t), tuple(work)))
+        return tuple(out)
+    except PopulationInversionError:
+        if len(ps) > 1:
+            for p in ps:
+                _groups(config, (p,))
+        raise
 
 
-def _cluster_tree(
-    config: MethodConfig, n: int, rounds: int, p: float | None
-) -> list[_Round]:
+def _cluster_tree(config: MethodConfig, n: int, rounds: int) -> list[_Round]:
     """Rounds of config's protocol on n-qubit clusters over n**rounds qubits.
 
     Each round cools disjoint clusters in parallel; their targets form
@@ -549,10 +583,8 @@ def _cluster_tree(
     """
     check_qubit_cap(n)
     u = _resolve_protocol(config.protocol, n)
-    out, survivors, t = [], tuple(range(1, n**rounds + 1)), p
+    out, survivors = [], tuple(range(1, n**rounds + 1))
     for k in range(rounds):
-        if k and p is not None:
-            t = _cooled(config, k, u, (t,) * n)
         clusters = tuple(
             survivors[i : i + n] for i in range(0, len(survivors), n)
         )
@@ -562,54 +594,70 @@ def _cluster_tree(
 
 
 def _walk(
-    rounds: Sequence[_Round], p: float, noise: float = 0.0
-) -> tuple[float, float]:
+    rounds: Sequence[_Round], p, noise: float = 0.0, label: str | None = None
+):
     """(target excitation, work in gap units) of the rounds from a bath at p.
 
-    Parallel copies are identical and independent, so one cluster-wide
-    vector stands for all of them, and each copy pays the same cost.  A
-    qubit that enters a later round was an earlier round's target and
-    brings the excitation it reached; any other qubit comes from the
-    bath.  Resets exchange heat with the bath, not work, so they
-    contribute nothing.  With noise, every synthesized gate depolarizes
-    its cluster (see _mixing); work counts the unitaries alone.
+    p is a point, or a 1-D array of points walked as the rows of one
+    array and answered by lists; each row's sums run on the row alone,
+    so it holds the bits of its point walked alone.  Parallel copies are
+    identical and independent, so one cluster-wide vector stands for
+    all of them, and each copy pays the same cost.  A qubit that enters
+    a later round was an earlier round's target and brings the
+    excitation it reached, below 1/2 if label names the method; any
+    other qubit comes from the bath.  Resets exchange heat, not work.
+    With noise, every synthesized gate depolarizes its cluster (see
+    _mixing); work counts the unitaries alone.
 
     What a round needs is prepared once per plan entry.  A repeated
-    round runs as one linear map on the marginal it keeps (see
-    _repeat_map) where that costs less than its repeats; otherwise each
-    repeat runs only the reset, the permutation, the energy dot product
-    and the mix.  An entry whose cheaper way costs more than _MAX_COST
-    is refused before it runs.
+    round runs as one linear map on the marginal it keeps, point by
+    point (see _repeat_map), where that costs less than its repeats;
+    otherwise each repeat runs only the resets (point by point), the
+    permutation, the energy dot product and the mix.  An entry whose
+    cheaper way costs more than _MAX_COST is refused before it runs.
     """
-    work = 0.0
-    carried: dict[int, float] = {}
-    v = None
-    for rnd in rounds:
+    ps = np.asarray(p, dtype=np.float64)
+    scalar, ps = ps.ndim == 0, ps.reshape(-1)
+    work = [0.0] * ps.size
+    carried: dict[int, list[float]] = {}
+    for k, rnd in enumerate(rounds):
         u = rnd.unitary
         weights = _weights(u.dim)
         copies = len(rnd.clusters)
         mixed = _mixing(synthesized_gate_count(u) if noise else 0, noise)
         repeat = rnd.repeat
         if rnd.resets:
-            reset = sim._reset_plan(u.n_qubits, rnd.resets, p)
+            resets = [sim._reset_plan(u.n_qubits, rnd.resets, b) for b in ps.tolist()]
             kept = u.n_qubits - len(rnd.resets)
             if repeat > 1 and _map_pays(u.n_qubits, kept, repeat):
                 _check_cost(_map_cost(u.n_qubits, kept, repeat), "round map")
-                v, energy = _repeat_map(u, weights, reset, mixed, v, repeat)
-                work += copies * energy
+                mapped = [
+                    _repeat_map(u, weights, r, mixed, row, repeat)
+                    for r, row in zip(resets, v)
+                ]
+                v = np.array([row for row, _ in mapped])
+                work = [w + copies * e for w, (_, e) in zip(work, mapped)]
                 repeat = 0
         else:
-            v = product_diagonal([carried.get(q, p) for q in rnd.clusters[0]])
+            hot = [t for t in carried.get(rnd.clusters[0][0], ()) if t >= 0.5]
+            if label and hot:
+                raise PopulationInversionError(
+                    f"{label}: round {k + 1} would start from a hot target "
+                    f"(excitation {hot[0]} >= 1/2)"
+                )
+            v = product_diagonal([carried.get(q, ps) for q in rnd.clusters[0]])
         _check_cost(_loop_cost(u.n_qubits, repeat), "round walk")
+        dots = weights.astype(np.float64)
         for _ in range(repeat):
             if rnd.resets:
-                v = sim._reset(v, *reset)
-            after = u.apply_to_prob_vector(v)
-            work += copies * _energy_change(weights, v, after)
-            v = after if mixed == 0.0 else (1.0 - mixed) * after + mixed / v.size
-        t = sim.marginal(v, 1)
+                v = np.array([sim._reset(row, *r) for r, row in zip(resets, v)])
+            after = v.take(u.indices, axis=1)
+            for i, row in enumerate(after - v):
+                work[i] += copies * float(np.dot(dots, row))
+            v = after if mixed == 0.0 else (1.0 - mixed) * after + mixed / u.dim
+        t = _targets(v)
         carried.update((phys[0], t) for phys in rnd.clusters)
-    return t, work
+    return (t[0], work[0]) if scalar else (t, work)
 
 
 def _map_pays(width: int, kept: int, repeats: int) -> bool:
@@ -759,21 +807,21 @@ def _mixing(gates: int, noise: float) -> float:
     return -math.expm1(gates * math.log1p(-noise))
 
 
-def _closed_form(config: MethodConfig, p: float) -> float | None:
+def _closed_form(config: MethodConfig, ps: Sequence[float]) -> list[float] | None:
     # Built-in protocols all cool maximally, so their final excitation
     # has a closed form; a custom one is defined by the walk.
     if isinstance(config.protocol, CustomProtocol):
         return None
-    return config.closed_form(p)
+    return config.closed_form(ps)
 
 
 def final_probability(config: MethodConfig, p: float) -> float:
     """Target excitation the method reaches from a homogeneous bath at p."""
     p = check_excitation(p)
-    closed = _closed_form(config, p)
+    closed = _closed_form(config, [p])
     if closed is not None:
-        return closed
-    return _walk(_rounds(config, p), p)[0]
+        return closed[0]
+    return _groups(config, (p,))[0][2][0]
 
 
 def total_work_cost(
@@ -781,7 +829,7 @@ def total_work_cost(
 ) -> float:
     """Work drawn over every unitary the method applies."""
     p = check_excitation(p)
-    return gap.value * _walk(_rounds(config, p), p)[1]
+    return gap.value * _groups(config, (p,))[0][3][0]
 
 
 # -- circuits -------------------------------------------------------------
@@ -790,6 +838,9 @@ def total_work_cost(
 # Most instructions (gates plus resets) a method's circuit may hold;
 # minimal-work dynamic cooling of 18 qubits, 3,432,308 gates, fits.
 _MAX_INSTRUCTIONS = 1 << 22
+
+# Most entries an array of walked rows may hold: 8 MiB of float64.
+_MAX_BATCH = 1 << 20
 
 # Most a loop whose length one argument sets may cost, in _map_pays's
 # units (array entries, about 10 ns each): about 10 s.  Walking 12-qubit
@@ -939,28 +990,39 @@ def report(
         initial_p = probability_from_temperature(temperature, gap)
     elif temperature is not None:
         raise ValueError("give initial_p or temperature, not both")
-    initial_p = check_excitation(initial_p)
-    rounds = _rounds(config, initial_p)
-    walked_p, work_units = _walk(rounds, initial_p)
-    closed = _closed_form(config, initial_p)
-    final_p = walked_p if closed is None else closed
-    physical = gap is not None and not gap.dimensionless
-    return CoolingReport(
-        method=method_label(config),
-        total_qubits=config.width,
-        initial_excitation=initial_p,
-        final_excitation=final_p,
-        work_in_gap_units=work_units,
-        work_joules=work_units * gap.value if physical else None,
-        initial_temperature=(
-            temperature_from_probability(initial_p, gap) if physical else None
-        ),
-        final_temperature=(
-            temperature_from_probability(final_p, gap)
-            if physical and final_p <= 0.5 else None
-        ),
-        gate_counts=_gate_counts(rounds),
-    )
+    return _reports(config, [check_excitation(initial_p)], gap)[0]
+
+
+def _reports(
+    config: MethodConfig, ps: Sequence[float], gap: EnergyGap | None = None
+) -> list[CoolingReport]:
+    """report at each checked excitation of ps: one _groups evaluation,
+    and one gate count per plan."""
+    ps = tuple(ps)
+    walked: dict[int, tuple] = {}
+    for rows, rounds, t, work in _groups(config, ps):
+        counts = _gate_counts(rounds)
+        walked.update(zip(rows.tolist(), zip(t, work, [counts] * len(t))))
+    t, work, counts = zip(*(walked[i] for i in range(len(ps))))
+    physical, label = gap is not None and not gap.dimensionless, method_label(config)
+
+    def kelvin(p: float) -> Temperature | None:
+        return temperature_from_probability(p, gap) if physical and p <= 0.5 else None
+
+    return [
+        CoolingReport(
+            method=label,
+            total_qubits=config.width,
+            initial_excitation=p,
+            final_excitation=final,
+            work_in_gap_units=w,
+            work_joules=w * gap.value if physical else None,
+            initial_temperature=kelvin(p),
+            final_temperature=kelvin(final),
+            gate_counts=c,
+        )
+        for p, final, w, c in zip(ps, _closed_form(config, ps) or t, work, counts)
+    ]
 
 
 # -- configuration documents ----------------------------------------------

@@ -53,13 +53,15 @@ def _grouped_probabilities(spec: ThermalSpec) -> np.ndarray:
         groups[p] |= 1 << (n - q)
     probs = np.ones(1 << n, dtype=np.float64)
     for p, mask in groups.items():
-        size = int(mask).bit_count()
-        table = np.array(
-            [(p**c) * ((1.0 - p) ** (size - c)) for c in range(size + 1)]
-        )
+        table = np.array(_table(p, int(mask).bit_count()))
         counts = np.bitwise_count(idx & np.uint32(mask))
         probs *= table[counts]
     return probs
+
+
+def _table(p: float, size: int) -> list[float]:
+    # Probability of c excitations on given ones of size qubits at p.
+    return [(p**c) * ((1.0 - p) ** (size - c)) for c in range(size + 1)]
 
 
 def thermal_order(spec: ThermalSpec) -> np.ndarray:
@@ -71,6 +73,23 @@ def thermal_order(spec: ThermalSpec) -> np.ndarray:
     check_qubit_cap(spec.n_qubits)
     probs = _grouped_probabilities(spec)
     return np.argsort(-probs, kind="stable")
+
+
+def _thermal_orders(t: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """Row i is thermal_order of the n-qubit excitations (t[i], p[i], ...):
+    each probability is _grouped_probabilities's product of two table
+    entries, except in rows with t == p (one group), ranked on their own."""
+    check_qubit_cap(n)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    rest = np.bitwise_count(idx & np.uint32((1 << (n - 1)) - 1))
+    tables = np.array(
+        [_table(a, 1) + _table(b, n - 1) for a, b in zip(t.tolist(), p.tolist())]
+    )
+    probs = tables[:, idx >> (n - 1)] * tables[:, 2 + rest]
+    orders = np.argsort(-probs, axis=1, kind="stable")
+    for i in np.flatnonzero(t == p):
+        orders[i] = thermal_order(ThermalSpec((t[i],) + (p[i],) * (n - 1)))
+    return orders
 
 
 def ppa_protocol(n_qubits: int) -> CoolingUnitary:
@@ -213,7 +232,12 @@ def heterogeneous_max_cooling(spec: ThermalSpec, target: int = 1) -> CoolingUnit
     n = spec.n_qubits
     if not 1 <= target <= n:
         raise ValueError(f"target {target} outside 1..{n}")
-    order = thermal_order(spec)
+    return _max_cooling(thermal_order(spec), target)
+
+
+def _max_cooling(order: np.ndarray, target: int = 1) -> CoolingUnitary:
+    """heterogeneous_max_cooling of the register whose ranking is order."""
+    n = order.size.bit_length() - 1
 
     def build() -> CoolingUnitary:
         k = np.arange(1 << n, dtype=np.int64)

@@ -95,12 +95,14 @@ def probability_from_temperature(temperature: Temperature, gap: EnergyGap) -> fl
     """
     gap._require_physical()
     t = temperature.kelvin
-    if t == 0.0:
-        return 0.0
     if math.isinf(t):
         return 0.5
+    # k T is 0 at T = 0 and where it underflows, below about 1e-300 K.
+    kt = BOLTZMANN_J_PER_K * t
+    if kt == 0.0:
+        return 0.0
     # exp(-x) form never overflows; it underflows to p = 0 for huge x.
-    e = math.exp(-gap.value / (BOLTZMANN_J_PER_K * t))
+    e = math.exp(-gap.value / kt)
     return e / (1.0 + e)
 
 
@@ -184,11 +186,17 @@ def product_diagonal(excitations) -> np.ndarray:
     """Diagonal of a product state with the given per-qubit excitations.
 
     Unlike thermal_product_vector this takes any excitation in [0, 1]
-    unchecked, such as a target depolarized to 1/2.
+    unchecked, such as a target depolarized to 1/2.  Excitations may be
+    arrays of B rows; row i of the (B, 2**n) result is then the diagonal
+    of the i-th excitations, bit for bit.
     """
-    v = np.ones(1, dtype=np.float64)
+    v, pairs = None, {}
     for p in excitations:
-        # Entry 2i + j is the single product v[i] * (1 - p, p)[j], as
-        # in np.kron, without its reshaping overhead.
-        v = np.multiply.outer(v, (1.0 - p, p)).ravel()
-    return v
+        # Entry 2i + j is v[i] * (1 - p, p)[j], as in np.kron without
+        # its reshaping; each excitation object is paired once.
+        if id(p) not in pairs:
+            x = np.asarray(p, dtype=np.float64)[..., None, None]
+            pairs[id(p)] = np.concatenate((1.0 - x, x), axis=-1)
+        w = pairs[id(p)] if v is None else v[..., None] * pairs[id(p)]
+        v = w.reshape(w.shape[:-2] + (-1,))
+    return np.ones(1) if v is None else v

@@ -344,6 +344,145 @@ def _exact_walk(plan, p, noise, number):
     return t, work, moved
 
 
+# -- per-point sweep rows ---------------------------------------------------
+#
+# The sweep row loop as it ran before points were walked together: each
+# point is planned on its own (every later round's start checked cold,
+# and each semi-open round ranked with thermal_order), walked on 1-D
+# vectors, and closed with scalar closed forms.  Batched rows must
+# reproduce it bit for bit.
+
+
+def _product(excitations) -> np.ndarray:
+    v = np.ones(1)
+    for x in excitations:
+        v = np.multiply.outer(v, (1.0 - x, x)).ravel()
+    return v
+
+
+def _reference_plan(config, p: float) -> list:
+    from qcool import methods
+    from qcool.constants import check_qubit_cap
+    from qcool.errors import PopulationInversionError
+    from qcool.protocols import heterogeneous_max_cooling
+    from qcool.thermo import ThermalSpec
+
+    check_qubit_cap(config.width, 63)
+
+    def cooled(k, u, start):
+        t = marginal(u.apply_to_prob_vector(_product(start)), 1)
+        if t >= 0.5:
+            raise PopulationInversionError(
+                f"{methods.method_label(config)}: round {k + 1} would start "
+                f"from a hot target (excitation {t} >= 1/2)"
+            )
+        return t
+
+    if isinstance(config, methods.SemiOpen):
+        out, free, t = [], 2, p
+        for i, n in enumerate(config.cluster_sizes):
+            if i:
+                t = cooled(i, u, start)
+            start = (t,) + (p,) * (n - 1)
+            u = (
+                heterogeneous_max_cooling(ThermalSpec(start)) if i
+                else methods._resolve_protocol(config.protocol, n)
+            )
+            out.append(methods._Round(u, ((1, *range(free, free + n - 1)),)))
+            free += n - 1
+        return out
+    plan = list(config.plan(None))
+    if isinstance(config, methods.SubOptimal):
+        t, n = p, config.cluster_size
+        for k in range(1, config.rounds):
+            t = cooled(k, plan[k].unitary, (t,) * n)
+    return plan
+
+
+def _reference_walk(rounds, p: float) -> tuple[float, float]:
+    from qcool import methods, sim
+    from qcool.protocols import _weights
+
+    work = 0.0
+    carried: dict = {}
+    v = None
+    for rnd in rounds:
+        u = rnd.unitary
+        weights = _weights(u.dim)
+        repeat = rnd.repeat
+        if rnd.resets:
+            reset = sim._reset_plan(u.n_qubits, rnd.resets, p)
+            kept = u.n_qubits - len(rnd.resets)
+            if repeat > 1 and methods._map_pays(u.n_qubits, kept, repeat):
+                v, energy = methods._repeat_map(u, weights, reset, 0.0, v, repeat)
+                work += len(rnd.clusters) * energy
+                repeat = 0
+        else:
+            v = _product([carried.get(q, p) for q in rnd.clusters[0]])
+        for _ in range(repeat):
+            if rnd.resets:
+                v = sim._reset(v, *reset)
+            after = u.apply_to_prob_vector(v)
+            work += len(rnd.clusters) * float(np.dot(weights, after - v))
+            v = after
+        t = marginal(v, 1)
+        carried.update((phys[0], t) for phys in rnd.clusters)
+    return t, work
+
+
+def _reference_semi_open_p(p: float, sizes) -> float:
+    t = dynamic_final_p(p, sizes[0])
+    for n in sizes[1:]:
+        v = _product((t,) + (p,) * (n - 1))
+        t = math.fsum(np.sort(v, kind="stable")[: v.size // 2])
+    return t
+
+
+def reference_sweep_rows(config, ps, gap=None) -> list[dict]:
+    """The noiseless result rows of config at each p, point by point."""
+    from qcool import methods
+    from qcool.thermo import temperature_from_probability
+
+    physical = gap is not None and not gap.dimensionless
+    rows = []
+    for p in ps:
+        plan = _reference_plan(config, p)
+        walked, work = _reference_walk(plan, p)
+        final = walked
+        if not isinstance(config.protocol, methods.CustomProtocol):
+            final = {
+                methods.Dynamic: lambda: dynamic_final_p(p, config.width),
+                methods.SubOptimal: lambda: methods.sub_optimal_final_p(
+                    p, config.cluster_size, config.rounds
+                ),
+                methods.HBAC: lambda: walked,
+                methods.SemiOpen: lambda: _reference_semi_open_p(
+                    p, config.cluster_sizes
+                ),
+            }[type(config)]()
+        counts = methods._gate_counts(plan)
+
+        def mk(x):
+            if not physical or x >= 0.5:
+                return None
+            return temperature_from_probability(x, gap).millikelvin
+
+        rows.append({
+            "method": methods.method_label(config),
+            "total_qubits": config.width,
+            "initial_temp_mk": mk(p),
+            "final_temp_mk": mk(final),
+            "initial_p": p,
+            "final_p": final,
+            "noise_p": None,
+            "work": work,
+            "work_joules": work * gap.value if physical else None,
+            "total_gates": counts.total,
+            "resets": counts.resets,
+        })
+    return rows
+
+
 # -- strict OpenQASM 3 checker ---------------------------------------------
 
 _HEADER = ("OPENQASM 3.0;", 'include "stdgates.inc";')

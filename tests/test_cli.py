@@ -1,12 +1,15 @@
 import csv
+import gc
 import hashlib
 import importlib.resources
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +22,7 @@ from helpers import (
     count_ctrl_statements,
     marginal_mask,
     parse_qasm,
+    reference_sweep_rows,
     simulate_stepwise,
 )
 
@@ -408,6 +412,159 @@ def test_list_flags_reject_empty_items(runner, tmp_path):
             )
             assert result.exit_code == 2, (flag, items)
             assert f"{flag} has an empty item" in result.stderr
+
+
+# -- sweep points walked together --------------------------------------------
+
+# The configs of the benchmark's sweeps, and custom protocols of each
+# method, whose rows come from the walk rather than a closed form.
+SWEEP_DOCS = {
+    "dyn-mw-n9": {"method": "dynamic", "n_qubits": 9},
+    "dyn-mirror-n9": {"method": "dynamic", "n_qubits": 9, "protocol": "mirror"},
+    "hbac-3x200": {"method": "hbac", "cluster_size": 3, "rounds": 200},
+    "hbac-5x50-r23": {
+        "method": "hbac", "cluster_size": 5, "rounds": 50, "reset_qubits": [2, 3],
+    },
+    "subopt-3x2": {"method": "suboptimal", "cluster_size": 3, "rounds": 2},
+    "subopt-4x2": {"method": "suboptimal", "cluster_size": 4, "rounds": 2},
+    "semiopen-5555": {"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]},
+    "semiopen-333": {"method": "semiopen", "cluster_sizes": [3, 3, 3]},
+    "dyn-custom": {"method": "dynamic", "n_qubits": 3, "protocol": "custom",
+                   "cycles": [["011", "100"], [0, 1, 2]]},
+    "subopt-custom": {"method": "suboptimal", "cluster_size": 3, "rounds": 2,
+                      "protocol": "custom", "cycles": [["011", "100"]]},
+    "semiopen-custom": {"method": "semiopen", "cluster_sizes": [3, 4, 3],
+                        "protocol": "custom", "cycles": [["011", "100"]]},
+    "hbac-custom": {"method": "hbac", "cluster_size": 4, "rounds": 7,
+                    "reset_qubits": [3], "protocol": "custom",
+                    "cycles": [["0111", "1000"], [0, 1, 2]]},
+}
+GRID_P = (1e-12, 3.4e-4, 0.04, 0.1, 0.3, 0.49, 0.4999)
+GRID_MK = (0.0, 1e-300, 5.0, 31.7, 44.2, 100.0, 1e4)
+
+
+def _hexed(rows):
+    return [
+        {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+        for row in rows
+    ]
+
+
+def _report_row(rep, gap):
+    """The noiseless result row of a report."""
+    def mk(temperature):
+        return None if temperature is None or math.isinf(temperature.kelvin) else (
+            temperature.millikelvin
+        )
+
+    return {
+        "method": rep.method,
+        "total_qubits": rep.total_qubits,
+        "initial_temp_mk": mk(rep.initial_temperature),
+        "final_temp_mk": mk(rep.final_temperature),
+        "initial_p": rep.initial_excitation,
+        "final_p": rep.final_excitation,
+        "noise_p": None,
+        "work": rep.work_in_gap_units,
+        "work_joules": rep.work_joules,
+        "total_gates": rep.gate_counts.total,
+        "resets": rep.gate_counts.resets,
+    }
+
+
+@pytest.mark.parametrize("name", SWEEP_DOCS)
+def test_sweep_rows_are_the_per_point_loop_bit_for_bit(runner, tmp_path, name):
+    # The points of one config are planned and walked together; every
+    # row must still hold the bits of its point walked alone, and of a
+    # one-point report.
+    cfg = write_config(tmp_path, SWEEP_DOCS[name])
+    config = config_from_json(SWEEP_DOCS[name])
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    probs = ["--probs", ",".join(map(repr, GRID_P))]
+    temps = ["--temps-mk", ",".join(map(repr, GRID_MK)), "--freq-ghz", "5"]
+    for args, g in ((probs, None), (temps, gap)):
+        rows = json.loads(run_ok(runner, ["sweep", "--config", cfg, *args]))
+        ps = [row["initial_p"] for row in rows]
+        assert _hexed(rows) == _hexed(reference_sweep_rows(config, ps, g)), args
+        reports = [report(config, initial_p=p, gap=g) for p in ps]
+        assert _hexed(rows) == _hexed(_report_row(r, g) for r in reports), args
+
+
+def test_semi_open_sweep_walks_each_plan_group_once(runner, tmp_path):
+    # Over p = 0.02 ... 0.4 the later rounds of semi-open 5+5+5+5 take
+    # four distinct plans; each group's rows are one walked array.
+    doc = SWEEP_DOCS["semiopen-5555"]
+    probs = (0.02, 0.04, 0.06, 0.08, 0.1, 0.2, 0.3, 0.4)
+    groups = qcool.methods._groups(config_from_json(doc), probs)
+    assert [rows.tolist() for rows, *_ in groups] == [[0], [1, 2, 3, 4], [5], [6, 7]]
+    cfg = write_config(tmp_path, doc)
+    args = ["sweep", "--config", cfg, "--probs", ",".join(map(repr, probs)), "--csv"]
+    lines = run_ok(runner, args).splitlines()
+    for p, line in zip(probs, lines[1:], strict=True):
+        one = ["analyze", "--config", cfg, "--initial-p", repr(p), "--csv"]
+        assert run_ok(runner, one).splitlines()[1] == line, p
+    rows = json.loads(run_ok(runner, args[:-1]))
+    want = reference_sweep_rows(config_from_json(doc), probs)
+    assert _hexed(rows) == _hexed(want)
+
+
+def test_sweep_raises_the_first_failing_row_error(runner, tmp_path):
+    # The custom cycle heats the target: from 0.45 it stays below 1/2,
+    # from 0.1 and 0.2 it passes 1/2 before round 2.  Row by row, the
+    # p = 0.1 row fails first, and nothing is written.
+    cfg = write_config(tmp_path, {**SUBOPT, **HEAT})
+    out = tmp_path / "rows.json"
+    result = runner.invoke(
+        cli, ["sweep", "--config", cfg, "--probs", "0.45,0.1,0.2", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "suboptimal-n3-r2-custom: round 2" in result.stderr
+    assert "excitation 0.7480000000000001 >= 1/2" in result.stderr
+    assert not out.exists()
+    # Walked together, the p = 0.3 row is the first to start a round hot
+    # (round 2); row by row, the p = 0.13 row fails first, at round 3.
+    cycles = {"protocol": "custom", "cycles": [[1, 5], [2, 7]]}
+    cfg = write_config(tmp_path, {**SUBOPT, "rounds": 3, **cycles})
+    for probs, message in (
+        ("0.13,0.3", "round 3 would start from a hot target (excitation 0.509031445116578"),
+        ("0.3,0.13", "round 2 would start from a hot target (excitation 0.5039999999999999"),
+    ):
+        result = runner.invoke(cli, ["sweep", "--config", cfg, "--probs", probs])
+        assert result.exit_code == 2 and message in result.stderr, probs
+
+
+def test_sweep_batches_stay_within_their_memory_bound(runner, tmp_path):
+    # 64 points of 2**16 states are walked 16 rows (2**20 entries) at a
+    # time, about 24 MiB across the walk's live arrays; one unsplit
+    # batch of 2**22 entries would hold about 96 MiB.
+    cfg = write_config(tmp_path, {"method": "dynamic", "n_qubits": 16})
+    probs = ",".join(repr(0.01 + 0.005 * i) for i in range(64))
+    peaks = []
+    for args in (
+        ["analyze", "--config", cfg, "--initial-p", "0.01"],
+        ["sweep", "--config", cfg, "--probs", probs],
+    ):
+        run_ok(runner, args)  # count the gates before measuring
+        qcool.methods._groups.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_ok(runner, args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 48 << 20, peaks
+
+
+def test_subnormal_temperature_row_is_at_zero_excitation(runner, tmp_path):
+    # k T underflows to 0 at 1e-300 mK; the row is the p = 0 row.
+    cfg = write_config(tmp_path, DYN3)
+    for args in (
+        ["sweep", "--temps-mk", "1e-300", "--freq-ghz", "5"],
+        ["analyze", "--temp-mk", "1e-300", "--freq-ghz", "5"],
+    ):
+        (row,) = json.loads(run_ok(runner, [args[0], "--config", cfg, *args[1:]]))
+        assert row["initial_p"] == 0.0 and row["final_p"] == 0.0, args
 
 
 # -- noise-sweep -----------------------------------------------------------

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,27 @@ def test_heterogeneous_shares_one_unitary_per_ranking(fresh_table):
     other = heterogeneous_max_cooling(ThermalSpec((0.01, 0.1, 0.1)), target=2)
     assert other is not first
     assert heterogeneous_max_cooling(ThermalSpec((0.01, 0.1, 0.1))) is first
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8))
+def test_row_rankings_are_each_rows_thermal_order(fresh_table, n):
+    # Rows of (t, p, ..., p), as a semi-open sweep ranks its points: t
+    # below, above and equal to p (one group of equal qubits), zeros,
+    # ties across rows, and a hot t, which is ranked like any other.
+    rng = np.random.default_rng(n)
+    p = np.concatenate(([0.0, 0.1, 0.1, 0.1, 0.3, 0.49], rng.uniform(0, 0.5, 40)))
+    t = np.concatenate(([0.0, 0.01, 0.1, 0.3, 0.3, 0.6], rng.uniform(0, 0.5, 40)))
+    orders = protocols._thermal_orders(t, p, n)
+    for i, order in enumerate(orders):
+        excitations = (float(t[i]),) + (float(p[i]),) * (n - 1)
+        if t[i] >= 0.5:  # no ThermalSpec holds it; rank its probabilities
+            spec = SimpleNamespace(n_qubits=n, excitations=excitations)
+            want = np.argsort(-protocols._grouped_probabilities(spec), kind="stable")
+            assert order.tobytes() == want.tobytes()
+            continue
+        spec = ThermalSpec(excitations)
+        assert order.tobytes() == thermal_order(spec).tobytes(), excitations
+        assert protocols._max_cooling(order) is heterogeneous_max_cooling(spec)
 
 
 def _reference_heterogeneous(spec, target=1):

@@ -43,6 +43,16 @@ def test_probability_limits():
     assert probability_from_temperature(Temperature(1e-9), GAP_5GHZ) == 0.0
 
 
+def test_probability_at_subnormal_temperatures():
+    # k T underflows to 0 below about 1e-300 K, where dividing the gap
+    # by it raised ZeroDivisionError; the Boltzmann factor is 0 there.
+    temps = [0.0, 5e-324, 1e-303, 1e-20]
+    ps = [probability_from_temperature(Temperature(t), GAP_5GHZ) for t in temps]
+    assert ps == [0.0] * 4
+    assert all(a <= b for a, b in zip(ps, ps[1:]))
+    assert BOLTZMANN_J_PER_K * 1e-303 == 0.0
+
+
 def test_probability_monotonic_in_temperature_and_gap():
     temps = [1e-3, 5e-3, 0.02, 0.05, 0.2, 1.0, 50.0, 1e6]
     ps = [probability_from_temperature(Temperature(t), GAP_5GHZ) for t in temps]
@@ -156,3 +166,22 @@ def test_product_diagonal_is_the_kron_fold(excitations):
     got = product_diagonal(excitations)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_product_diagonal_rows_are_each_rows_diagonal():
+    # Rows of excitations, as sweep points are walked together: row i
+    # is the diagonal of the i-th excitations, bit for bit, whichever
+    # columns are shared objects, arrays or scalars.
+    rng = np.random.default_rng(5)
+    t, p = rng.uniform(0, 0.5, 6), rng.uniform(0, 0.5, 6)
+    t[:2] = (0.0, -0.0)
+    for columns in ([t, p, p, p], [p] * 5, [t, 0.25, p], [t]):
+        got = product_diagonal(columns)
+        assert got.shape == (6, 1 << len(columns))
+        for i, row in enumerate(got):
+            want = np.ones(1)
+            for c in columns:
+                x = c if np.ndim(c) == 0 else float(c[i])
+                want = np.kron(want, np.array([1.0 - x, x]))
+            assert row.tobytes() == want.tobytes()
+
