@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -95,12 +94,10 @@ def _resolve_initial(initial_p, temp_mk, freq_ghz, *, required=True):
     return None, gap
 
 
-def _temp_mk_or_none(p: float, gap: EnergyGap | None) -> float | None:
+def _mk(temperature: Temperature | None, p: float) -> float | None:
     # Inverted or infinite-temperature populations have no finite kelvin
     # value; sweeps keep going and leave the cell empty.
-    if gap is None or p >= 0.5:
-        return None
-    return temperature_from_probability(p, gap).millikelvin
+    return None if temperature is None or p >= 0.5 else temperature.millikelvin
 
 
 def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -> None:
@@ -121,33 +118,45 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
         Path(out).write_text(text)
 
 
-def _rows(config, reports, gap, models=(None,)) -> list[dict]:
-    """One result row per report and noise model (None: noiseless).
+def _rows(config, reports, gap, levels=(None,), placement="per-gate") -> list[dict]:
+    """One result row per report and noise level (None: noiseless).
 
     A row's final_p is the noisy circuit's; at noise 0 that is the
     report's final_excitation bit for bit, so it is not computed again.
+    The nonzero levels of a report are evaluated together, and only
+    their final temperatures are converted here: the others are the
+    report's.
     """
     physical = gap is not None and not gap.dimensionless
+    noisy = [q for q in levels if q]
     rows = []
-    for rep, noise in itertools.product(reports, models):
-        initial_p, final_p = rep.initial_excitation, rep.final_excitation
-        if noise is not None and noise.probability != 0.0:
-            final_p = methods.noisy_final_probability(config, initial_p, noise)
-        # Work is the noiseless driving cost; depolarizing exchanges heat,
-        # not work, in this model.
-        rows.append({
-            "method": rep.method,
-            "total_qubits": rep.total_qubits,
-            "initial_temp_mk": _temp_mk_or_none(initial_p, gap if physical else None),
-            "final_temp_mk": _temp_mk_or_none(final_p, gap if physical else None),
-            "initial_p": rep.initial_excitation,
-            "final_p": final_p,
-            "noise_p": None if noise is None else noise.probability,
-            "work": rep.work_in_gap_units,
-            "work_joules": rep.work_joules,
-            "total_gates": rep.gate_counts.total,
-            "resets": rep.gate_counts.resets,
-        })
+    for rep in reports:
+        finals = iter(
+            methods._noisy_final_ps(config, rep.initial_excitation, noisy, placement)
+            if noisy else ()
+        )
+        for level in levels:
+            final_p, final_t = rep.final_excitation, rep.final_temperature
+            if level:
+                final_p = next(finals)
+                final_t = None
+                if physical and final_p < 0.5:
+                    final_t = temperature_from_probability(final_p, gap)
+            # Work is the noiseless driving cost; depolarizing exchanges
+            # heat, not work, in this model.
+            rows.append({
+                "method": rep.method,
+                "total_qubits": rep.total_qubits,
+                "initial_temp_mk": _mk(rep.initial_temperature, rep.initial_excitation),
+                "final_temp_mk": _mk(final_t, final_p),
+                "initial_p": rep.initial_excitation,
+                "final_p": final_p,
+                "noise_p": level,
+                "work": rep.work_in_gap_units,
+                "work_joules": rep.work_joules,
+                "total_gates": rep.gate_counts.total,
+                "resets": rep.gate_counts.resets,
+            })
     return rows
 
 
@@ -250,11 +259,14 @@ def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placeme
     configs = [methods.config_from_json(p) for p in config_paths]
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
     p = methods.check_excitation(p)
-    noise = _parse_float_list(noise_probs, "--noise-probs")
-    models = [NoiseModel(q, placement) for q in noise]
+    # Checked here so a bad level exits 2 before any row is computed.
+    levels = [
+        NoiseModel(q, placement).probability
+        for q in _parse_float_list(noise_probs, "--noise-probs")
+    ]
     rows = [
         row for c in configs
-        for row in _rows(c, [methods.report(c, initial_p=p, gap=gap)], gap, models)
+        for row in _rows(c, [methods.report(c, initial_p=p, gap=gap)], gap, levels, placement)
     ]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 

@@ -594,49 +594,55 @@ def _cluster_tree(config: MethodConfig, n: int, rounds: int) -> list[_Round]:
 
 
 def _walk(
-    rounds: Sequence[_Round], p, noise: float = 0.0, label: str | None = None
+    rounds: Sequence[_Round], p, noise=0.0, label: str | None = None
 ):
     """(target excitation, work in gap units) of the rounds from a bath at p.
 
     p is a point, or a 1-D array of points walked as the rows of one
-    array and answered by lists; each row's sums run on the row alone,
-    so it holds the bits of its point walked alone.  Parallel copies are
-    identical and independent, so one cluster-wide vector stands for
-    all of them, and each copy pays the same cost.  A qubit that enters
-    a later round was an earlier round's target and brings the
-    excitation it reached, below 1/2 if label names the method; any
-    other qubit comes from the bath.  Resets exchange heat, not work.
-    With noise, every synthesized gate depolarizes its cluster (see
-    _mixing); work counts the unitaries alone.
+    array and answered by lists; noise is a number, or one level per
+    row.  Each row's sums run on the row alone, so it holds the bits of
+    its point and level walked alone, whatever rows share the array.
+    Parallel copies are identical and independent, so one cluster-wide
+    vector stands for all of them, and each copy pays the same cost.  A
+    qubit that enters a later round was an earlier round's target and
+    brings the excitation it reached, below 1/2 if label names the
+    method; any other qubit comes from the bath.  Resets exchange heat,
+    not work.  With noise, every synthesized gate depolarizes its
+    cluster (see _mixing); work counts the unitaries alone.  A row at
+    noise 0 is mixed with weight 0, which leaves its bits as they are.
 
     What a round needs is prepared once per plan entry.  A repeated
-    round runs as one linear map on the marginal it keeps, point by
-    point (see _repeat_map), where that costs less than its repeats;
-    otherwise each repeat runs only the resets (point by point), the
-    permutation, the energy dot product and the mix.  An entry whose
-    cheaper way costs more than _MAX_COST is refused before it runs.
+    round runs as one linear map on the marginal it keeps, stacked over
+    the rows (see _repeat_map), where that costs less than its repeats;
+    otherwise each repeat runs only the resets, the permutation, the
+    energy dot products and the mix.  An entry whose cheaper way costs
+    more than _MAX_COST per row is refused before it runs.
     """
     ps = np.asarray(p, dtype=np.float64)
     scalar, ps = ps.ndim == 0, ps.reshape(-1)
-    work = [0.0] * ps.size
+    work = np.zeros(ps.size)
+    noise = work + noise  # adding 0.0 keeps each level's bits
+    noisy = noise.any()
     carried: dict[int, list[float]] = {}
     for k, rnd in enumerate(rounds):
         u = rnd.unitary
         weights = _weights(u.dim)
         copies = len(rnd.clusters)
-        mixed = _mixing(synthesized_gate_count(u) if noise else 0, noise)
+        gates = synthesized_gate_count(u) if noisy else 0
+        mixed = np.array([_mixing(gates, q) for q in noise.tolist()]) if gates else 0.0 * noise
         repeat = rnd.repeat
         if rnd.resets:
-            resets = [sim._reset_plan(u.n_qubits, rnd.resets, b) for b in ps.tolist()]
             kept = u.n_qubits - len(rnd.resets)
             if repeat > 1 and _map_pays(u.n_qubits, kept, repeat):
                 _check_cost(_map_cost(u.n_qubits, kept, repeat), "round map")
-                mapped = [
-                    _repeat_map(u, weights, r, mixed, row, repeat)
-                    for r, row in zip(resets, v)
+                # Each row's map holds 2**kept times its vector's entries.
+                step = max(1, _MAX_BATCH >> (kept + u.n_qubits))
+                parts = [
+                    _repeat_map(u, weights, rnd.resets, ps[i:j], mixed[i:j], v[i:j], repeat)
+                    for i, j in ((i, i + step) for i in range(0, ps.size, step))
                 ]
-                v = np.array([row for row, _ in mapped])
-                work = [w + copies * e for w, (_, e) in zip(work, mapped)]
+                v = np.concatenate([row for row, _ in parts])
+                work += copies * np.concatenate([e for _, e in parts])
                 repeat = 0
         else:
             hot = [t for t in carried.get(rnd.clusters[0][0], ()) if t >= 0.5]
@@ -648,16 +654,18 @@ def _walk(
             v = product_diagonal([carried.get(q, ps) for q in rnd.clusters[0]])
         _check_cost(_loop_cost(u.n_qubits, repeat), "round walk")
         dots = weights.astype(np.float64)
+        column = mixed[:, None]
+        if rnd.resets and repeat:
+            reset = sim._reset_plan(u.n_qubits, rnd.resets, ps)
         for _ in range(repeat):
             if rnd.resets:
-                v = np.array([sim._reset(row, *r) for r, row in zip(resets, v)])
+                v = sim._reset(v, *reset)
             after = v.take(u.indices, axis=1)
-            for i, row in enumerate(after - v):
-                work[i] += copies * float(np.dot(dots, row))
-            v = after if mixed == 0.0 else (1.0 - mixed) * after + mixed / u.dim
+            work += copies * ((after - v)[:, None] @ dots)[:, 0]
+            v = (1.0 - column) * after + column / u.dim if gates else after
         t = _targets(v)
         carried.update((phys[0], t) for phys in rnd.clusters)
-    return (t[0], work[0]) if scalar else (t, work)
+    return (t[0], float(work[0])) if scalar else (t, work.tolist())
 
 
 def _map_pays(width: int, kept: int, repeats: int) -> bool:
@@ -702,12 +710,19 @@ _ULP = float(np.finfo(float).eps)
 def _repeat_map(
     u: CoolingUnitary,
     weights: np.ndarray,
-    reset: tuple,
-    mixed: float,
+    resets: tuple[int, ...],
+    ps: np.ndarray,
+    mixed: np.ndarray,
     v: np.ndarray,
     repeats: int,
-) -> tuple[np.ndarray, float]:
-    """(vector, work) after repeats of a round that resets qubits first.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, works) after repeats of a round that resets qubits first.
+
+    v holds one row per point; ps (each row's bath) and mixed (its noise
+    weight, see _mixing) one entry per row.  Every product below is a
+    stacked matmul, one BLAS call per row on that row's own operands, so
+    each row keeps the bits it has alone, whatever rows share the stack;
+    a 2-D matrix-vector product would not, since BLAS blocks its rows.
 
     The reset keeps only the marginal m of the k qubits it does not
     reset and retensors the others with the bath, so one repeat is a
@@ -726,32 +741,40 @@ def _repeat_map(
     3-qubit HBAC.  An s within the rounding of its own dot product is
     taken as 0: the work is then (m - pi) . T, and T is kept free of
     the constant part pi . T = r s after each doubling, so no rounding
-    is multiplied by r and the error stays bounded as r grows.
+    is multiplied by r and the error stays bounded as r grows.  A row
+    with no such pi runs on m itself, with pi 0, which subtracts
+    nothing.
     """
-    shape, axes, factors = reset
+    shape, axes, factors = sim._reset_plan(u.n_qubits, resets, ps)
     m = v.reshape(shape).sum(axis=axes, keepdims=True)
-    size = m.size
-    rows = np.eye(size).reshape((size, *m.shape))
+    size = m[0].size
+    rows = np.eye(size).reshape((1, size, *m.shape[1:]))
     for factor in factors:
-        rows = rows * factor
-    rows = rows.reshape(size, -1)[:, u.indices]
+        rows = rows * factor[:, None]
+    # Gathered along the states' axis, so that each row's matrix is laid
+    # out as it is alone, states outermost: BLAS's bits depend on layout.
+    rows = rows.reshape(len(v), size, -1).transpose(0, 2, 1)
+    rows = rows.take(u.indices, axis=1).transpose(0, 2, 1)
     # Each state's energy shift under the permutation, rather than the
     # energy after minus before, so states that stay put add nothing.
-    shift = weights - weights[u.indices]
+    shift = (weights - weights[u.indices])[:, None]
+    # Vectors are held as (rows, 1, 2**k) and columns as (rows, 2**k, 1),
+    # so that every product is a plain stacked matmul.
     g = rows @ shift
     moved = rows @ np.abs(shift)  # energy each kept state's repeat moves
-    if mixed:
-        rows = (1.0 - mixed) * rows + mixed / rows.shape[1]
-    power = rows.reshape((size, *shape)).sum(axis=tuple(a + 1 for a in axes))
-    power = power.reshape(size, size)  # P**(2**bit)
-    m, pi = m.ravel(), _stationary(power)
+    if mixed.any():
+        column = mixed[:, None, None]
+        rows = (1.0 - column) * rows + column / rows.shape[2]
+    power = rows.reshape((len(v), size, *shape[1:])).sum(axis=tuple(a + 1 for a in axes))
+    power = power.reshape(len(v), size, size)  # P**(2**bit)
+    m, pi = m.reshape(len(v), 1, size), _stationary(power)[:, None, :]
     # s = pi . g is a dot product of 2**k sums: within 8 * 2**k ulps of
     # the energy moved at pi it cannot be told from 0 and is taken as 0.
-    # Otherwise the series runs on m itself and needs no pi.
-    if pi is not None and abs(pi @ g) > 8 * size * _ULP * (pi @ moved):
-        pi = None
-    x = m if pi is None else m - pi  # the vector the work series runs on
-    summed, work = g, 0.0  # summed: T over j < 2**bit
+    # Otherwise, or without a pi, the series runs on m itself, with pi 0.
+    taken = np.abs(pi @ g) <= 8 * size * _ULP * (pi @ moved)  # False at NaN
+    pi[~taken[:, 0, 0]] = 0.0
+    anchored, x = pi.any(), m - pi  # x: the vectors the work series runs on
+    summed, work = g, np.zeros((len(v), 1, 1))  # summed: T over j < 2**bit
     terms, left = repeats, repeats - 1
     while terms:
         if terms & 1:
@@ -763,33 +786,40 @@ def _repeat_map(
         left >>= 1
         if terms:
             summed = summed + power @ summed
-            if pi is not None:
+            if anchored:
                 summed -= pi @ summed
             power = power @ power
-            power /= power.sum(axis=1, keepdims=True)
-    return m @ rows, float(work)
+            power /= power.sum(axis=2, keepdims=True)
+    return (m @ rows)[:, 0], work.ravel()
 
 
-def _stationary(chain: np.ndarray) -> np.ndarray | None:
-    """Stationary row vector of a row-stochastic chain, or None.
+def _stationary(chain: np.ndarray) -> np.ndarray:
+    """Stationary row vector of each row-stochastic chain of a stack.
 
     Grassmann-Taksar-Heyman state reduction (Oper. Res. 33, 1985): each
     state is folded into the ones before it with sums and products of
     nonnegative entries only, so every entry keeps its relative digits.
-    None where a state cannot reach the ones before it: the chain is
-    then reducible, and its stationary vector may not be unique.
+    A chain in which a state cannot reach the ones before it is
+    reducible, and its stationary vector may not be unique: its row is
+    NaN.
     """
     a = chain.copy()
-    for k in range(len(a) - 1, 0, -1):
-        out = a[k, :k].sum()
-        if out == 0.0:
-            return None
-        a[:k, k] /= out
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    pi = np.ones(len(a))
-    for k in range(1, len(a)):
-        pi[k] = pi[:k] @ a[:k, k]
-    return pi / pi.sum()
+    reducible = np.zeros(len(a), dtype=bool)
+    for k in range(a.shape[1] - 1, 0, -1):
+        out = a[:, k, :k].sum(axis=1)
+        if not out.all():
+            reducible |= out == 0.0
+            if reducible.all():
+                return np.full(a.shape[:2], np.nan)
+            out[reducible] = 1.0  # any nonzero: those rows are dropped
+        a[:, :k, k] /= out[:, None]
+        a[:, :k, :k] += a[:, :k, k, None] * a[:, None, k, :k]
+    pi = np.ones((len(a), 1, a.shape[1]))
+    for k in range(1, a.shape[1]):
+        pi[:, :, k : k + 1] = pi[:, :, :k] @ a[:, :k, k : k + 1]
+    pi = pi[:, 0] / pi.sum(axis=2)
+    pi[reducible] = np.nan
+    return pi
 
 
 def _mixing(gates: int, noise: float) -> float:
@@ -920,25 +950,48 @@ def noisy_final_probability(
 
     Equals marginal(simulate(build_circuit(config, p), thermal start,
     noise=noise, bath_excitation=p), 1) up to rounding, and at noise 0
-    is final_probability(config, p) bit for bit.  The plan is walked on
-    vectors only as wide as a cluster, except per-layer noise on a round
-    of several parallel copies, where gates of neighbouring copies share
-    a layer: there the synthesized circuit runs on its live qubits only
-    (sim._live_marginal), refused if more than 24 are live at once.
-    Its schedule is kept for the next noise level (_layer_program).
+    is final_probability(config, p) bit for bit.  Any other level is a
+    batch of one of _noisy_final_ps, and has the bits it has in any
+    batch.
     """
     p = check_excitation(p)
     if noise.probability == 0.0:
         return final_probability(config, p)
+    return _noisy_final_ps(config, p, [noise.probability], noise.placement)[0]
+
+
+def _noisy_final_ps(
+    config: MethodConfig, p: float, levels: Sequence[float], placement: str
+) -> list[float]:
+    """noisy_final_probability at each nonzero noise level, for a checked p.
+
+    The levels are the rows of one walk of the plan, on vectors only as
+    wide as a cluster, except per-layer noise on a round of several
+    parallel copies, where gates of neighbouring copies share a layer:
+    there the synthesized circuit runs once for all levels on its live
+    qubits only (sim._run_live), refused if more than 24 are live at
+    once.  Its program is kept for the next call (_layer_program).  A
+    batch holds at most _MAX_BATCH entries; more levels run in turn.
+    """
     rounds = _rounds(config, p)
-    shared_layers = any(len(rnd.clusters) > 1 for rnd in rounds)
-    if noise.placement == "per-layer" and shared_layers:
-        return sim._run_live(_layer_program(config, p), p, noise.probability)
-    return _walk(rounds, p, noise=noise.probability)[0]
+    if placement == "per-layer" and any(len(rnd.clusters) > 1 for rnd in rounds):
+        program, width = _layer_program(config, p)
+        run = functools.partial(sim._run_live, program, p)
+    else:
+        width = max(rnd.unitary.n_qubits for rnd in rounds)
+
+        def run(levels: np.ndarray) -> list[float]:
+            return _walk(rounds, np.full(levels.size, p), levels)[0]
+
+    step = max(1, _MAX_BATCH >> width)
+    return [
+        t for lo in range(0, len(levels), step)
+        for t in run(np.array(levels[lo : lo + step], dtype=np.float64))
+    ]
 
 
 @functools.lru_cache(maxsize=1)
-def _layer_program(config: MethodConfig, p: float) -> tuple:
+def _layer_program(config: MethodConfig, p: float) -> tuple[tuple, int]:
     """sim._live_program of the method's circuit at p, per-layer noise.
 
     The steps do not depend on the noise strength, so the last program

@@ -15,8 +15,8 @@ One schedule (`_schedule`) and one kernel (`_run`) do every simulation:
 `simulate` streams the schedule into the kernel on the whole register,
 and per-layer noise rows run it on the live qubits only: the library's
 rows build the live program once per circuit (`methods._layer_program`
-calls `_live_program`) and run it per noise level (`_run_live`);
-`_live_marginal` does both in one call.
+calls `_live_program`) and run it once for all noise levels
+(`_run_live`); `_live_marginal` does both for one level.
 The public `apply_mcnot`, `depolarize` and `reset_qubits` run one kernel
 step on a copy of their input.
 """
@@ -104,10 +104,9 @@ def _swap_target(t: np.ndarray, target: int, mask: int, polarity: int) -> None:
     high[...] = saved
 
 
-def _mix_toward_uniform(
-    t: np.ndarray, axes: tuple[int, ...], probability: float
-) -> None:
-    """Depolarize the given axes of the (2,)*n view t in place."""
+def _mix_toward_uniform(t: np.ndarray, axes: tuple[int, ...], probability) -> None:
+    """Depolarize the given axes of t in place; probability is a number,
+    or an array that broadcasts against t, such as one per level."""
     # t.mean, bit for bit, without its Python-level wrapper.
     uniform = np.add.reduce(t, axis=axes, keepdims=True)
     uniform /= 1 << len(axes)
@@ -168,20 +167,22 @@ def reset_qubits(v: np.ndarray, qubits: Sequence[int], bath_excitation: float) -
 
 
 def _reset_plan(
-    n: int, qubits: Sequence[int], bath_excitation: float
+    n: int, qubits: Sequence[int], bath_excitation
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[np.ndarray, ...]]:
     """(shape, axes, factors) that _reset needs for sorted, valid qubits.
 
-    Each factor is the bath's (1 - b, b) along one reset qubit's axis.
+    The shape has a leading axis of rows, so one plan resets a diagonal,
+    a stack of them, or a tensor with a leading level axis.  Each factor
+    is the bath's (1 - b, b) along one reset qubit's axis; a vector of
+    bath excitations gives each row its own.
     """
-    fresh = np.array([1.0 - bath_excitation, bath_excitation])
+    fresh = np.array([1.0 - bath_excitation, bath_excitation]).T
     factors = []
     for q in qubits:
         shape = [1] * n
         shape[q - 1] = 2
-        factors.append(fresh.reshape(shape))
-    axes = tuple(q - 1 for q in qubits)
-    return (2,) * n, axes, tuple(factors)
+        factors.append(fresh.reshape(-1, *shape))
+    return (-1,) + (2,) * n, tuple(qubits), tuple(factors)
 
 
 def _reset(
@@ -190,11 +191,12 @@ def _reset(
     axes: tuple[int, ...],
     factors: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Unchecked reset of a float64 diagonal, planned by _reset_plan."""
+    """Unchecked reset of float64 diagonals, planned by _reset_plan; each
+    row's sums run in the order they run on the row alone."""
     kept = v.reshape(shape).sum(axis=axes, keepdims=True)
     for factor in factors:
         kept = kept * factor
-    return kept.ravel()
+    return kept.reshape(v.shape)
 
 
 def marginal(v: np.ndarray, qubit: int = 1) -> float:
@@ -235,27 +237,33 @@ def _schedule(circuit: Circuit, placement: str | None) -> Iterator[tuple]:
 
 
 def _run(
-    t: np.ndarray, steps: Iterable[tuple], probability: float, bath: float
+    t: np.ndarray, steps: Iterable[tuple], probability: np.ndarray, bath: float
 ) -> np.ndarray:
-    """Apply steps to the (2,)*k tensor t; returns the final tensor.
+    """Apply steps to the (L, 2, ..., 2) tensor t; returns the final tensor.
 
-    A step (new, target, mask, polarity, mixed, dropped) tensors `new`
+    The leading axis holds L levels of noise, level i mixing with
+    probability[i]; every other operation is the same on each level, and
+    each level's sums run in the order they run on that level alone.  A
+    step (new, target, mask, polarity, mixed, dropped) tensors `new`
     axes in at the bath, applies a gate row or resets the axes in mask
     (target 0), depolarizes the axes in mixed, and sums out those in
-    dropped.  Axis a is bit a of each mask and target a + 1.
+    dropped.  Axis a after the level axis is bit a of each mask and
+    target a + 1.
     """
     fresh = np.array([1.0 - bath, bath])
     for new, target, mask, polarity, mixed, dropped in steps:
         for _ in range(new):
             t = np.multiply.outer(t, fresh)
         if target:
-            _swap_target(t, target, mask, polarity)
+            # Shifting by one bit steps over the level axis.
+            _swap_target(t, target + 1, mask << 1, polarity << 1)
         elif mask:
-            t = _reset(t, *_reset_plan(t.ndim, _qubits(mask), bath)).reshape(t.shape)
+            t = _reset(t, *_reset_plan(t.ndim - 1, _qubits(mask), bath))
         if mixed:
-            _mix_toward_uniform(t, _axes(mixed), probability)
+            level = probability.reshape(-1, *[1] * (t.ndim - 1))
+            _mix_toward_uniform(t, _axes(mixed << 1), level)
         if dropped:
-            t = t.sum(axis=_axes(dropped))
+            t = t.sum(axis=_axes(dropped << 1))
     return t
 
 
@@ -281,7 +289,8 @@ def simulate(
         )
     p = noise.probability if noise is not None else 0.0
     steps = _schedule(circuit, noise.placement if p > 0.0 else None)
-    return _run(v.reshape((2,) * n), steps, p, bath_excitation).ravel()
+    t = v.reshape((1,) + (2,) * n)
+    return _run(t, steps, np.array([p]), bath_excitation).ravel()
 
 
 def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
@@ -301,17 +310,20 @@ def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
     vector cap is refused before any array is built.
     """
     placement = noise.placement if noise.probability > 0.0 else None
-    return _run_live(_live_program(circuit, placement), p, noise.probability)
+    program, _ = _live_program(circuit, placement)
+    return _run_live(program, p, np.array([noise.probability]))[0]
 
 
-def _run_live(program: tuple, p: float, probability: float) -> float:
-    """_live_marginal's result from the program _live_program built."""
-    t = _run(np.ones(()), program, probability, p)
-    return p if t.ndim == 0 else float(t[1])
+def _run_live(program: tuple, p: float, levels: np.ndarray) -> list[float]:
+    """_live_marginal's result at each noise level, from the program
+    _live_program built, run once for all levels."""
+    t = _run(np.ones(len(levels)), program, levels, p)
+    return [p] * len(levels) if t.ndim == 1 else t[:, 1].tolist()
 
 
-def _live_program(circuit: Circuit, placement: str | None) -> tuple:
-    """_schedule's steps moved onto the live qubits' axes.
+def _live_program(circuit: Circuit, placement: str | None) -> tuple[tuple, int]:
+    """_schedule's steps moved onto the live qubits' axes, and the most
+    qubits live at once.
 
     A gate tensors in the qubits it brings to life and sums out those
     it touches last; resets, and mixes of no live qubit, drop out.
@@ -350,4 +362,4 @@ def _live_program(circuit: Circuit, placement: str | None) -> tuple:
         if target or mixed_axes:
             program.append((new, target, on, closed, mixed_axes, dropped))
     check_qubit_cap(width)
-    return tuple(program)
+    return tuple(program), width

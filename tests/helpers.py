@@ -399,9 +399,88 @@ def _reference_plan(config, p: float) -> list:
     return plan
 
 
-def _reference_walk(rounds, p: float) -> tuple[float, float]:
-    from qcool import methods, sim
+def _reference_reset_plan(n: int, qubits, bath: float) -> tuple:
+    fresh = np.array([1.0 - bath, bath])
+    factors = []
+    for q in qubits:
+        shape = [1] * n
+        shape[q - 1] = 2
+        factors.append(fresh.reshape(shape))
+    return (2,) * n, tuple(q - 1 for q in qubits), tuple(factors)
+
+
+def _reference_reset(v: np.ndarray, shape, axes, factors) -> np.ndarray:
+    kept = v.reshape(shape).sum(axis=axes, keepdims=True)
+    for factor in factors:
+        kept = kept * factor
+    return kept.ravel()
+
+
+_ULP = float(np.finfo(float).eps)
+
+
+def _reference_repeat_map(u, weights, reset, mixed: float, v, repeats: int):
+    """The one-row round map as it ran before rows were stacked: (vector,
+    work) after repeats of a round that resets qubits first."""
+    shape, axes, factors = reset
+    m = v.reshape(shape).sum(axis=axes, keepdims=True)
+    size = m.size
+    rows = np.eye(size).reshape((size, *m.shape))
+    for factor in factors:
+        rows = rows * factor
+    rows = rows.reshape(size, -1)[:, u.indices]
+    shift = weights - weights[u.indices]
+    g = rows @ shift
+    moved = rows @ np.abs(shift)
+    if mixed:
+        rows = (1.0 - mixed) * rows + mixed / rows.shape[1]
+    power = rows.reshape((size, *shape)).sum(axis=tuple(a + 1 for a in axes))
+    power = power.reshape(size, size)
+    m, pi = m.ravel(), _reference_stationary(power)
+    if pi is not None and abs(pi @ g) > 8 * size * _ULP * (pi @ moved):
+        pi = None
+    x = m if pi is None else m - pi
+    summed, work = g, 0.0
+    terms, left = repeats, repeats - 1
+    while terms:
+        if terms & 1:
+            work += x @ summed
+            x = x @ power
+        if left & 1:
+            m = m @ power
+        terms >>= 1
+        left >>= 1
+        if terms:
+            summed = summed + power @ summed
+            if pi is not None:
+                summed -= pi @ summed
+            power = power @ power
+            power /= power.sum(axis=1, keepdims=True)
+    return m @ rows, float(work)
+
+
+def _reference_stationary(chain: np.ndarray):
+    """One chain's GTH stationary vector, or None where it is reducible."""
+    a = chain.copy()
+    for k in range(len(a) - 1, 0, -1):
+        out = a[k, :k].sum()
+        if out == 0.0:
+            return None
+        a[:k, k] /= out
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(len(a))
+    for k in range(1, len(a)):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
+
+
+def _reference_walk(rounds, p: float, noise: float = 0.0) -> tuple[float, float]:
+    """One point and one noise level walked alone, on 1-D vectors: each
+    repeat resets, permutes, adds its energy dot and mixes toward
+    uniform with the fused weight of its round's gates."""
+    from qcool import methods
     from qcool.protocols import _weights
+    from qcool.synth import synthesized_gate_count
 
     work = 0.0
     carried: dict = {}
@@ -409,25 +488,46 @@ def _reference_walk(rounds, p: float) -> tuple[float, float]:
     for rnd in rounds:
         u = rnd.unitary
         weights = _weights(u.dim)
+        mixed = methods._mixing(synthesized_gate_count(u) if noise else 0, noise)
         repeat = rnd.repeat
         if rnd.resets:
-            reset = sim._reset_plan(u.n_qubits, rnd.resets, p)
+            reset = _reference_reset_plan(u.n_qubits, rnd.resets, p)
             kept = u.n_qubits - len(rnd.resets)
             if repeat > 1 and methods._map_pays(u.n_qubits, kept, repeat):
-                v, energy = methods._repeat_map(u, weights, reset, 0.0, v, repeat)
+                v, energy = _reference_repeat_map(u, weights, reset, mixed, v, repeat)
                 work += len(rnd.clusters) * energy
                 repeat = 0
         else:
             v = _product([carried.get(q, p) for q in rnd.clusters[0]])
         for _ in range(repeat):
             if rnd.resets:
-                v = sim._reset(v, *reset)
+                v = _reference_reset(v, *reset)
             after = u.apply_to_prob_vector(v)
             work += len(rnd.clusters) * float(np.dot(weights, after - v))
-            v = after
+            v = after if mixed == 0.0 else (1.0 - mixed) * after + mixed / u.dim
         t = marginal(v, 1)
         carried.update((phys[0], t) for phys in rnd.clusters)
     return t, work
+
+
+def reference_noise_rows(config, p: float, levels, placement: str = "per-gate") -> list[float]:
+    """Each level's noisy final_p, one level at a time: the noiseless
+    final_p at 0, a per-level walk where each cluster runs alone, and a
+    one-level live run where a layer spans several parallel copies."""
+    from qcool import methods, sim
+
+    plan = _reference_plan(config, p)
+    shared = placement == "per-layer" and any(len(r.clusters) > 1 for r in plan)
+    out = []
+    for q in levels:
+        if q == 0.0:
+            out.append(reference_sweep_rows(config, [p])[0]["final_p"])
+        elif shared:
+            circuit = methods.build_circuit(config, p)
+            out.append(sim._live_marginal(circuit, p, NoiseModel(q, placement)))
+        else:
+            out.append(_reference_walk(plan, p, q)[0])
+    return out
 
 
 def _reference_semi_open_p(p: float, sizes) -> float:

@@ -666,6 +666,32 @@ def test_noise_sweep_reports_once_per_config(runner, tmp_path, monkeypatch):
     assert calls == [config_from_json(doc) for doc in ROW_CONFIGS]
 
 
+def test_rows_convert_only_noisy_final_temperatures(runner, tmp_path, monkeypatch):
+    # Initial and noiseless final temperatures are read off the report;
+    # the rows convert only noisy finals below 1/2 (noise 1 reaches 1/2
+    # exactly, an empty cell).
+    import qcool.cli
+
+    calls = []
+    real = qcool.cli.temperature_from_probability
+    monkeypatch.setattr(
+        qcool.cli, "temperature_from_probability",
+        lambda p, gap: calls.append(p) or real(p, gap),
+    )
+    cfg = write_config(tmp_path, ROW_CONFIGS[2])
+    rows = json.loads(run_ok(runner, [
+        "sweep", "--config", cfg, "--temps-mk", "30,40,50", "--freq-ghz", "5",
+    ]))
+    assert len(rows) == 3 and calls == []
+    rows = json.loads(run_ok(runner, [
+        "noise-sweep", "--config", cfg, "--initial-p", "0.07", "--freq-ghz", "5",
+        "--noise-probs", "0,1e-3,1",
+    ]))
+    assert calls == [rows[1]["final_p"]]
+    assert rows[2]["final_p"] == 0.5 and rows[2]["final_temp_mk"] is None
+    assert None not in (rows[0]["final_temp_mk"], rows[1]["final_temp_mk"])
+
+
 @pytest.mark.parametrize("placement", ["per-gate", "per-layer"])
 @pytest.mark.parametrize("doc", ROW_CONFIGS, ids=lambda doc: doc["method"])
 def test_noise_sweep_rows_equal_per_row_reports(runner, tmp_path, doc, placement):

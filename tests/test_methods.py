@@ -996,9 +996,12 @@ def test_zero_steady_work_stays_exact_over_long_runs(p, resets):
 def test_stationary_vector_keeps_relative_digits():
     # Two states that leave each other with probabilities a and b stay
     # in proportion b : a, however small a is.
-    for a, b in ((1e-24, 0.5), (0.3, 0.7), (1.0, 1.0)):
-        chain = np.array([[1 - a, a], [b, 1 - b]])
-        pi = _stationary(chain)
+    # The chains are stacked, and each row is the one it is alone.
+    pairs = ((1e-24, 0.5), (0.3, 0.7), (1.0, 1.0))
+    chains = np.array([[[1 - a, a], [b, 1 - b]] for a, b in pairs])
+    stacked = _stationary(chains)
+    for (a, b), pi, chain in zip(pairs, stacked, chains):
+        assert pi.tobytes() == _stationary(chain[None])[0].tobytes()
         exact = [Fraction(b) / (Fraction(a) + Fraction(b))]
         exact.append(1 - exact[0])
         for got, want in zip(pi, exact):
@@ -1007,11 +1010,13 @@ def test_stationary_vector_keeps_relative_digits():
     rng = np.random.default_rng(7)
     chain = rng.random((16, 16)) ** 8
     chain /= chain.sum(axis=1, keepdims=True)
-    pi = _stationary(chain)
+    (pi,) = _stationary(chain[None])
     assert np.all(np.abs(pi @ chain - pi) <= 64 * EPS * pi)
     assert abs(pi.sum() - 1.0) <= 16 * EPS
-    # Two closed classes have no unique stationary vector.
-    assert _stationary(np.eye(3)) is None
+    # Two closed classes have no unique stationary vector: that row is
+    # NaN, and a row stacked with it keeps its own vector.
+    both = _stationary(np.array([np.eye(3), chain[:3, :3] / chain[:3, :3].sum(1)[:, None]]))
+    assert np.isnan(both[0]).all() and not np.isnan(both[1]).any()
 
 
 def _custom(n):
