@@ -88,6 +88,8 @@ def _ladders(
 ) -> np.ndarray:
     """_cycles_circuit's rows for a block of transpositions, all at once,
     from the set bits of the (transpositions x n) bit matrix of diff."""
+    # Wide enough for the bit arithmetic below and for uint8 distances.
+    first, other, distance = (a.astype(np.int64) for a in (first, other, distance))
     # Column k holds label bit n - 1 - k, which is qubit k + 1.
     shifts = np.arange(n - 1, -1, -1)
     weights = np.left_shift(1, np.arange(n, dtype=np.int64))

@@ -1,7 +1,9 @@
 """Generalized permutation unitaries over computational basis states.
 
 A cooling unitary has exactly one unit-modulus entry per row and per
-column.  It is stored in compressed sparse row form as three arrays:
+column.  It stores one int32 array, indices (the source column feeding
+each row), and its phases only when some phase differs from 1.  Its
+compressed sparse row form is built on access:
 
     data     one value per row (the nonzero entry),
     indices  the source column feeding each row,
@@ -95,17 +97,21 @@ def _transpositions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(first, other, distance) of the transpositions (s1 sk), k > 1.
 
-    Three int64 arrays in circuit order: cycle by cycle, and within a
-    cycle (s1 s2), (s1 s3), ..., (s1 sm), which applies s1 -> s2 -> ...
-    -> sm -> s1 overall.  distance is the Hamming distance
-    popcount(s1 ^ sk) of each.
+    Three arrays in circuit order: cycle by cycle, and within a cycle
+    (s1 s2), (s1 s3), ..., (s1 sm), which applies s1 -> s2 -> ... ->
+    sm -> s1 overall.  distance is the Hamming distance popcount(s1 ^ sk)
+    of each.  They are int32, int32 and uint8 when every state fits in
+    int32, as on every register under the qubit cap, and int64 otherwise.
     """
     later = [len(c) - 1 for c in cycles]
     first = np.repeat(np.array([c[0] for c in cycles], dtype=np.int64), later)
     other = np.fromiter(
         itertools.chain.from_iterable(c[1:] for c in cycles), np.int64, sum(later)
     )
-    return first, other, np.bitwise_count(first ^ other).astype(np.int64)
+    distance = np.bitwise_count(first ^ other)
+    if max(first.max(initial=0), other.max(initial=0)) >> 31:
+        return first, other, distance.astype(np.int64)
+    return first.astype(np.int32), other.astype(np.int32), distance
 
 
 class CoolingUnitary:
@@ -113,10 +119,11 @@ class CoolingUnitary:
 
     Construct from a cycle list (``CoolingUnitary(n, cycles)``) or from a
     raw permutation (:meth:`from_permutation`).  Instances are immutable;
-    the backing arrays are marked read-only.
+    every array they hand out is read-only.
     """
 
-    __slots__ = ("_n", "_data", "_indices", "_indptr", "_pairs")
+    # _phases holds one phase a row, or is None when every phase is 1.
+    __slots__ = ("_n", "_indices", "_phases", "_pairs")
 
     def __init__(
         self,
@@ -124,36 +131,31 @@ class CoolingUnitary:
         cycles: Iterable[Sequence[StateLabel]] = (),
         *,
         phases: Sequence[complex] | np.ndarray | None = None,
-        value_dtype: np.dtype | type = np.complex128,
     ) -> None:
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         check_qubit_cap(n_qubits)
-        dim = 1 << n_qubits
-        perm = np.arange(dim, dtype=np.int32)
+        perm = np.arange(1 << n_qubits, dtype=np.int32)
         for states in _parse_cycles(cycles, n_qubits):
             for src, dst in zip(states, states[1:] + states[:1]):
                 perm[src] = dst
-        indices = np.empty(dim, dtype=np.int32)
-        indices[perm] = np.arange(dim, dtype=np.int32)
-        data = _coerce_phases(phases, dim, value_dtype)
-        # data is per-row: row r holds the phase of its source state.
-        self._init_from_csr(n_qubits, data[indices], indices)
+        self._init_rows(n_qubits, *_rows(perm, phases))
 
-    def _init_from_csr(self, n_qubits: int, data: np.ndarray, indices: np.ndarray) -> None:
-        dim = 1 << n_qubits
+    def _init_rows(
+        self, n_qubits: int, indices: np.ndarray, phases: np.ndarray | None
+    ) -> None:
         self._n = n_qubits
-        self._data = data
         self._indices = indices
-        self._indptr = np.arange(dim + 1, dtype=np.int32)
-        for arr in (self._data, self._indices, self._indptr):
-            arr.flags.writeable = False
+        indices.flags.writeable = False
+        self._phases = None if phases is None or np.all(phases == 1) else phases
         self._pairs = None
 
     @classmethod
-    def _from_csr(cls, n_qubits: int, data: np.ndarray, indices: np.ndarray) -> "CoolingUnitary":
+    def _from_rows(
+        cls, n_qubits: int, indices: np.ndarray, phases: np.ndarray | None
+    ) -> "CoolingUnitary":
         u = cls.__new__(cls)
-        u._init_from_csr(n_qubits, data, indices)
+        u._init_rows(n_qubits, indices, phases)
         return u
 
     @classmethod
@@ -163,7 +165,6 @@ class CoolingUnitary:
         n_qubits: int | None = None,
         *,
         phases: Sequence[complex] | np.ndarray | None = None,
-        value_dtype: np.dtype | type = np.complex128,
     ) -> "CoolingUnitary":
         """Build from a forward permutation array (perm[src] = dest)."""
         perm = np.asarray(permutation)
@@ -183,14 +184,11 @@ class CoolingUnitary:
             )
         ):
             raise ValueError("array is not a permutation of 0..2**n-1")
-        indices = np.empty(dim, dtype=np.int32)
-        indices[perm] = np.arange(dim, dtype=np.int32)
-        data = _coerce_phases(phases, dim, value_dtype)
-        return cls._from_csr(n_qubits, data[indices], indices)
+        return cls._from_rows(n_qubits, *_rows(perm, phases))
 
     @classmethod
-    def identity(cls, n_qubits: int, *, value_dtype: np.dtype | type = np.complex128) -> "CoolingUnitary":
-        return cls(n_qubits, (), value_dtype=value_dtype)
+    def identity(cls, n_qubits: int) -> "CoolingUnitary":
+        return cls(n_qubits)
 
     # -- structure -------------------------------------------------------
 
@@ -204,7 +202,11 @@ class CoolingUnitary:
 
     @property
     def data(self) -> np.ndarray:
-        return self._data
+        """The complex128 value of each row, built on each call."""
+        phases = self._phases
+        data = np.ones(self.dim, np.complex128) if phases is None else phases.copy()
+        data.flags.writeable = False
+        return data
 
     @property
     def indices(self) -> np.ndarray:
@@ -212,7 +214,10 @@ class CoolingUnitary:
 
     @property
     def indptr(self) -> np.ndarray:
-        return self._indptr
+        """Row offsets, 0..dim as int32, built on each call."""
+        indptr = np.arange(self.dim + 1, dtype=np.int32)
+        indptr.flags.writeable = False
+        return indptr
 
     @property
     def permutation(self) -> np.ndarray:
@@ -254,16 +259,14 @@ class CoolingUnitary:
 
     @property
     def has_phases(self) -> bool:
-        return not np.all(self._data == 1)
+        return self._phases is not None
 
     @property
     def is_identity(self) -> bool:
-        return bool(
-            np.all(self._indices == np.arange(self.dim)) and np.all(self._data == 1)
-        )
+        return self._phases is None and bool(np.all(self._indices == np.arange(self.dim)))
 
     def __repr__(self) -> str:
-        moved = int(np.count_nonzero(self.permutation != np.arange(self.dim)))
+        moved = int(np.count_nonzero(self._indices != np.arange(self.dim)))
         return f"CoolingUnitary(n_qubits={self._n}, moved_states={moved})"
 
     # -- algebra ---------------------------------------------------------
@@ -275,8 +278,10 @@ class CoolingUnitary:
                 f"dimension mismatch: {self._n} vs {other.n_qubits} qubits"
             )
         indices = other._indices[self._indices]
-        data = self._data * other._data[self._indices]
-        return CoolingUnitary._from_csr(self._n, data, indices)
+        phases = None
+        if self._phases is not None or other._phases is not None:
+            phases = self.data * other.data[self._indices]
+        return CoolingUnitary._from_rows(self._n, indices, phases)
 
     def __matmul__(self, other: "CoolingUnitary") -> "CoolingUnitary":
         return self.compose(other)
@@ -284,8 +289,8 @@ class CoolingUnitary:
     def inverse(self) -> "CoolingUnitary":
         """Adjoint (which inverts a unitary)."""
         perm = self.permutation
-        data = np.conj(self._data[perm]) if np.iscomplexobj(self._data) else self._data[perm]
-        return CoolingUnitary._from_csr(self._n, data, perm)
+        phases = None if self._phases is None else np.conj(self._phases[perm])
+        return CoolingUnitary._from_rows(self._n, perm, phases)
 
     def apply_to_prob_vector(self, v: np.ndarray) -> np.ndarray:
         """Diagonal of U rho U' for a diagonal rho with diagonal v.
@@ -305,49 +310,46 @@ class CoolingUnitary:
             raise ResourceLimitError(
                 f"dense matrix for {self._n} qubits exceeds the cap of {cap}"
             )
-        out = np.zeros((self.dim, self.dim), dtype=self._data.dtype)
-        out[np.arange(self.dim), self._indices] = self._data
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out[np.arange(self.dim), self._indices] = self.data
         return out
 
     def memory_footprint(self) -> int:
-        """Bytes held by the sparse layout (values + indices + offsets)."""
-        return self._data.nbytes + self._indices.nbytes + self._indptr.nbytes
+        """Bytes of the CSR layout: complex128 values, int32 indices and
+        int32 offsets, 24 * 2**n + 4, whatever the unitary keeps."""
+        return 24 * self.dim + 4
 
 
-def _coerce_phases(
-    phases: Sequence[complex] | np.ndarray | None,
-    dim: int,
-    value_dtype: np.dtype | type,
-) -> np.ndarray:
-    dtype = np.dtype(value_dtype)
-    if dtype not in (np.dtype(np.complex128), np.dtype(np.float32)):
-        raise ValueError("value dtype must be complex128 or float32")
+def _rows(
+    perm: np.ndarray, phases: Sequence[complex] | np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The int32 indices of the forward permutation perm (perm[src] =
+    dest), and its phases, given one a state, checked and moved to
+    their rows: row r holds the phase of its source state."""
+    dim = perm.size
+    indices = np.empty(dim, dtype=np.int32)
+    indices[perm] = np.arange(dim, dtype=np.int32)
     if phases is None:
-        return np.ones(dim, dtype=dtype)
+        return indices, None
     arr = np.asarray(phases, dtype=np.complex128)
     if arr.shape != (dim,):
         raise ValueError(f"phases must have length {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("phases must be finite")
     if np.max(np.abs(np.abs(arr) - 1.0)) > _PHASE_TOL:
         raise ValueError("phases must have unit modulus")
-    if dtype == np.dtype(np.float32):
-        if np.any(arr.imag != 0.0):
-            raise ValueError("real value mode cannot hold complex phases")
-        return arr.real.astype(np.float32)
-    return arr.astype(np.complex128)
+    return indices, arr[indices]
 
 
 def random_permutation_unitary(
-    n_qubits: int,
-    rng: np.random.Generator | int | None = None,
-    *,
-    value_dtype: np.dtype | type = np.complex128,
+    n_qubits: int, rng: np.random.Generator | int | None = None
 ) -> CoolingUnitary:
     """Uniformly random basis permutation, for benchmarks and tests."""
     check_qubit_cap(n_qubits)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     perm = rng.permutation(1 << n_qubits)
-    return CoolingUnitary.from_permutation(perm, n_qubits, value_dtype=value_dtype)
+    return CoolingUnitary.from_permutation(perm, n_qubits)
 
 
 def _load_document(source: str | Path | dict, what: str) -> dict:
@@ -426,10 +428,6 @@ def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLab
     return int(n), _json_cycles(doc["cycles"], what)
 
 
-def unitary_from_json(
-    source: str | Path | dict,
-    *,
-    value_dtype: np.dtype | type = np.complex128,
-) -> CoolingUnitary:
+def unitary_from_json(source: str | Path | dict) -> CoolingUnitary:
     n, cycles = load_cycles_json(source)
-    return CoolingUnitary(n, cycles, value_dtype=value_dtype)
+    return CoolingUnitary(n, cycles)

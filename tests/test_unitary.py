@@ -22,6 +22,7 @@ from qcool import (
     unitary_from_json,
 )
 from qcool.synth import synthesized_gate_count
+from qcool.unitary import _transpositions
 
 
 def test_parse_state_label():
@@ -109,6 +110,37 @@ def test_compose_against_dense():
         assert np.array_equal(product, u1.to_dense() @ u2.to_dense())
 
 
+def _random_phases(rng, dim):
+    """Unit phases: about a quarter exactly 1, a quarter i, and the rest
+    powers of e^(i pi / 8)."""
+    angles = rng.integers(0, 16, dim) * (np.pi / 8)
+    phases = np.exp(1j * angles)
+    phases[rng.random(dim) < 0.25] = 1.0
+    phases[rng.random(dim) < 0.25] = 1j
+    return phases
+
+
+def test_phased_compose_and_inverse_against_dense():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 4, 6):
+        dim = 1 << n
+        plain = random_permutation_unitary(n, rng)
+        for _ in range(4):
+            u1 = CoolingUnitary.from_permutation(
+                rng.permutation(dim), phases=_random_phases(rng, dim)
+            )
+            u2 = CoolingUnitary(
+                n, random_permutation_unitary(n, rng).cycles,
+                phases=_random_phases(rng, dim),
+            )
+            for a, b in ((u1, u2), (u2, u1), (u1, plain), (plain, u2)):
+                dense = a.to_dense() @ b.to_dense()
+                assert np.allclose((a @ b).to_dense(), dense, rtol=0, atol=1e-15)
+            for u in (u1, u2):
+                assert np.array_equal(u.inverse().to_dense(), u.to_dense().conj().T)
+                assert np.allclose((u @ u.inverse()).to_dense(), np.eye(dim), rtol=0, atol=1e-15)
+
+
 def test_compose_associative():
     rng = np.random.default_rng(4)
     for n in (2, 5, 8):
@@ -171,8 +203,16 @@ def test_phase_validation():
         CoolingUnitary(2, [], phases=bad)
     with pytest.raises(ValueError):
         CoolingUnitary(2, [], phases=np.ones(3, dtype=complex))
-    with pytest.raises(ValueError):
-        CoolingUnitary(2, [], phases=np.array([1, 1, 1, 1j]), value_dtype=np.float32)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1), 1j * np.inf])
+def test_non_finite_phases_are_refused(bad):
+    phases = np.ones(4, dtype=complex)
+    phases[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CoolingUnitary(2, [[1, 2]], phases=phases)
+    with pytest.raises(ValueError, match="finite"):
+        CoolingUnitary.from_permutation([0, 2, 1, 3], phases=phases)
 
 
 def test_value_dtypes_and_footprint():
@@ -182,11 +222,44 @@ def test_value_dtypes_and_footprint():
     # 256 * 16 + 256 * 4 + 257 * 4
     assert u.memory_footprint() == 6148
 
-    compact = random_permutation_unitary(8, 0, value_dtype=np.float32)
-    assert compact.data.dtype == np.float32
-    assert compact.memory_footprint() == 3076
-    with pytest.raises(ValueError):
-        random_permutation_unitary(3, 0, value_dtype=np.float64)
+
+def test_phases_of_exactly_one_are_not_kept():
+    u = CoolingUnitary(2, [[1, 2]], phases=np.ones(4))
+    assert not u.has_phases
+    assert u._phases is None
+    v = CoolingUnitary(2, [[1, 2]], phases=[1, 1, 1, 1j])
+    assert v.has_phases and v._phases.dtype == np.complex128
+    assert not (v @ v.inverse()).has_phases
+    assert (v @ v.inverse())._phases is None
+
+
+def _csr_layout(perm):
+    """The arrays and byte count of the CSR form of a phase-free forward
+    permutation: complex128 ones, int32 sources, int32 row offsets."""
+    dim = len(perm)
+    indices = np.argsort(perm).astype(np.int32)
+    data = np.ones(dim, dtype=np.complex128)
+    indptr = np.arange(dim + 1, dtype=np.int32)
+    return data, indices, indptr, data.nbytes + indices.nbytes + indptr.nbytes
+
+
+BUILT_IN = [ppa_protocol, mirror_protocol, minimal_work_protocol]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_csr_views_match_the_stored_layout(n):
+    rng = np.random.default_rng(n)
+    unitaries = [build(n) for build in BUILT_IN]
+    unitaries += [random_permutation_unitary(n, rng) for _ in range(3)]
+    unitaries.append(CoolingUnitary(n, reference_cycles(rng.permutation(1 << n))))
+    for u in unitaries:
+        data, indices, indptr, nbytes = _csr_layout(u.permutation)
+        for got, want in ((u.data, data), (u.indices, indices), (u.indptr, indptr)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert np.array_equal(u.permutation, np.argsort(u.indices))
+        assert u.permutation.dtype == np.int32
+        assert u.memory_footprint() == nbytes == 24 * u.dim + 4
 
 
 def test_dense_cap():
@@ -344,18 +417,34 @@ def test_permutation_and_cycles_are_fresh_and_equal():
     assert all(isinstance(c, tuple) for c in u.cycles)
 
 
-@pytest.mark.parametrize("build", [minimal_work_protocol, ppa_protocol])
-def test_counted_unitary_keeps_only_its_transpositions(build):
-    # The sparse arrays hold 24 bytes a state and the transposition
-    # arrays 24 bytes a transposition; neither the forward permutation
-    # nor the cycle tuples stay alive.
+@pytest.mark.parametrize("n", [14, 16])
+@pytest.mark.parametrize("build", BUILT_IN)
+def test_counted_unitary_keeps_only_its_transpositions(build, n):
+    # The indices hold 4 bytes a state and the transposition arrays 9
+    # bytes a transposition, at most one a state; neither the CSR values
+    # and offsets, nor the forward permutation, nor the cycle tuples
+    # stay alive.
     gc.collect()
     tracemalloc.start()
     try:
-        u = build(14)
+        u = build(n)
         synthesized_gate_count(u)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= 56 * u.dim, kept / u.dim
+    assert kept <= 16 * u.dim, kept / u.dim
+
+
+def test_transposition_dtypes_follow_the_largest_state():
+    u = minimal_work_protocol(12)
+    assert [a.dtype for a in u._cycle_transpositions] == [np.int32, np.int32, np.uint8]
+    top = (1 << 31) - 1
+    assert [a.dtype for a in _transpositions([(top, 0, 5)])] == [np.int32, np.int32, np.uint8]
+    for wide in ([(1 << 31, 0)], [(0, (1 << 63) - 1, 1 << 40)]):
+        first, other, distance = _transpositions(wide)
+        assert [a.dtype for a in (first, other, distance)] == [np.int64] * 3
+        assert first.tolist() == [wide[0][0]] * (len(wide[0]) - 1)
+        assert other.tolist() == list(wide[0][1:])
+        assert distance.tolist() == [bin(wide[0][0] ^ s).count("1") for s in wide[0][1:]]
+    assert [a.dtype for a in _transpositions([])] == [np.int32, np.int32, np.uint8]
