@@ -13,6 +13,7 @@ McNot and ResetInstr are the per-instruction view of those rows.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -165,9 +166,21 @@ class Circuit:
                 f"instruction touches a qubit beyond {_MAX_WIDTH}"
             ) from None
         self._fill(n_qubits, array)
+        _check_rows(self.n_qubits, self.rows)
 
     @classmethod
     def _from_rows(cls, n_qubits: int, rows: np.ndarray) -> "Circuit":
+        """A circuit of raw rows, each checked: the entry for rows from
+        outside, such as unpickled ones."""
+        circuit = cls._from_checked(n_qubits, rows)
+        _check_rows(circuit.n_qubits, circuit.rows)
+        return circuit
+
+    @classmethod
+    def _from_checked(cls, n_qubits: int, rows: np.ndarray) -> "Circuit":
+        """A circuit of rows built from rows already checked on n_qubits
+        qubits (gathered, tiled, moved by a checked qubit map), or from
+        checked labels, as synthesis does: no row is checked again."""
         circuit = object.__new__(cls)
         circuit._fill(n_qubits, rows)
         return circuit
@@ -176,7 +189,6 @@ class Circuit:
         n = int(n_qubits)
         _check_width(n)
         rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 3)
-        _check_rows(n, rows)
         rows.flags.writeable = False
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "rows", rows)
@@ -199,7 +211,7 @@ class Circuit:
 
     def __repr__(self) -> str:
         # At most 8 rows: the per-gate view of minimal-work n = 16 is 111 MB.
-        head = repr(Circuit._from_rows(self.n_qubits, self.rows[:8]).instructions)
+        head = repr(Circuit._from_checked(self.n_qubits, self.rows[:8]).instructions)
         return (
             f"Circuit(n_qubits={self.n_qubits}, rows={len(self)}, "
             f"instructions={head[:-1]}{', ...' if len(self) > 8 else ''}))"
@@ -209,9 +221,11 @@ class Circuit:
         return len(self.rows)
 
     def __add__(self, other: "Circuit") -> "Circuit":
+        if not isinstance(other, Circuit):
+            return NotImplemented
         if other.n_qubits != self.n_qubits:
             raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit._from_rows(
+        return Circuit._from_checked(
             self.n_qubits, np.concatenate((self.rows, other.rows))
         )
 
@@ -260,7 +274,10 @@ def embed(circuit: Circuit, n_total: int, qubit_map: Sequence[int]) -> Circuit:
     """
     if len(qubit_map) != circuit.n_qubits:
         raise ValueError("qubit_map length must equal the circuit width")
-    phys = [int(q) for q in qubit_map]
+    try:
+        phys = [operator.index(q) for q in qubit_map]
+    except TypeError:
+        raise ValueError(f"qubit_map {qubit_map!r} must hold integers") from None
     if n_total == circuit.n_qubits and phys == list(range(1, n_total + 1)):
         return circuit
     _check_width(n_total)
@@ -274,15 +291,83 @@ def embed(circuit: Circuit, n_total: int, qubit_map: Sequence[int]) -> Circuit:
     for j, q in enumerate(phys):
         moved[:, 1] |= ((mask >> j) & 1) << (q - 1)
         moved[:, 2] |= ((polarity >> j) & 1) << (q - 1)
-    return Circuit._from_rows(n_total, moved)
+    return Circuit._from_checked(n_total, moved)
+
+
+# Fewest open seams for which simplify_adjacent runs another whole-array
+# round; below it, each seam is walked out on its own.
+_ROUND_SEAMS = 32
 
 
 def simplify_adjacent(circuit: Circuit) -> Circuit:
-    """Cancel equal adjacent NOT gates; resets act as barriers."""
-    out: list[list[int]] = []
-    for row in circuit.rows.tolist():
-        if row[0] and out and out[-1] == row:
-            out.pop()
-        else:
-            out.append(row)
-    return Circuit._from_rows(circuit.n_qubits, np.array(out, dtype=np.int64))
+    """Cancel equal adjacent NOT gates; resets act as barriers.
+
+    Each gate is its own inverse, and the rewriting g g -> (nothing) is
+    confluent, so any order of cancellations leaves the same rows as a
+    stack pass does.  Rows are compared once, then only at the seams
+    removals open: the two rows that become adjacent across a gap.
+    Whole-array rounds cancel the equal pairs among all seams at once,
+    and once fewer than _ROUND_SEAMS seams are open, each is walked
+    outward on its own.  Every comparison cancels two rows or closes a
+    seam that a cancellation opened, so the work is linear in the rows.
+    """
+    rows = circuit.rows
+    m = len(rows)
+    gate = rows[:, 0] != 0
+    # Each row as one 24-byte value, so that rows compare in one step.
+    packed = rows.view(np.dtype((np.void, rows.itemsize * 3))).ravel()
+    alive = np.ones(m, dtype=bool)
+    # The previous and next alive row of each alive row; -1 and m past
+    # the ends.  Kept only at the edges of gaps, which is all a seam reads.
+    prev = np.arange(-1, m - 1)
+    after = np.arange(1, m + 1)
+    left = np.flatnonzero(gate[:-1] & (packed[:-1] == packed[1:]))
+    right = left + 1
+    while len(left) >= _ROUND_SEAMS:
+        equal = gate[left] & (packed[left] == packed[right])
+        left, right = _cancel_round(alive, prev, after, left[equal], right[equal])
+    for lo, hi in zip(left.tolist(), right.tolist()):
+        # A seam an earlier walk reached is closed already.
+        if not (alive[lo] and alive[hi]):
+            continue
+        while lo >= 0 and hi < m and gate[lo] and packed.item(lo) == packed.item(hi):
+            alive[lo] = alive[hi] = False
+            lo, hi = prev.item(lo), after.item(hi)
+        if lo >= 0:
+            after[lo] = hi
+        if hi < m:
+            prev[hi] = lo
+    return Circuit._from_checked(circuit.n_qubits, rows[alive])
+
+
+def _cancel_round(
+    alive: np.ndarray,
+    prev: np.ndarray,
+    after: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cancel the seams (left, right), pairs of equal adjacent alive rows
+    in ascending order, and return the seams that opens."""
+    if not len(left):
+        return left, right
+    # Seams that share a row form a run of equal rows; cancel every
+    # other seam of it, from its first.
+    run = np.ones(len(left), dtype=bool)
+    run[1:] = right[:-1] != left[1:]
+    starts = np.flatnonzero(run)
+    take = (np.arange(len(left)) - starts[np.cumsum(run) - 1]) % 2 == 0
+    left, right = left[take], right[take]
+    alive[left] = alive[right] = False
+    # Cancelled pairs that follow each other in alive order open one gap.
+    gap = np.ones(len(left), dtype=bool)
+    gap[1:] = after[right[:-1]] != left[1:]
+    first = np.flatnonzero(gap)
+    lo = prev[left[first]]
+    hi = after[right[np.append(first[1:], len(left)) - 1]]
+    inside = lo >= 0
+    after[lo[inside]] = hi[inside]
+    inside = hi < len(alive)
+    prev[hi[inside]] = lo[inside]
+    inside &= lo >= 0
+    return lo[inside], hi[inside]

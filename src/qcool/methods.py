@@ -907,7 +907,7 @@ def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
                 once.append(np.array([(0, mask, 0)]))
             once.append(embed(synthesized[key], width, phys).rows)
         blocks.append(np.tile(np.concatenate(once), (rnd.repeat, 1)))
-    return Circuit._from_rows(width, np.concatenate(blocks))
+    return Circuit._from_checked(width, np.concatenate(blocks))
 
 
 def _gate_counts(rounds: Sequence[_Round]) -> GateCounts:

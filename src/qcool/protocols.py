@@ -7,7 +7,9 @@ entries end up on states whose target bit is 0.  The protocols here differ
 only in how they arrange entries within each half, which changes the work
 cost and the synthesized circuit, never the target temperature.
 
-All built-in protocols are phase-free permutations.
+All built-in protocols are phase-free permutations.  Each builder
+constructs a bijection of the basis states, so it builds its unitary
+without from_permutation's check that the array is one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .constants import check_qubit_cap
 from .thermo import ThermalSpec
-from .unitary import CoolingUnitary
+from .unitary import CoolingUnitary, _rows
 
 __all__ = [
     "BUILTIN_PROTOCOLS",
@@ -108,7 +110,7 @@ def ppa_protocol(n_qubits: int) -> CoolingUnitary:
     # Send the rank-k state to index k.
     perm = np.empty(dim, dtype=np.int64)
     perm[order] = np.arange(dim)
-    return CoolingUnitary.from_permutation(perm)
+    return CoolingUnitary._from_rows(n_qubits, *_rows(perm, None))
 
 
 def mirror_protocol(n_qubits: int) -> CoolingUnitary:
@@ -128,7 +130,7 @@ def mirror_protocol(n_qubits: int) -> CoolingUnitary:
     perm = np.arange(dim)
     perm[j] = dim - 1 - j
     perm[dim - 1 - j] = j
-    return CoolingUnitary.from_permutation(perm)
+    return CoolingUnitary._from_rows(n_qubits, *_rows(perm, None))
 
 
 def minimal_work_protocol(n_qubits: int) -> CoolingUnitary:
@@ -156,7 +158,7 @@ def minimal_work_protocol(n_qubits: int) -> CoolingUnitary:
         (half + np.lexsort((np.arange(half), w[half:])), order[half:]),
     ):
         _assign_half(perm, slots, sources, w)
-    return CoolingUnitary.from_permutation(perm)
+    return CoolingUnitary._from_rows(n_qubits, *_rows(perm, None))
 
 
 def _assign_half(
@@ -247,7 +249,7 @@ def _max_cooling(order: np.ndarray, target: int = 1) -> CoolingUnitary:
         dest = ((rest >> pos_t) << (pos_t + 1)) | (b << pos_t) | (rest & ((1 << pos_t) - 1))
         perm = np.empty(1 << n, dtype=np.int64)
         perm[order] = dest
-        return CoolingUnitary.from_permutation(perm)
+        return CoolingUnitary._from_rows(n, *_rows(perm, None))
 
     return _shared.get((n, target, order.tobytes()), build)
 

@@ -53,15 +53,20 @@ def _operands(mask: int) -> str:
 @functools.lru_cache(maxsize=8)
 def _byte_flips(j: int) -> tuple[np.ndarray, np.ndarray]:
     """(up, down): for each byte value b, the x statements on q[8j + i]
-    for the set bits i of b, by ascending and by descending qubit."""
+    for the set bits i of b, by ascending and by descending qubit.
+
+    Built in one pass: b's lowest set bit i leads its ascending text and
+    ends its descending one, around the text of b without that bit.
+    """
     lines = [f"x q[{8 * j + i}];\n" for i in range(8)]
-    up, down = (
-        np.array(
-            ["".join(lines[i] for i in order if b >> i & 1) for b in range(256)],
-            dtype=object,
-        )
-        for order in (range(8), range(7, -1, -1))
-    )
+    up = [""] * 256
+    down = [""] * 256
+    for b in range(1, 256):
+        rest = b & (b - 1)
+        line = lines[(b ^ rest).bit_length() - 1]
+        up[b] = line + up[rest]
+        down[b] = down[rest] + line
+    up, down = np.array(up, dtype=object), np.array(down, dtype=object)
     up.flags.writeable = down.flags.writeable = False
     return up, down
 

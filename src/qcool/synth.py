@@ -80,7 +80,7 @@ def _cycles_circuit(
         block = _ladders(n_qubits, first[part], other[part], distance[part])
         rows[end : end + len(block)] = block
         end += len(block)
-    return Circuit._from_rows(n_qubits, rows)
+    return Circuit._from_checked(n_qubits, rows)
 
 
 def _ladders(

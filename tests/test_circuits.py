@@ -14,11 +14,14 @@ from helpers import (
 )
 
 from qcool import (
+    HBAC,
     Circuit,
     Dynamic,
     GateCounts,
     McNot,
     ResetInstr,
+    SemiOpen,
+    SubOptimal,
     build_circuit,
     embed,
     export_qasm,
@@ -68,6 +71,8 @@ def test_circuit_width_checks():
     assert len(c) == 2
     with pytest.raises(ValueError):
         Circuit(2) + Circuit(3)
+    with pytest.raises(TypeError):
+        Circuit(2) + 1
 
 
 @pytest.mark.parametrize(
@@ -122,6 +127,14 @@ def test_embed():
         embed(c, 5, (2, 6))
 
 
+@pytest.mark.parametrize("qubit_map", [(1.5, 3.9), ("1", "3"), (1, None)])
+def test_embed_refuses_non_integer_qubits(qubit_map):
+    c = Circuit(2, (McNot(1, ((2, 0),)),))
+    with pytest.raises(ValueError, match="must hold integers"):
+        embed(c, 4, qubit_map)
+    assert embed(c, 4, (np.int64(1), 3)) == embed(c, 4, (1, 3))
+
+
 def test_simplify_adjacent():
     a = McNot(1, ((2, 1),))
     b = McNot(2)
@@ -147,6 +160,128 @@ def test_simplify_adjacent_on_synthesized_circuits(n, protocol, rows, removed):
     simple = simplify_adjacent(c)
     assert (len(c), len(c) - len(simple)) == (rows, removed)
     assert simple == reference_simplify(c)
+
+
+A = McNot(1, ((2, 1),))
+B = McNot(2)
+R = ResetInstr((1,))
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        (),
+        (A,),
+        (A, A, A),
+        (A, A, A, A, A),
+        (B, A, A, A, B),
+        (A, R, A),
+        (A, A, R, A, A, A),
+        (A, B, R, B, A),
+        (R, R, A, R, R),
+        (A, B, A, B, B, A, B, A),
+        (A, B, B, A, A, B, B, A, A),
+    ],
+)
+def test_simplify_adjacent_small_programs(program):
+    c = Circuit(2, program)
+    assert simplify_adjacent(c) == reference_simplify(c)
+
+
+def _random_gates(rng, n, k):
+    target = rng.integers(1, n + 1, k)
+    mask = rng.integers(0, 1 << n, k) & ~np.left_shift(1, target - 1)
+    return np.stack((target, mask, mask & rng.integers(0, 1 << n, k)), axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 1000, 1 << 15])
+def test_simplify_adjacent_on_nested_palindromes(k):
+    # g1 ... gk gk ... g1 cancels from its middle outward, one seam
+    # deep; with a reset in the middle nothing crosses it.
+    gates = _random_gates(np.random.default_rng(k), 4, k)
+    for rows in (
+        np.concatenate((gates, gates[::-1])),
+        np.concatenate((gates, [(0, 0b1010, 0)], gates[::-1])),
+        np.concatenate((gates, gates[::-1], gates, gates[::-1])),
+    ):
+        c = Circuit._from_rows(4, rows)
+        assert simplify_adjacent(c) == reference_simplify(c)
+
+
+def test_simplify_adjacent_on_many_seams():
+    # Thousands of short cascades: whole-array rounds, then walks.
+    rng = np.random.default_rng(5)
+    pool = np.array([(1, 0, 0), (2, 0, 0), (1, 0b10, 0b10), (0, 0b01, 0)])
+    for _ in range(5):
+        picks = rng.choice(len(pool), 5000, p=[0.45, 0.45, 0.08, 0.02])
+        c = Circuit._from_rows(2, pool[picks])
+        assert simplify_adjacent(c) == reference_simplify(c)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        HBAC(3, 5),
+        HBAC(5, 4, reset_qubits=(2, 3)),
+        SubOptimal(3, 2),
+        SemiOpen((3, 3)),
+        SemiOpen((4, 2, 3)),
+    ],
+)
+def test_simplify_adjacent_on_embedded_and_tiled_circuits(config):
+    c = build_circuit(config, 0.1)
+    # The circuit, then the same rows backwards, which cancel across
+    # the join up to the first reset.
+    mirrored = c + Circuit._from_rows(c.n_qubits, c.rows[::-1])
+    wide = embed(c, c.n_qubits + 2, range(c.n_qubits, 0, -1))
+    for circuit in (c, mirrored, wide, wide + wide):
+        assert simplify_adjacent(circuit) == reference_simplify(circuit)
+
+
+def _built_circuits():
+    for n in range(3, 13):
+        for protocol in ("minimal-work", "ppa", "mirror"):
+            yield build_circuit(Dynamic(n, protocol))
+    for config in (HBAC(3, 20), HBAC(5, 4, reset_qubits=(2, 3)), SubOptimal(3, 2)):
+        yield build_circuit(config, 0.1)
+    yield build_circuit(SemiOpen((3, 3, 2)), 0.1)
+    yield embed(build_circuit(Dynamic(5)), 8, (8, 1, 6, 2, 4))
+
+
+def test_builders_make_valid_rows():
+    # Rows built from checked rows are not checked again, so every
+    # builder's output must pass the check it skips.
+    for c in _built_circuits():
+        for circuit in (c, simplify_adjacent(c)):
+            circuits._check_rows(circuit.n_qubits, circuit.rows)
+
+
+def test_rows_are_checked_once(monkeypatch):
+    calls = 0
+    check = circuits._check_rows
+
+    def counted(n, rows):
+        nonlocal calls
+        calls += 1
+        check(n, rows)
+
+    monkeypatch.setattr(circuits, "_check_rows", counted)
+    c = build_circuit(Dynamic(12))
+    simple = simplify_adjacent(c)
+    repr(c + simple)
+    assert calls == 0
+    Circuit(2, (McNot(1),))
+    assert calls == 1
+
+
+def test_tampered_pickle_is_refused():
+    c = Circuit(2, (McNot(2, ((1, 1),)),))
+    data = pickle.dumps(c)
+    good = c.rows.tobytes()
+    bad = np.array([[3, 0, 0]], dtype=np.int64).tobytes()
+    assert data.count(good) == 1
+    with pytest.raises(ValueError, match="touches qubit 3 of 2"):
+        pickle.loads(data.replace(good, bad))
 
 
 def test_repr_lists_at_most_eight_instructions(monkeypatch):
@@ -184,11 +319,11 @@ def test_circuit_value_semantics():
 
 
 @st.composite
-def programs(draw, max_n=14):
+def programs(draw, max_n=14, max_size=30):
     """(n, instruction list) with repeats, so that some gates cancel."""
     n = draw(st.integers(1, max_n))
     pool = draw(st.lists(instructions(n), min_size=1, max_size=4))
-    return n, draw(st.lists(st.sampled_from(pool), max_size=30))
+    return n, draw(st.lists(st.sampled_from(pool), max_size=max_size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,3 +358,13 @@ def test_long_export_matches_per_instruction_reference(n, data):
     picks = np.random.default_rng(seed).integers(len(pool), size=_CHUNK_ROWS + 97)
     c = Circuit(n, [pool[i] for i in picks])
     assert export_qasm(c) == reference_export_qasm(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs(max_n=3, max_size=600))
+def test_simplify_adjacent_matches_reference_on_long_programs(drawn):
+    # Long programs over few gates open enough seams for whole-array
+    # rounds, not only the walks that short programs reach.
+    n, program = drawn
+    c = Circuit(n, program)
+    assert simplify_adjacent(c) == reference_simplify(c)

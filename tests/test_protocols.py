@@ -28,6 +28,30 @@ from qcool import protocols
 ALL_PROTOCOLS = (ppa_protocol, mirror_protocol, minimal_work_protocol)
 
 
+def test_builders_make_bijections(monkeypatch):
+    # The builders skip from_permutation's check, so each array they
+    # build must be a permutation of the basis states.
+    built = []
+    rows = protocols._rows
+
+    def recorded(perm, phases):
+        built.append(perm.copy())
+        return rows(perm, phases)
+
+    monkeypatch.setattr(protocols, "_rows", recorded)
+    monkeypatch.setattr(protocols, "_shared", protocols._Shared(1 << 20))
+    rng = np.random.default_rng(0)
+    for n in range(1, 13):
+        for build in ALL_PROTOCOLS:
+            build(n)
+        spec = ThermalSpec(tuple(rng.choice([0.01, 0.1, 0.2], n)))
+        for target in {1, n, (n + 1) // 2}:
+            heterogeneous_max_cooling(spec, target)
+    assert len(built) >= 12 * 4
+    for perm in built:
+        assert np.array_equal(np.sort(perm), np.arange(perm.size))
+
+
 def test_two_qubits_nothing_to_do():
     for build in ALL_PROTOCOLS:
         assert build(2).is_identity

@@ -23,6 +23,7 @@ from qcool import (
     transposition_circuit,
     write_qasm,
 )
+from qcool import qasm
 
 GOLDEN_SWAP_01_10 = """\
 OPENQASM 3.0;
@@ -50,6 +51,17 @@ def test_open_controls_conjugated():
         "ctrl(1) @ x q[1], q[0];",
         "x q[1];",
     ]
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_byte_flip_tables(j):
+    # Each entry spelled out bit by bit, in both orders.
+    lines = [f"x q[{8 * j + i}];\n" for i in range(8)]
+    up, down = qasm._byte_flips(j)
+    for b in range(256):
+        bits = [i for i in range(8) if b >> i & 1]
+        assert up[b] == "".join(lines[i] for i in bits)
+        assert down[b] == "".join(lines[i] for i in reversed(bits))
 
 
 def test_bare_not_gate():
