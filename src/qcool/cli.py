@@ -100,6 +100,10 @@ def _mk(temperature: Temperature | None, p: float) -> float | None:
     return None if temperature is None or p >= 0.5 else temperature.millikelvin
 
 
+# Encodes one row of the JSON output at a time: see _emit.
+_ROW_JSON = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
 def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -> None:
     if as_csv:
         buf = io.StringIO()
@@ -110,31 +114,34 @@ def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -
                 "" if row[c] is None else row[c] for c in columns
             )
         text = buf.getvalue()
+    elif rows:
+        # json.dumps(rows, indent=2) + "\n", byte for byte: each row is a
+        # flat dict of scalars, so one pass of json's C encoder, with
+        # the indented separator, writes it whole, and json's own rules
+        # still format every value.
+        text = "[\n" + ",\n".join(
+            "  {\n    " + _ROW_JSON(row)[1:-1] + "\n  }" for row in rows
+        ) + "\n]\n"
     else:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = "[]\n"
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
 
 
-def _rows(config, reports, gap, levels=(None,), placement="per-gate") -> list[dict]:
+def _rows(reports, gap, levels=(None,), noisy=None) -> list[dict]:
     """One result row per report and noise level (None: noiseless).
 
-    A row's final_p is the noisy circuit's; at noise 0 that is the
-    report's final_excitation bit for bit, so it is not computed again.
-    The nonzero levels of a report are evaluated together, and only
-    their final temperatures are converted here: the others are the
-    report's.
+    A row's final_p is the noisy circuit's: noisy holds each report's
+    at the nonzero levels, in order.  At noise 0 that is the report's
+    final_excitation bit for bit.  Only noisy final temperatures are
+    converted here: the others are the report's.
     """
     physical = gap is not None and not gap.dimensionless
-    noisy = [q for q in levels if q]
     rows = []
-    for rep in reports:
-        finals = iter(
-            methods._noisy_final_ps(config, rep.initial_excitation, noisy, placement)
-            if noisy else ()
-        )
+    for rep, finals in zip(reports, noisy or [()] * len(reports)):
+        finals = iter(finals)
         for level in levels:
             final_p, final_t = rep.final_excitation, rep.final_temperature
             if level:
@@ -206,7 +213,7 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
     config = methods.config_from_json(config_path)
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
-    rows = _rows(config, [methods.report(config, initial_p=p, gap=gap)], gap)
+    rows = _rows([methods.report(config, initial_p=p, gap=gap)], gap)
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -238,7 +245,7 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, as_csv, out):
     # Checked here so a bad value exits 2 before any row is computed.
     ps = [methods.check_excitation(p) for p in ps]
     # Each config's points are planned and walked together.
-    rows = [row for c in configs for row in _rows(c, methods._reports(c, ps, gap), gap)]
+    rows = [row for c in configs for row in _rows(methods._reports(c, ps, gap), gap)]
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 
@@ -264,10 +271,12 @@ def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placeme
         NoiseModel(q, placement).probability
         for q in _parse_float_list(noise_probs, "--noise-probs")
     ]
-    rows = [
-        row for c in configs
-        for row in _rows(c, [methods.report(c, initial_p=p, gap=gap)], gap, levels, placement)
-    ]
+    noisy, rows = [q for q in levels if q], []
+    for c in configs:
+        # One walk of the config's plan gives its report and every
+        # nonzero level's final_p.
+        rep, finals = methods._noise_report(c, p, noisy, placement, gap)
+        rows += _rows([rep], gap, levels, [finals])
     _emit(rows, RESULT_COLUMNS, as_csv, out)
 
 

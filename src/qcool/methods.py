@@ -524,9 +524,10 @@ class _Round:
 
 
 def _targets(v: np.ndarray) -> list[float]:
-    # sim.marginal(row, 1) of each row, bit for bit: summing the 2-D
-    # array along its rows may add in another order.
-    return [float(np.add.reduce(row)) for row in v[:, v.shape[1] // 2 :]]
+    # sim.marginal(row, 1) of each row, bit for bit: the reduction runs
+    # along each row's contiguous half, in the order a row alone adds
+    # in (tests/test_batches.py holds it to the per-row sums).
+    return np.add.reduce(v[:, v.shape[1] // 2 :], axis=1).tolist()
 
 
 @functools.lru_cache(maxsize=1)
@@ -536,42 +537,55 @@ def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
     With p None the rounds are planned without checking that each starts
     cold, which suffices for circuits unless the unitaries depend on p;
     with p they are the plan _groups walked.  The last plan is kept, for
-    the noisy walks of the same row; plans are immutable.
+    the circuit and live noisy rows of the same point; plans are
+    immutable.
     """
     if p is None:
         check_qubit_cap(config.width, _MAX_WIDTH)
         return tuple(config.plan(None))
-    return _groups(config, (p,))[0][1]
+    return _groups(config, (p,), ())[0][1]
 
 
 @functools.lru_cache(maxsize=1)
-def _groups(config: MethodConfig, ps: tuple[float, ...]) -> tuple[tuple, ...]:
-    """(rows, rounds, t, work) for each plan that points of ps share.
+def _groups(
+    config: MethodConfig, ps: tuple[float, ...], levels: tuple[float, ...]
+) -> tuple[tuple, ...]:
+    """(rows, rounds, t, work) for each batch of rows that share a plan.
 
-    Only semi-open plans depend on p.  Each group's rows, at most
-    _MAX_BATCH vector entries at a time, are walked as one array, which
-    checks that each round starts cold; the error raised is the first
-    failing row's own.  The last evaluation is kept for the noisy rows
-    and circuit of its point.  Vectors are capped at cluster width by
-    the plans; the register needs only its qubit maps and circuit rows.
+    Row i * (1 + len(levels)) + j is point ps[i], noiseless at j = 0 and
+    at nonzero noise level levels[j - 1] after.  Only semi-open plans
+    depend on p; a point's noisy rows take its plan.  Rows that share a
+    plan are walked as one array, at most _MAX_BATCH vector entries at a
+    time, which checks that each round of a noiseless row starts cold;
+    the error raised is the first failing point's own.  The last
+    evaluation is kept for the circuit and noisy rows of its point, so
+    every caller passes levels, () without noise, to share one key.
+    Vectors are capped at cluster width by the plans; the register
+    needs only its qubit maps and circuit rows.
     """
     check_qubit_cap(config.width, _MAX_WIDTH)
     # Other methods run one protocol unitary at cluster width.
     plan = None if isinstance(config, SemiOpen) else tuple(config.plan(None))
     width = max(config.cluster_sizes) if plan is None else plan[0].unitary.n_qubits
     step, label, out = max(1, _MAX_BATCH >> width), method_label(config), []
+    noise, size = np.array((0.0, *levels)), 1 + len(levels)
     try:
         for lo in range(0, len(ps), step):
             points = np.array(ps[lo : lo + step])
             plans = [(np.arange(len(points)), plan)] if plan else config._plans(points)
             for rows, rounds in plans:
-                t, work = _walk(rounds, points[rows], label=label)
-                out.append((rows + lo, tuple(rounds), tuple(t), tuple(work)))
+                # Each point's noiseless row, then its row at each level.
+                row_ps, row_noise = np.repeat(points[rows], size), np.tile(noise, rows.size)
+                rows = ((rows + lo)[:, None] * size + np.arange(size)).ravel()
+                for i in range(0, rows.size, step):
+                    part = slice(i, i + step)
+                    t, work = _walk(rounds, row_ps[part], row_noise[part], label)
+                    out.append((rows[part], tuple(rounds), tuple(t), tuple(work)))
         return tuple(out)
     except PopulationInversionError:
         if len(ps) > 1:
             for p in ps:
-                _groups(config, (p,))
+                _groups(config, (p,), ())
         raise
 
 
@@ -605,8 +619,9 @@ def _walk(
     Parallel copies are identical and independent, so one cluster-wide
     vector stands for all of them, and each copy pays the same cost.  A
     qubit that enters a later round was an earlier round's target and
-    brings the excitation it reached, below 1/2 if label names the
-    method; any other qubit comes from the bath.  Resets exchange heat,
+    brings the excitation it reached, below 1/2 in a noiseless row if
+    label names the method (noise 1 leaves a target at exactly 1/2);
+    any other qubit comes from the bath.  Resets exchange heat,
     not work.  With noise, every synthesized gate depolarizes its
     cluster (see _mixing); work counts the unitaries alone.  A row at
     noise 0 is mixed with weight 0, which leaves its bits as they are.
@@ -622,14 +637,14 @@ def _walk(
     scalar, ps = ps.ndim == 0, ps.reshape(-1)
     work = np.zeros(ps.size)
     noise = work + noise  # adding 0.0 keeps each level's bits
-    noisy = noise.any()
+    levels, noisy = noise.tolist(), noise.any()
     carried: dict[int, list[float]] = {}
     for k, rnd in enumerate(rounds):
         u = rnd.unitary
         weights = _weights(u.dim)
         copies = len(rnd.clusters)
         gates = synthesized_gate_count(u) if noisy else 0
-        mixed = np.array([_mixing(gates, q) for q in noise.tolist()]) if gates else 0.0 * noise
+        mixed = np.array([_mixing(gates, q) for q in levels]) if gates else 0.0 * noise
         repeat = rnd.repeat
         if rnd.resets:
             kept = u.n_qubits - len(rnd.resets)
@@ -645,7 +660,10 @@ def _walk(
                 work += copies * np.concatenate([e for _, e in parts])
                 repeat = 0
         else:
-            hot = [t for t in carried.get(rnd.clusters[0][0], ()) if t >= 0.5]
+            hot = [
+                t for t, q in zip(carried.get(rnd.clusters[0][0], ()), levels)
+                if t >= 0.5 and not q
+            ]
             if label and hot:
                 raise PopulationInversionError(
                     f"{label}: round {k + 1} would start from a hot target "
@@ -851,7 +869,7 @@ def final_probability(config: MethodConfig, p: float) -> float:
     closed = _closed_form(config, [p])
     if closed is not None:
         return closed[0]
-    return _groups(config, (p,))[0][2][0]
+    return _groups(config, (p,), ())[0][2][0]
 
 
 def total_work_cost(
@@ -859,7 +877,7 @@ def total_work_cost(
 ) -> float:
     """Work drawn over every unitary the method applies."""
     p = check_excitation(p)
-    return gap.value * _groups(config, (p,))[0][3][0]
+    return gap.value * _groups(config, (p,), ())[0][3][0]
 
 
 # -- circuits -------------------------------------------------------------
@@ -963,31 +981,24 @@ def noisy_final_probability(
 def _noisy_final_ps(
     config: MethodConfig, p: float, levels: Sequence[float], placement: str
 ) -> list[float]:
-    """noisy_final_probability at each nonzero noise level, for a checked p.
+    """noisy_final_probability at each nonzero noise level, for a checked p
+    (see _noise_report)."""
+    return _noise_report(config, p, levels, placement)[1]
 
-    The levels are the rows of one walk of the plan, on vectors only as
-    wide as a cluster, except per-layer noise on a round of several
-    parallel copies, where gates of neighbouring copies share a layer:
-    there the synthesized circuit runs once for all levels on its live
-    qubits only (sim._run_live), refused if more than 24 are live at
-    once.  Its program is kept for the next call (_layer_program).  A
-    batch holds at most _MAX_BATCH entries; more levels run in turn.
+
+def _live(config: MethodConfig, placement: str) -> bool:
+    """Whether noisy rows run config's circuit on its live qubits.
+
+    They do for per-layer noise on a plan with a round of several
+    parallel copies, where gates of neighbouring copies share a layer;
+    every other noisy row is a row of the plan's walk.  Semi-open rounds
+    are one copy each, and any other plan is config.plan(None), so this
+    is decided before anything is walked.
     """
-    rounds = _rounds(config, p)
-    if placement == "per-layer" and any(len(rnd.clusters) > 1 for rnd in rounds):
-        program, width = _layer_program(config, p)
-        run = functools.partial(sim._run_live, program, p)
-    else:
-        width = max(rnd.unitary.n_qubits for rnd in rounds)
-
-        def run(levels: np.ndarray) -> list[float]:
-            return _walk(rounds, np.full(levels.size, p), levels)[0]
-
-    step = max(1, _MAX_BATCH >> width)
-    return [
-        t for lo in range(0, len(levels), step)
-        for t in run(np.array(levels[lo : lo + step], dtype=np.float64))
-    ]
+    if placement != "per-layer" or isinstance(config, SemiOpen):
+        return False
+    check_qubit_cap(config.width, _MAX_WIDTH)
+    return any(len(rnd.clusters) > 1 for rnd in config.plan(None))
 
 
 @functools.lru_cache(maxsize=1)
@@ -1046,17 +1057,53 @@ def report(
     return _reports(config, [check_excitation(initial_p)], gap)[0]
 
 
+def _noise_report(
+    config: MethodConfig,
+    p: float,
+    levels: Sequence[float],
+    placement: str,
+    gap: EnergyGap | None = None,
+) -> tuple[CoolingReport, list[float]]:
+    """report at a checked p, and noisy_final_probability at each nonzero
+    noise level of levels.
+
+    The levels are rows of the report's own walk, after its noiseless
+    row (see _groups), on vectors only as wide as a cluster.  Where
+    noisy rows run live (_live), the synthesized circuit runs once for
+    all levels, after the report's walk, on its live qubits only
+    (sim._run_live), refused if more than 24 are live at once; its
+    program is kept for the next call (_layer_program).  A batch holds
+    at most _MAX_BATCH entries; more levels run in turn.
+    """
+    levels = tuple(levels)
+    if not _live(config, placement):
+        rep = _reports(config, (p,), gap, levels)[0]
+        # One point takes one plan, walked in row order.
+        return rep, [t for *_, ts, _ in _groups(config, (p,), levels) for t in ts][1:]
+    rep = _reports(config, (p,), gap)[0]
+    program, width = _layer_program(config, p)
+    step = max(1, _MAX_BATCH >> width)
+    return rep, [
+        t for lo in range(0, len(levels), step)
+        for t in sim._run_live(program, p, np.array(levels[lo : lo + step], dtype=np.float64))
+    ]
+
+
 def _reports(
-    config: MethodConfig, ps: Sequence[float], gap: EnergyGap | None = None
+    config: MethodConfig,
+    ps: Sequence[float],
+    gap: EnergyGap | None = None,
+    levels: Sequence[float] = (),
 ) -> list[CoolingReport]:
     """report at each checked excitation of ps: one _groups evaluation,
+    which also walks each point at the nonzero noise levels of levels,
     and one gate count per plan."""
-    ps = tuple(ps)
+    ps, levels = tuple(ps), tuple(levels)
     walked: dict[int, tuple] = {}
-    for rows, rounds, t, work in _groups(config, ps):
+    for rows, rounds, t, work in _groups(config, ps, levels):
         counts = _gate_counts(rounds)
         walked.update(zip(rows.tolist(), zip(t, work, [counts] * len(t))))
-    t, work, counts = zip(*(walked[i] for i in range(len(ps))))
+    t, work, counts = zip(*(walked[i] for i in range(0, len(walked), 1 + len(levels))))
     physical, label = gap is not None and not gap.dimensionless, method_label(config)
 
     def kelvin(p: float) -> Temperature | None:

@@ -18,7 +18,7 @@ import pytest
 from helpers import _reference_plan, _reference_walk, reference_noise_rows
 
 from qcool import HBAC, Dynamic, NoiseModel, SemiOpen, SubOptimal, build_circuit
-from qcool import methods, sim
+from qcool import methods, sim, thermo
 from qcool.methods import _noisy_final_ps, _reports, _rounds, _walk
 
 LEVELS = (0.0, 1e-12, 1e-4, 1e-2, 0.5, 1.0)
@@ -138,17 +138,19 @@ def test_live_levels_match_their_one_level_runs(config):
 def test_wide_noise_batches_split_and_stay_bounded(monkeypatch):
     # 512 levels of 2**16-entry rows would be 256 MiB at once; batches of
     # at most _MAX_BATCH entries (16 rows) keep the peak within 48 MiB of
-    # a one-level run.
+    # a one-level run.  The noiseless row leads the first batch.
     config, p = Dynamic(16), 0.07
     levels = [1e-6 * (i + 1) for i in range(512)]
     _noisy_final_ps(config, p, levels[:1], "per-gate")  # count the gates once
     sizes = []
     real = methods._walk
     monkeypatch.setattr(
-        methods, "_walk", lambda r, p, noise: sizes.append(noise.size) or real(r, p, noise)
+        methods, "_walk",
+        lambda r, p, noise, label: sizes.append(noise.size) or real(r, p, noise, label),
     )
 
     def peak(levels):
+        methods._groups.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -159,7 +161,7 @@ def test_wide_noise_batches_split_and_stay_bounded(monkeypatch):
 
     (one,), base = peak(levels[:1])
     got, wide = peak(levels)
-    assert sizes == [1] + [16] * 32
+    assert sizes == [2] + [16] * 32 + [1]
     assert got[0] == one and len(got) == 512
     assert wide - base <= 48 << 20, (wide - base) / 2**20
 
@@ -172,3 +174,21 @@ def test_noiseless_rows_of_a_stack_are_the_noiseless_walk():
             warnings.simplefilter("error")
             t, work = _walk(plan, np.full(3, 0.07), noise=np.array([0.0, 0.3, 0.0]))
         assert _hex([t[0], work[0]]) == _hex([t[2], work[2]]) == _hex(_walk(plan, 0.07))
+
+
+@pytest.mark.parametrize("kind", ["random", "thermal"])
+def test_targets_are_the_per_row_sums(kind):
+    # One reduction over a batch's rows adds each row in the order the
+    # row adds alone: for every width up to 20 qubits, and every batch
+    # of 1 to 64 rows up to 4 Mi entries (a walk holds at most 1 Mi).
+    rng = np.random.default_rng(3)
+    for width in range(1, 21):
+        most = min(64, max(4, (4 << 20) >> width))
+        if kind == "random":
+            v = rng.random((most, 1 << width))
+        else:
+            v = thermo.product_diagonal(list(rng.uniform(0.0, 0.5, (width, most))))
+        want = [float(np.add.reduce(row)) for row in v[:, v.shape[1] // 2 :]]
+        assert _hex(want) == _hex(sim.marginal(row, 1) for row in v)
+        for rows in range(1, most + 1):
+            assert _hex(methods._targets(v[:rows])) == _hex(want[:rows]), (width, rows)

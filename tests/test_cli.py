@@ -13,6 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -331,6 +332,7 @@ def no_rows(monkeypatch):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(qcool.methods, "report", forbidden)
+    monkeypatch.setattr(qcool.methods, "_groups", forbidden)
 
 
 def test_sweep_rejects_bad_custom_labels_before_rows(
@@ -495,7 +497,7 @@ def test_semi_open_sweep_walks_each_plan_group_once(runner, tmp_path):
     # four distinct plans; each group's rows are one walked array.
     doc = SWEEP_DOCS["semiopen-5555"]
     probs = (0.02, 0.04, 0.06, 0.08, 0.1, 0.2, 0.3, 0.4)
-    groups = qcool.methods._groups(config_from_json(doc), probs)
+    groups = qcool.methods._groups(config_from_json(doc), probs, ())
     assert [rows.tolist() for rows, *_ in groups] == [[0], [1, 2, 3, 4], [5], [6, 7]]
     cfg = write_config(tmp_path, doc)
     args = ["sweep", "--config", cfg, "--probs", ",".join(map(repr, probs)), "--csv"]
@@ -645,25 +647,91 @@ ROW_CONFIGS = (
 
 
 def test_noise_sweep_reports_once_per_config(runner, tmp_path, monkeypatch):
+    # Each config's plan is walked once: its noiseless row and its rows at
+    # every nonzero level are rows of one walk, except per-layer
+    # suboptimal 3x2, whose levels run the live kernel once after it.
     import qcool.methods
+    import qcool.sim
 
-    calls = []
-    real = qcool.methods.report
-
-    def counted(config, **kwargs):
-        calls.append(config)
-        return real(config, **kwargs)
-
-    monkeypatch.setattr(qcool.methods, "report", counted)
+    walks, live = [], []
+    real_walk, real_live = qcool.methods._walk, qcool.sim._run_live
+    monkeypatch.setattr(
+        qcool.methods, "_walk",
+        lambda rounds, p, *args: walks.append(np.size(p)) or real_walk(rounds, p, *args),
+    )
+    monkeypatch.setattr(
+        qcool.sim, "_run_live",
+        lambda program, p, levels: live.append(levels.size) or real_live(program, p, levels),
+    )
     paths = [
         write_config(tmp_path, doc, f"c{i}.json") for i, doc in enumerate(ROW_CONFIGS)
     ]
     args = ["noise-sweep", "--initial-p", "0.07", "--noise-probs", "0,1e-4,1e-3,1"]
     for path in paths:
         args += ["--config", path]
-    rows = json.loads(run_ok(runner, args))
-    assert len(rows) == 4 * len(ROW_CONFIGS)
-    assert calls == [config_from_json(doc) for doc in ROW_CONFIGS]
+    for placement, want_walks, want_live in (
+        ("per-gate", [4, 4, 4, 4], []),
+        ("per-layer", [4, 1, 4, 4], [3]),
+    ):
+        qcool.methods._groups.cache_clear()
+        qcool.methods._layer_program.cache_clear()
+        walks.clear()
+        live.clear()
+        rows = json.loads(run_ok(runner, args + ["--placement", placement]))
+        assert len(rows) == 4 * len(ROW_CONFIGS)
+        assert (walks, live) == (want_walks, want_live), placement
+
+
+@pytest.mark.parametrize("placement", ["per-gate", "per-layer"])
+def test_noise_sweep_noiseless_rows_are_the_analyze_rows(runner, tmp_path, placement):
+    # The noise-0 row is a row of the noisy levels' walk, yet it is the
+    # analyze row bit for bit.
+    for doc in ROW_CONFIGS:
+        cfg = write_config(tmp_path, doc)
+        want = json.loads(run_ok(runner, [
+            "analyze", "--config", cfg, "--initial-p", "0.07", "--freq-ghz", "5",
+        ]))[0]
+        rows = json.loads(run_ok(runner, [
+            "noise-sweep", "--config", cfg, "--initial-p", "0.07", "--freq-ghz", "5",
+            "--noise-probs", "1e-3,0,1", "--placement", placement,
+        ]))
+        assert rows[1] == {**want, "noise_p": 0.0}, doc
+
+
+@pytest.mark.parametrize("placement", ["per-gate", "per-layer"])
+def test_noise_one_rows_reach_one_half_and_hot_starts_still_fail(
+    runner, tmp_path, placement
+):
+    # Noise 1 leaves every round's target at 1/2, which the next round
+    # starts from; only a noiseless row must start each round cold.
+    for doc in (
+        {"method": "hbac", "cluster_size": 3, "rounds": 200},
+        {"method": "dynamic", "n_qubits": 8},
+        {"method": "semiopen", "cluster_sizes": [3, 3, 3]},
+    ):
+        cfg = write_config(tmp_path, doc)
+        for levels in ("1", "0,1e-2,1", "1,1,0"):
+            rows = json.loads(run_ok(runner, [
+                "noise-sweep", "--config", cfg, "--initial-p", "0.1",
+                "--noise-probs", levels, "--placement", placement,
+            ]))
+            for row in rows:
+                if row["noise_p"] == 1.0:
+                    assert abs(row["final_p"] - 0.5) <= 4 * 2.0**-52, (doc, levels)
+    semi = {"method": "semiopen", "cluster_sizes": [3, 3], **HEAT}
+    for doc, label in (
+        ({**SUBOPT, **HEAT}, "suboptimal-n3-r2-custom"),
+        (semi, "semiopen-3+3-custom"),
+    ):
+        cfg = write_config(tmp_path, doc)
+        for levels in ("0,1e-2,1", "1e-2,1"):
+            result = runner.invoke(cli, [
+                "noise-sweep", "--config", cfg, "--initial-p", "0.1",
+                "--noise-probs", levels, "--placement", placement,
+            ])
+            assert result.exit_code == 2, (doc, levels)
+            assert f"{label}: round 2 would start from a hot target" in result.stderr
+            assert "excitation 0.748" in result.stderr, (doc, levels)
 
 
 def test_rows_convert_only_noisy_final_temperatures(runner, tmp_path, monkeypatch):
@@ -1350,3 +1418,20 @@ def test_unreadable_documents_exit_2(runner, tmp_path):
             result = runner.invoke(cli, args)
             assert result.exit_code == 2, (args, result.exception)
             assert result.stderr.startswith("error: cannot read ")
+
+
+def test_json_rows_are_json_dumps_indent_2(tmp_path):
+    # Rows are written one C-encoded row at a time; every value still
+    # takes json's own form, byte for byte.
+    from qcool.cli import _emit
+
+    row = {
+        "none": None, "negative_zero": -0.0, "subnormal": 5e-324,
+        "nan": math.nan, "inf": math.inf, "minus_inf": -math.inf,
+        "flag": True, "big": 10**30, "zero": 0,
+        "label": 'a "quoted", comma\\separated label: café ∂   \U0001f9ca',
+    }
+    out = tmp_path / "rows.json"
+    for rows in ([], [row], [row, {**row, "flag": False, "none": 1.5}], [{"only": 1}] * 3):
+        _emit(rows, list(row), False, str(out))
+        assert out.read_text() == json.dumps(rows, indent=2) + "\n", rows
