@@ -171,7 +171,20 @@ class Circuit:
     @classmethod
     def _from_rows(cls, n_qubits: int, rows: np.ndarray) -> "Circuit":
         """A circuit of raw rows, each checked: the entry for rows from
-        outside, such as unpickled ones."""
+        outside, such as unpickled ones.  rows must be an integer array
+        of shape (k, 3)."""
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype.kind in "iu"
+            and rows.ndim == 2
+            and rows.shape[1] == 3
+        ):
+            got = (
+                f"{rows.dtype} of shape {rows.shape}"
+                if isinstance(rows, np.ndarray)
+                else type(rows).__name__
+            )
+            raise ValueError(f"rows must be an integer array of shape (k, 3), got {got}")
         circuit = cls._from_checked(n_qubits, rows)
         _check_rows(circuit.n_qubits, circuit.rows)
         return circuit

@@ -52,10 +52,10 @@ from .thermo import (
 from .unitary import (
     CoolingUnitary,
     _check_keys,
+    _cycle_states,
     _is_json_int,
     _json_cycles,
     _load_document,
-    _parse_cycles,
 )
 
 __all__ = [
@@ -92,6 +92,20 @@ class CustomProtocol:
         object.__setattr__(
             self, "cycles", tuple(tuple(c) for c in self.cycles)
         )
+        # _cycle_states of the cycles by width, parsed once for the check
+        # at construction and the unitary built later.
+        object.__setattr__(self, "_parsed", {})
+
+    def _states(self, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cycles parsed on n_qubits qubits; ConfigError if refused."""
+        if n_qubits not in self._parsed:
+            try:
+                self._parsed[n_qubits] = _cycle_states(self.cycles, n_qubits)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"custom cycles on {n_qubits} qubits: {exc}"
+                ) from exc
+        return self._parsed[n_qubits]
 
 
 ProtocolChoice = Union[str, CustomProtocol]
@@ -108,12 +122,7 @@ def _index(value: object, field: str) -> int:
 def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
     """Reject unknown protocols and custom labels not on n_qubits qubits."""
     if isinstance(choice, CustomProtocol):
-        try:
-            _parse_cycles(choice.cycles, n_qubits)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(
-                f"custom cycles on {n_qubits} qubits: {exc}"
-            ) from exc
+        choice._states(n_qubits)
         return
     if choice not in BUILTIN_PROTOCOLS:
         raise ConfigError(
@@ -126,7 +135,9 @@ def _resolve_protocol(choice: ProtocolChoice, n_qubits: int) -> CoolingUnitary:
     # Kept in protocols._shared so that sweeps build each unitary, and
     # its transpositions, once per process while it stays in the table.
     if isinstance(choice, CustomProtocol):
-        build = functools.partial(CoolingUnitary, n_qubits, choice.cycles)
+        build = functools.partial(
+            CoolingUnitary._from_cycles, n_qubits, *choice._states(n_qubits)
+        )
     else:
         build = functools.partial(protocol_unitary, choice, n_qubits)
     return protocols._shared.get((choice, n_qubits), build)

@@ -53,14 +53,15 @@ def _operands(mask: int) -> str:
 @functools.lru_cache(maxsize=8)
 def _byte_flips(j: int) -> tuple[np.ndarray, np.ndarray]:
     """(up, down): for each byte value b, the x statements on q[8j + i]
-    for the set bits i of b, by ascending and by descending qubit.
+    for the set bits i of b, by ascending and by descending qubit, as
+    ASCII bytes.
 
     Built in one pass: b's lowest set bit i leads its ascending text and
     ends its descending one, around the text of b without that bit.
     """
-    lines = [f"x q[{8 * j + i}];\n" for i in range(8)]
-    up = [""] * 256
-    down = [""] * 256
+    lines = [f"x q[{8 * j + i}];\n".encode() for i in range(8)]
+    up = [b""] * 256
+    down = [b""] * 256
     for b in range(1, 256):
         rest = b & (b - 1)
         line = lines[(b ^ rest).bit_length() - 1]
@@ -71,80 +72,77 @@ def _byte_flips(j: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def _flips(opened: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(before, after): the x flips of each open-control mask, as text.
-
-    Open controls are conjugated by x gates, undone in reverse order:
-    before flips them by ascending qubit, after by descending qubit.
-    Both are put together a byte of the mask at a time.
-    """
-    before = after = np.full(len(opened), "", dtype=object)
-    for j in range((n_qubits + 7) // 8):
-        up, down = _byte_flips(j)
-        byte = (opened >> (8 * j)) & 255
-        before = before + up[byte]
-        after = down[byte] + after
-    return before, after
-
-
 def _statements(
     target: np.ndarray, mask: np.ndarray, n_qubits: int
-) -> np.ndarray:
-    """The _statement text of every row, each distinct one formatted once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(table, key): the _statement text of each distinct (target, mask),
+    formatted once as ASCII bytes, and each row's index into table.
 
-    Rows are keyed by (index of their mask among the distinct masks,
+    A row is keyed by (index of its mask among the distinct masks,
     target), a pair that fits one integer whatever the width.
     """
-    masks, which = np.unique(mask, return_inverse=True)
-    key = which * (n_qubits + 1) + target
+    masks = np.sort(mask)
+    masks = masks[np.append(True, masks[1:] != masks[:-1])]
+    key = np.searchsorted(masks, mask) * (n_qubits + 1) + target
     present = np.zeros(len(masks) * (n_qubits + 1), dtype=bool)
     present[key] = True
     keys = np.flatnonzero(present)
     table = np.empty(len(present), dtype=object)
     table[keys] = [
-        _statement(k % (n_qubits + 1), m)
+        _statement(k % (n_qubits + 1), m).encode()
         for k, m in zip(keys.tolist(), masks[keys // (n_qubits + 1)].tolist())
     ]
-    return table[key]
+    return table, key
 
 
-def _chunk_text(rows: np.ndarray, n_qubits: int) -> str:
-    """The statements of rows, one row after another.
+def _chunk_text(rows: np.ndarray, n_qubits: int) -> bytes:
+    """The statements of rows, one row after another, as ASCII bytes.
 
     A row's text is its open controls' x flips, its statement, and the
-    flips undone.  Each distinct open-control mask (zero on resets) and
-    each distinct (target, control mask) is formatted once, and the
-    row texts are gathered from them.
+    flips undone: before it by ascending qubit, after it by descending
+    qubit.  Every piece is gathered at once from the statements and the
+    _byte_flips tables of the open-control mask's bytes (zero on
+    resets) that any row uses: one column a byte before the statement,
+    ascending, and one after it, descending.
     """
     target, mask, polarity = rows.T
     opened = (mask & ~polarity) * (target != 0)
-    keys, which = np.unique(opened, return_inverse=True)
-    before, after = _flips(keys, n_qubits)
-    parts = np.empty((len(rows), 3), dtype=object)
-    parts[:, 0] = before[which]
-    parts[:, 1] = _statements(target, mask, n_qubits)
-    parts[:, 2] = after[which]
-    return "".join(parts.ravel().tolist())
+    table, key = _statements(target, mask, n_qubits)
+    tables, before, after = [table], [], []
+    for j in range((n_qubits + 7) // 8):
+        byte = (opened >> (8 * j)) & 255
+        if byte.any():
+            start = len(table) + 512 * len(before)
+            before.append(byte + start)
+            after.insert(0, byte + start + 256)
+            tables += _byte_flips(j)
+    index = np.stack([*before, key, *after], axis=1)
+    return b"".join(np.concatenate(tables).take(index).ravel().tolist())
 
 
-def _chunks(circuit: Circuit) -> Iterator[str]:
-    """The QASM text of circuit, in pieces of at most _CHUNK_ROWS rows."""
+def _chunks(circuit: Circuit) -> Iterator[bytes]:
+    """The QASM text of circuit as ASCII bytes, in pieces of at most
+    _CHUNK_ROWS rows."""
     yield (
         'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
         f"qubit[{circuit.n_qubits}] q;\n"
-    )
+    ).encode()
     for start in range(0, len(circuit), _CHUNK_ROWS):
         rows = circuit.rows[start : start + _CHUNK_ROWS]
         yield _chunk_text(rows, circuit.n_qubits)
 
 
 def export_qasm(circuit: Circuit) -> str:
-    return "".join(_chunks(circuit))
+    return "".join(chunk.decode() for chunk in _chunks(circuit))
 
 
 def write_qasm(circuit: Circuit, path: str | Path | TextIO) -> None:
-    """Write export_qasm(circuit) chunk by chunk to a path or a text stream."""
+    """Write export_qasm(circuit) chunk by chunk to a path or a text stream.
+
+    A path gets the bytes as they are made; a text stream gets them
+    decoded.
+    """
     if hasattr(path, "write"):
-        return path.writelines(_chunks(circuit))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+        return path.writelines(chunk.decode() for chunk in _chunks(circuit))
+    with open(path, "wb") as f:
         f.writelines(_chunks(circuit))

@@ -87,7 +87,12 @@ def _ladders(
     n: int, first: np.ndarray, other: np.ndarray, distance: np.ndarray
 ) -> np.ndarray:
     """_cycles_circuit's rows for a block of transpositions, all at once,
-    from the set bits of the (transpositions x n) bit matrix of diff."""
+    from the set bits of the (transpositions x n) bit matrix of diff.
+
+    Row j of a transposition's 2d - 1 rows is its ladder row
+    d - 1 - |j - (d - 1)|, so all of them are one gather from the
+    ladders.
+    """
     # Wide enough for the bit arithmetic below and for uint8 distances.
     first, other, distance = (a.astype(np.int64) for a in (first, other, distance))
     # Column k holds label bit n - 1 - k, which is qubit k + 1.
@@ -96,20 +101,21 @@ def _ladders(
     diff_bits = ((first ^ other)[:, None] >> shifts) & 1
     diff = diff_bits @ weights
     s1 = ((first[:, None] >> shifts) & 1) @ weights
-    size = 2 * distance - 1
-    base = np.cumsum(size) - size
-    t, pos = np.nonzero(diff_bits)
-    rank = np.arange(t.size) - (np.cumsum(distance) - distance)[t]
-    bit = np.left_shift(1, pos.astype(np.int64))
+    # The set bits of diff_bits in row-major order: distance[t] of them
+    # on row t.
+    t = np.repeat(np.arange(len(distance)), distance)
+    pos = np.flatnonzero(diff_bits) - n * t
+    bit = np.left_shift(1, pos)
     mask = ((1 << n) - 1) ^ bit
     ladder = np.stack(
         (pos + 1, mask, (s1[t] ^ (diff[t] & (bit - 1))) & mask), axis=1
     )
-    rows = np.empty((int(size.sum()), 3), dtype=np.int64)
-    rows[base[t] + rank] = ladder
-    back = rank < distance[t] - 1
-    rows[(base[t] + 2 * distance[t] - 2 - rank)[back]] = ladder[back]
-    return rows
+    # Per output row: its transposition's last ladder row, and the
+    # output row of that last ladder row, its centre.
+    size = 2 * distance - 1
+    last = np.repeat(np.cumsum(distance) - 1, size)
+    centre = np.repeat(np.cumsum(size) - distance, size)
+    return np.take(ladder, last - np.abs(np.arange(len(last)) - centre), axis=0)
 
 
 def transposition_circuit(x: int, y: int, n_qubits: int) -> Circuit:

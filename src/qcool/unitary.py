@@ -67,29 +67,144 @@ def parse_state_label(label: StateLabel, n_qubits: int) -> int:
     raise TypeError(f"state label must be int or str, got {type(label).__name__}")
 
 
-def _parse_cycles(
+def _label_states(labels: list, n_qubits: int) -> tuple[np.ndarray, int]:
+    """(states, bad): parse_state_label of each label, as one int64
+    array, up to the first label it refuses, whose index is bad
+    (len(labels) if none).
+
+    Bit strings are read as one byte array and integers as one array
+    with one range check.  Past 62 qubits a state may not fit int64, and
+    labels are parsed one by one into an object array.
+    """
+    if n_qubits > 62:
+        states = []
+        for label in labels:
+            try:
+                states.append(parse_state_label(label, n_qubits))
+            except (ValueError, TypeError):
+                break
+        return np.array(states + [0] * (len(labels) - len(states)), object), len(states)
+    text = _instances(labels, str)
+    states = np.empty(len(labels), np.int64)
+    for chosen, parse in ((text, _bit_strings), (~text, _integers)):
+        if chosen.any():
+            states[chosen] = parse(_compress(labels, chosen), n_qubits)
+    refused = np.flatnonzero(states < 0)
+    return states, int(refused[0]) if len(refused) else len(labels)
+
+
+def _instances(labels: list, kind) -> np.ndarray:
+    """Whether each label is an instance of kind, as a bool array."""
+    return np.fromiter(
+        map(isinstance, labels, itertools.repeat(kind)), bool, len(labels)
+    )
+
+
+def _compress(labels: list, chosen: np.ndarray) -> list:
+    """The labels where chosen is True."""
+    return list(itertools.compress(labels, chosen.tolist()))
+
+
+def _bit_strings(labels: list[str], n_qubits: int) -> np.ndarray:
+    """int(label, 2) of each label of n 0s and 1s, and -1 for any other."""
+    states = np.full(len(labels), -1, np.int64)
+    fit = np.fromiter(map(len, labels), np.intp, len(labels)) == n_qubits
+    # One byte a character: any character outside ASCII reads as "?".
+    text = "".join(_compress(labels, fit)).encode("ascii", "replace")
+    bits = np.frombuffer(text, np.uint8).reshape(-1, n_qubits) - ord("0")
+    nbytes = (n_qubits + 7) // 8
+    packed = np.zeros((len(bits), 8), np.uint8)
+    packed[:, 8 - nbytes :] = np.packbits(bits, axis=1)
+    value = (packed.view(">u8")[:, 0] >> (8 * nbytes - n_qubits)).astype(np.int64)
+    value[np.flatnonzero(bits > 1) // n_qubits] = -1
+    states[fit] = value
+    return states
+
+
+def _integers(labels: list, n_qubits: int) -> np.ndarray:
+    """Each label that is an integer state of n qubits, and -1 for any
+    other label."""
+    states = np.full(len(labels), -1, np.int64)
+    whole = _instances(labels, (int, np.integer))
+    values = _compress(labels, whole)
+    try:
+        values = np.array(values, np.int64)
+    except OverflowError:
+        # Past int64 a label is no state; -1 marks it.
+        values = np.array([v if 0 <= v < 1 << 62 else -1 for v in values], np.int64)
+    values[(values >> n_qubits) != 0] = -1
+    states[whole] = values
+    return states
+
+
+def _cycle_states(
     cycles: Iterable[Sequence[StateLabel]], n_qubits: int
-) -> list[list[int]]:
-    parsed: list[list[int]] = []
-    seen: set[int] = set()
-    for cycle in cycles:
-        states = [parse_state_label(s, n_qubits) for s in cycle]
-        if len(states) < 2:
-            raise DegenerateCycleError(
-                f"degenerate cycle {list(cycle)!r}: fewer than two states"
-            )
-        if len(set(states)) != len(states):
-            raise DegenerateCycleError(
-                f"degenerate cycle {list(cycle)!r}: repeated state"
-            )
-        overlap = seen.intersection(states)
-        if overlap:
-            raise OverlappingCyclesError(
-                f"overlapping cycles: state {min(overlap)} appears twice"
-            )
-        seen.update(states)
-        parsed.append(states)
-    return parsed
+) -> tuple[np.ndarray, np.ndarray]:
+    """(states, lengths): every label of cycles parsed, cycle after
+    cycle, as one array, and the length of each cycle.
+
+    Cycles are checked in turn; a cycle is refused if a label is not a
+    state of n_qubits qubits (parse_state_label's error), if it holds
+    fewer than two states or repeats one, or if a state appeared in an
+    earlier cycle.  The first refusal is raised.
+    """
+    cycles = list(cycles)
+    try:
+        lengths = np.fromiter(map(len, cycles), np.intp, len(cycles))
+    except TypeError:
+        # Cycles without a length, such as iterators, become lists; one
+        # that is not iterable raises after the checks of those before it.
+        listed = []
+        for cycle in cycles:
+            try:
+                listed.append(list(cycle))
+            except TypeError:
+                _cycle_states(listed, n_qubits)
+                raise
+        return _cycle_states(listed, n_qubits)
+    labels = list(itertools.chain.from_iterable(cycles))
+    states, bad = _label_states(labels, n_qubits)
+    cycle_of = np.repeat(np.arange(len(cycles)), lengths)
+    # The states before the first refused label, sorted: equal
+    # neighbours are a repeat if in one cycle, else an overlap.
+    order = np.argsort(states[:bad], kind="stable")
+    equal = states[order[1:]] == states[order[:-1]]
+    later, earlier = order[1:][equal], order[:-1][equal]
+    inside = cycle_of[later] == cycle_of[earlier]
+    none = len(cycles)
+    first = (
+        cycle_of[bad] if bad < len(labels) else none,
+        int(np.argmax(lengths < 2)) if (lengths < 2).any() else none,
+        cycle_of[later[inside]].min(initial=none),
+        cycle_of[later[~inside]].min(initial=none),
+    )
+    c = min(first)
+    if c == none:
+        return states, lengths
+    if c == first[0]:
+        parse_state_label(labels[bad], n_qubits)
+    cycle = list(cycles[c])
+    if c == first[1]:
+        raise DegenerateCycleError(
+            f"degenerate cycle {cycle!r}: fewer than two states"
+        )
+    if c == first[2]:
+        raise DegenerateCycleError(f"degenerate cycle {cycle!r}: repeated state")
+    state = states[later[~inside & (cycle_of[later] == c)]].min()
+    raise OverlappingCyclesError(f"overlapping cycles: state {state} appears twice")
+
+
+def _cycle_permutation(
+    n_qubits: int, states: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The forward permutation (int32) of _cycle_states's cycles: each
+    state goes to the next of its cycle, and the last to the first."""
+    ends = np.cumsum(lengths)
+    after = np.arange(1, len(states) + 1)
+    after[ends - 1] = ends - lengths
+    perm = np.arange(1 << n_qubits, dtype=np.int32)
+    perm[states] = states[after]
+    return perm
 
 
 def _transpositions(
@@ -135,10 +250,7 @@ class CoolingUnitary:
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         check_qubit_cap(n_qubits)
-        perm = np.arange(1 << n_qubits, dtype=np.int32)
-        for states in _parse_cycles(cycles, n_qubits):
-            for src, dst in zip(states, states[1:] + states[:1]):
-                perm[src] = dst
+        perm = _cycle_permutation(n_qubits, *_cycle_states(cycles, n_qubits))
         self._init_rows(n_qubits, *_rows(perm, phases))
 
     def _init_rows(
@@ -157,6 +269,15 @@ class CoolingUnitary:
         u = cls.__new__(cls)
         u._init_rows(n_qubits, indices, phases)
         return u
+
+    @classmethod
+    def _from_cycles(
+        cls, n_qubits: int, states: np.ndarray, lengths: np.ndarray
+    ) -> "CoolingUnitary":
+        """The unitary of cycles that _cycle_states parsed on n_qubits."""
+        check_qubit_cap(n_qubits)
+        perm = _cycle_permutation(n_qubits, states, lengths)
+        return cls._from_rows(n_qubits, *_rows(perm, None))
 
     @classmethod
     def from_permutation(
@@ -385,28 +506,55 @@ def _check_keys(
 
 
 def _json_cycles(value: object, what: str) -> list[list[StateLabel]]:
-    """A JSON "cycles" list, with integer labels as ints.
+    """A JSON "cycles" list, with integer labels as ints: value itself
+    when every label is already a str or an int.
 
     A cycle is an array of at least two labels, and a label is an
-    integer >= 0 or a non-empty string of 0s and 1s; _parse_cycles
-    checks widths, repeats and overlaps.
+    integer >= 0 or a non-empty string of 0s and 1s; _cycle_states
+    checks widths, repeats and overlaps.  Cycles are checked in turn,
+    each one's shape before its labels.
     """
     if not isinstance(value, list):
         raise ConfigError(f"invalid {what}: 'cycles' must be an array, got {value!r}")
-    for cycle in value:
-        if not isinstance(cycle, list) or len(cycle) < 2:
-            raise ConfigError(
-                f"invalid {what}: cycle {cycle!r} in 'cycles' is not an "
-                "array of at least two labels"
-            )
-        for x in cycle:
-            bits = isinstance(x, str) and x != "" and set(x) <= {"0", "1"}
-            if not (bits or _is_json_int(x) and x >= 0):
-                raise ConfigError(
-                    f"invalid {what}: label {x!r} in 'cycles' is neither "
-                    "an integer >= 0 nor a string of 0s and 1s"
-                )
+    shaped = [isinstance(c, list) and len(c) >= 2 for c in value]
+    k = shaped.index(False) if not all(shaped) else len(value)
+    labels = list(itertools.chain.from_iterable(value[:k]))
+    good = _json_labels(labels)
+    if not good.all():
+        raise ConfigError(
+            f"invalid {what}: label {labels[int(np.argmin(good))]!r} in 'cycles' "
+            "is neither an integer >= 0 nor a string of 0s and 1s"
+        )
+    if k < len(value):
+        raise ConfigError(
+            f"invalid {what}: cycle {value[k]!r} in 'cycles' is not an "
+            "array of at least two labels"
+        )
+    if set(map(type, labels)) <= {str, int}:
+        return value
     return [[x if isinstance(x, str) else int(x) for x in cycle] for cycle in value]
+
+
+def _json_labels(labels: list) -> np.ndarray:
+    """Whether each label is an integer >= 0 or a non-empty string of 0s
+    and 1s, strings checked as one byte array."""
+    good = np.empty(len(labels), bool)
+    text = _instances(labels, str)
+    if text.any():
+        strings = _compress(labels, text)
+        ends = np.cumsum(np.fromiter(map(len, strings), np.intp, len(strings)))
+        # One byte a character: any character outside ASCII reads as "?".
+        codes = np.frombuffer("".join(strings).encode("ascii", "replace"), np.uint8)
+        binary = np.diff(ends, prepend=0) > 0
+        binary[np.searchsorted(ends, np.flatnonzero(codes - ord("0") > 1), "right")] = False
+        good[text] = binary
+    if not text.all():
+        others = _compress(labels, ~text)
+        if set(map(type, others)) == {int}:
+            good[~text] = np.array(others, object) >= 0
+        else:
+            good[~text] = [_is_json_int(x) and x >= 0 for x in others]
+    return good
 
 
 def load_cycles_json(source: str | Path | dict) -> tuple[int, list[list[StateLabel]]]:

@@ -820,3 +820,99 @@ def instructions(draw, n):
         qubits = draw(st.sets(st.integers(1, n), min_size=1))
         return ResetInstr(tuple(qubits))
     return draw(gates(n))
+
+
+# -- cycle-label oracles -----------------------------------------------------
+#
+# The label checks as they ran one label at a time, before labels were
+# parsed as whole arrays.  Refusals must keep their type, text and order.
+
+
+def reference_parse_cycles(cycles, n: int) -> list[list[int]]:
+    """Each cycle's states, checking cycle after cycle: its labels, then
+    at least two states, then no repeat, then no state of an earlier
+    cycle."""
+    from qcool.errors import DegenerateCycleError, OverlappingCyclesError
+    from qcool.unitary import parse_state_label
+
+    parsed, seen = [], set()
+    for cycle in cycles:
+        states = [parse_state_label(s, n) for s in cycle]
+        if len(states) < 2:
+            raise DegenerateCycleError(
+                f"degenerate cycle {list(cycle)!r}: fewer than two states"
+            )
+        if len(set(states)) != len(states):
+            raise DegenerateCycleError(
+                f"degenerate cycle {list(cycle)!r}: repeated state"
+            )
+        overlap = seen.intersection(states)
+        if overlap:
+            raise OverlappingCyclesError(
+                f"overlapping cycles: state {min(overlap)} appears twice"
+            )
+        seen.update(states)
+        parsed.append(states)
+    return parsed
+
+
+def reference_json_cycles(value, what: str) -> list[list]:
+    """A JSON "cycles" list checked cycle by cycle and label by label."""
+    from qcool.errors import ConfigError
+
+    if not isinstance(value, list):
+        raise ConfigError(f"invalid {what}: 'cycles' must be an array, got {value!r}")
+    for cycle in value:
+        if not isinstance(cycle, list) or len(cycle) < 2:
+            raise ConfigError(
+                f"invalid {what}: cycle {cycle!r} in 'cycles' is not an "
+                "array of at least two labels"
+            )
+        for x in cycle:
+            bits = isinstance(x, str) and x != "" and set(x) <= {"0", "1"}
+            whole = (
+                x.is_integer()
+                if isinstance(x, float)
+                else isinstance(x, int) and not isinstance(x, bool)
+            )
+            if not (bits or whole and x >= 0):
+                raise ConfigError(
+                    f"invalid {what}: label {x!r} in 'cycles' is neither "
+                    "an integer >= 0 nor a string of 0s and 1s"
+                )
+    return [[x if isinstance(x, str) else int(x) for x in cycle] for cycle in value]
+
+
+def outcome(call, *args):
+    """call(*args), or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the refusal is the result
+        return type(exc), str(exc)
+
+
+def random_cycle_lists(rng, count: int, wide: bool = False):
+    """(n, cycles) cases whose labels are mostly good, with bad labels,
+    short cycles, repeats and overlaps mixed in at random places."""
+    for _ in range(count):
+        n = int(rng.choice([63, 64, 70])) if wide else int(rng.integers(1, 7))
+        pool = rng.integers(0, min(1 << n, 12), size=8).tolist()
+
+        def label():
+            r = rng.random()
+            state = int(pool[rng.integers(len(pool))]) if r < 0.5 else int(
+                rng.integers(0, 1 << min(n, 62))
+            )
+            if r < 0.8:
+                return state if rng.random() < 0.5 else format(state, f"0{n}b")
+            return [
+                -1, 1 << n, 2**70, "", "2" * n, "0" * (n + 1), "1" * (n - 1),
+                1.0, None, True, np.int64(1), np.uint64(2**63), "é" * n,
+                "\ud800" * n, (1 << n) - 1, "1" * n, [0],
+            ][rng.integers(17)]
+
+        cycles = [
+            [label() for _ in range(int(rng.choice([0, 1, 2, 2, 3, 4])))]
+            for _ in range(int(rng.integers(0, 6)))
+        ]
+        yield n, cycles

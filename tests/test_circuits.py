@@ -284,6 +284,43 @@ def test_tampered_pickle_is_refused():
         pickle.loads(data.replace(good, bad))
 
 
+class _Tampered:
+    """Pickles as a Circuit whose rows were swapped for other rows."""
+
+    def __init__(self, n_qubits, rows):
+        self.n_qubits, self.rows = n_qubits, rows
+
+    def __reduce__(self):
+        return Circuit._from_rows, (self.n_qubits, self.rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[1, 2], [0, 2], [1, 0]]),  # six numbers, read as two gates
+        np.array([[1.5, 2, 0]]),
+        np.array([["1", "2", "0"]]),
+        np.array([[True, False, False]]),
+        np.array([1, 2, 0]),
+        np.array([[[1, 2, 0]]]),
+        [[1, 2, 0]],
+    ],
+    ids=["shape-3x2", "float", "str", "bool", "1-d", "3-d", "list"],
+)
+def test_pickled_rows_must_be_an_integer_array_of_shape_k_by_3(rows):
+    data = pickle.dumps(_Tampered(3, rows))
+    with pytest.raises(ValueError, match=r"rows must be an integer array of shape \(k, 3\)"):
+        pickle.loads(data)
+
+
+def test_pickled_rows_of_any_integer_type_load():
+    want = Circuit(3, (McNot(1, ((2, 0),)), ResetInstr((3,))))
+    for dtype in (np.int64, np.int32, np.uint8):
+        rows = want.rows.astype(dtype)
+        assert pickle.loads(pickle.dumps(_Tampered(3, rows))) == want
+    assert Circuit._from_rows(3, np.empty((0, 3), np.int64)) == Circuit(3)
+
+
 def test_repr_lists_at_most_eight_instructions(monkeypatch):
     gates = (McNot(2, ((1, 0),)), ResetInstr((1, 2)), McNot(1))
     small = repr(Circuit(2, gates))

@@ -8,6 +8,7 @@ from helpers import (
     circuit_permutation,
     count_ctrl_statements,
     parse_qasm,
+    reference_export_qasm,
 )
 
 from qcool import (
@@ -16,7 +17,9 @@ from qcool import (
     HBAC,
     McNot,
     ResetInstr,
+    SemiOpen,
     build_circuit,
+    embed,
     export_qasm,
     random_permutation_unitary,
     synthesize_circuit,
@@ -56,12 +59,12 @@ def test_open_controls_conjugated():
 @pytest.mark.parametrize("j", range(8))
 def test_byte_flip_tables(j):
     # Each entry spelled out bit by bit, in both orders.
-    lines = [f"x q[{8 * j + i}];\n" for i in range(8)]
+    lines = [f"x q[{8 * j + i}];\n".encode() for i in range(8)]
     up, down = qasm._byte_flips(j)
     for b in range(256):
         bits = [i for i in range(8) if b >> i & 1]
-        assert up[b] == "".join(lines[i] for i in bits)
-        assert down[b] == "".join(lines[i] for i in reversed(bits))
+        assert up[b] == b"".join(lines[i] for i in bits)
+        assert down[b] == b"".join(lines[i] for i in reversed(bits))
 
 
 def test_bare_not_gate():
@@ -165,3 +168,80 @@ def test_write_qasm_to_an_open_stream():
         stream = io.StringIO()
         write_qasm(c, stream)
         assert not stream.closed and stream.getvalue() == export_qasm(c)
+
+
+# Circuits whose open controls span one or two flip bytes, and circuits
+# with resets.
+FLIP_CIRCUITS = {
+    **{
+        f"{protocol}-n{n}": (Dynamic(n, protocol), None)
+        for n in range(9, 14)
+        for protocol in ("minimal-work", "ppa", "mirror")
+    },
+    "hbac-5x4": (HBAC(5, 4), 0.1),
+    "hbac-4x3-reset2+4": (HBAC(4, 3, reset_qubits=(2, 4)), 0.1),
+    "semiopen-3+3+3": (SemiOpen((3, 3, 3)), 0.1),
+    "semiopen-5+4": (SemiOpen((5, 4)), 0.05),
+}
+
+
+def _expected_flips(circuit):
+    """x statements the rows call for, counted per row with int arithmetic:
+    two for each open control of a gate, and one for a gate without
+    controls."""
+    count = 0
+    for target, mask, polarity in circuit.rows.tolist():
+        if target:
+            count += 2 * (mask & ~polarity).bit_count() if mask else 1
+    return count
+
+
+@pytest.mark.parametrize("name", FLIP_CIRCUITS)
+def test_flip_count_matches_the_rows(name):
+    config, p = FLIP_CIRCUITS[name]
+    circuit = build_circuit(config, p)
+    text = export_qasm(circuit)
+    assert text.count("\nx q[") == _expected_flips(circuit)
+    if config.width >= 9 and "semiopen" not in name:
+        # Some open control sits in the second flip byte.
+        target, mask, polarity = circuit.rows.T
+        assert ((mask & ~polarity)[target != 0] >> 8).any()
+
+
+EMBED_CIRCUITS = [
+    name for name in FLIP_CIRCUITS if not name.endswith(("-n11", "-n12", "-n13"))
+]
+
+
+@pytest.mark.parametrize("width", [40, 51, 63])
+@pytest.mark.parametrize("name", EMBED_CIRCUITS)
+def test_wide_export_matches_the_per_instruction_reference(name, width):
+    config, p = FLIP_CIRCUITS[name]
+    circuit = build_circuit(config, p)
+    rng = np.random.default_rng(width)
+    target, mask, polarity = circuit.rows.T
+    used = int(np.bitwise_or.reduce((mask & ~polarity)[target != 0], initial=0))
+    qubits = np.arange(1, circuit.n_qubits + 1)
+    opened = used >> (qubits - 1) & 1 == 1
+    # Qubits that carry open controls spread over the whole register, in
+    # a shuffled order, and the others anywhere else.
+    spread = np.linspace(1, width, opened.sum()).round().astype(int)
+    qubit_map = np.empty(circuit.n_qubits, dtype=int)
+    qubit_map[opened] = rng.permutation(spread)
+    rest = np.setdiff1d(np.arange(1, width + 1), spread)
+    qubit_map[~opened] = rng.choice(rest, (~opened).sum(), replace=False)
+    wide = embed(circuit, width, qubit_map.tolist())
+    if width == 63 and opened.sum() >= 8:
+        target, mask, polarity = wide.rows.T
+        flips = (mask & ~polarity)[target != 0]
+        assert all(((flips >> (8 * j)) & 255).any() for j in range(8))
+    got, want = export_qasm(wide), reference_export_qasm(wide)
+    same = got == want  # no diff of megabytes of text on failure
+    assert same, next(
+        (
+            (i, a, b)
+            for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()))
+            if a != b
+        ),
+        "line counts differ",
+    )

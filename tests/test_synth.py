@@ -326,3 +326,39 @@ def test_synthesis_across_blocks_matches_per_gate_reference():
     circuit = synthesize_circuit(u)
     assert circuit == reference_cycles_circuit(13, u.cycles)
     assert synthesized_gate_count(u) == len(circuit)
+
+
+def _cycles_of(n, count, rng):
+    """Disjoint cycles of 2 to 5 random states holding exactly count
+    transpositions."""
+    states = rng.permutation(1 << n)[: 2 * count].tolist()
+    cycles = []
+    while count:
+        k = min(int(rng.integers(1, 5)), count)
+        cycles.append(tuple(states[: k + 1]))
+        states, count = states[k + 1 :], count - k
+    return cycles
+
+
+@pytest.mark.parametrize("count", [_BLOCK, _BLOCK + 1])
+def test_ladders_at_the_block_edge_match_per_gate_reference(count):
+    n = 14
+    cycles = _cycles_of(n, count, np.random.default_rng(count))
+    pairs = _transpositions(cycles)
+    assert len(pairs[0]) == count
+    assert _cycles_circuit(n, pairs) == reference_cycles_circuit(n, cycles)
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [
+        [(4, 5)],
+        [(0, (1 << 63) - 1)],
+        [(6, ((1 << 63) - 1) ^ 6), (8, 9), (16, 17, ((1 << 63) - 1) ^ 16), (0, 1 << 62)],
+    ],
+    ids=["distance-1", "distance-63", "mixed"],
+)
+def test_ladders_at_distance_1_and_63_match_per_gate_reference(cycles):
+    pairs = _transpositions(cycles)
+    assert set(pairs[2].tolist()) <= {1, 63}
+    assert _cycles_circuit(63, pairs) == reference_cycles_circuit(63, cycles)

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import reference_cycles
+from helpers import (
+    outcome,
+    random_cycle_lists,
+    reference_cycles,
+    reference_json_cycles,
+    reference_parse_cycles,
+)
 
 from qcool import (
     ConfigError,
@@ -22,7 +28,7 @@ from qcool import (
     unitary_from_json,
 )
 from qcool.synth import synthesized_gate_count
-from qcool.unitary import _transpositions
+from qcool.unitary import _cycle_states, _json_cycles, _transpositions
 
 
 def test_parse_state_label():
@@ -448,3 +454,82 @@ def test_transposition_dtypes_follow_the_largest_state():
         assert other.tolist() == list(wide[0][1:])
         assert distance.tolist() == [bin(wide[0][0] ^ s).count("1") for s in wide[0][1:]]
     assert [a.dtype for a in _transpositions([])] == [np.int32, np.int32, np.uint8]
+
+
+# -- cycle labels parsed as whole arrays -------------------------------------
+
+
+def _parsed(cycles, n):
+    states, lengths = _cycle_states(cycles, n)
+    ends = np.cumsum(lengths).tolist()
+    flat = states.tolist()
+    return [flat[e - k : e] for e, k in zip(ends, lengths.tolist())]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["n<=6", "n>=63"])
+def test_cycle_states_refuse_as_the_per_label_checks(wide):
+    # Same states, or the same first refusal with the same type and text.
+    seen = set()
+    for n, cycles in random_cycle_lists(np.random.default_rng(22), 3000, wide):
+        want = outcome(reference_parse_cycles, cycles, n)
+        assert outcome(_parsed, cycles, n) == want, (n, cycles)
+        seen.add(want[0] if isinstance(want, tuple) else "ok")
+        if not wide and not isinstance(want, tuple):
+            u = CoolingUnitary(n, cycles)
+            perm = list(range(1 << n))
+            for states in want:
+                for a, b in zip(states, states[1:] + states[:1]):
+                    perm[a] = b
+            assert u.permutation.tolist() == perm
+    assert len(seen) == 5  # ok, ValueError, TypeError and both cycle errors
+
+
+def test_cycle_states_hold_every_label_of_a_big_list():
+    rng = np.random.default_rng(5)
+    n = 20
+    states = rng.permutation(1 << n)[: 1 << 12]
+    cycles = [
+        [int(a), format(int(b), "020b"), int(c)]
+        for a, b, c in states[: 3 * (len(states) // 3)].reshape(-1, 3)
+    ]
+    assert _parsed(cycles, n) == reference_parse_cycles(cycles, n)
+
+
+def test_cycle_json_refuses_as_the_per_label_checks():
+    rng = np.random.default_rng(23)
+    for n, cycles in random_cycle_lists(rng, 3000):
+        for i in np.flatnonzero(rng.random(len(cycles)) < 0.1):
+            cycles[i] = [5, "01", (0, 1), {"a": 1}][rng.integers(4)]
+        want = outcome(reference_json_cycles, cycles, "cycle list")
+        assert outcome(_json_cycles, cycles, "cycle list") == want, cycles
+        doc = {"n": n, "cycles": cycles}
+        if n <= 6:
+            assert outcome(load_cycles_json, doc) == outcome(
+                lambda: (n, reference_json_cycles(cycles, "cycle list"))
+            )
+
+
+def test_custom_protocol_labels_parse_once(monkeypatch):
+    import qcool.methods as methods
+    import qcool.unitary as unitary
+
+    calls = []
+    parse = unitary._cycle_states
+
+    def counted(cycles, n):
+        calls.append(n)
+        return parse(cycles, n)
+
+    for module in (methods, unitary):
+        monkeypatch.setattr(module, "_cycle_states", counted)
+    doc = {
+        "method": "dynamic",
+        "n_qubits": 3,
+        "protocol": "custom",
+        "cycles": [["011", 4], [1, "010"]],
+    }
+    config = methods.config_from_json(doc)
+    u = methods._resolve_protocol(config.protocol, 3)
+    assert u.cycles == ((1, 2), (3, 4)) and calls == [3]
+    with pytest.raises(ConfigError, match="custom cycles on 3 qubits: state 9"):
+        methods.config_from_json({**doc, "cycles": [[0, 9]]})
