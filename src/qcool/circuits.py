@@ -134,8 +134,7 @@ def _check_rows(n: int, rows: np.ndarray) -> None:
     outside = (target < 0) | (target > n) | (mask < 0) | ((mask >> n) != 0)
     if outside.any():
         i = int(np.argmax(outside))
-        high = max(int(target[i]), int(mask[i]).bit_length())
-        raise ValueError(f"instruction touches qubit {high} of {n}")
+        raise ValueError(_outside(n, int(target[i]), int(mask[i])))
     target_bit = np.left_shift(1, np.maximum(target - 1, 0)) * gate
     if (mask & target_bit).any():
         raise ValueError("target cannot also be a control")
@@ -143,6 +142,16 @@ def _check_rows(n: int, rows: np.ndarray) -> None:
         raise ValueError("control polarity outside the control mask")
     if not mask[~gate].all():
         raise ValueError("reset needs at least one qubit")
+
+
+def _outside(n: int, target: int, mask: int) -> str:
+    """The refusal of a row whose target or control mask lies outside n
+    qubits, naming the value at fault."""
+    if target < 0:
+        return f"instruction target {target} is negative"
+    if mask < 0:
+        return f"instruction control mask {mask} is negative"
+    return f"instruction touches qubit {max(target, mask.bit_length())} of {n}"
 
 
 class Circuit:
@@ -185,6 +194,13 @@ class Circuit:
                 else type(rows).__name__
             )
             raise ValueError(f"rows must be an integer array of shape (k, 3), got {got}")
+        if rows.dtype == np.uint64:
+            # Named as given: past 2**63 a value would wrap to a negative
+            # int64 one.
+            wide = (rows[:, :2] >> 63).any(axis=1)
+            if wide.any():
+                i = int(np.argmax(wide))
+                raise ValueError(_outside(int(n_qubits), int(rows[i, 0]), int(rows[i, 1])))
         circuit = cls._from_checked(n_qubits, rows)
         _check_rows(circuit.n_qubits, circuit.rows)
         return circuit

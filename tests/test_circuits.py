@@ -29,7 +29,7 @@ from qcool import (
     simplify_adjacent,
 )
 from qcool import circuits
-from qcool.qasm import _CHUNK_ROWS
+from qcool.qasm import _chunk_rows
 
 
 def test_mcnot_normalization():
@@ -81,7 +81,8 @@ def test_circuit_width_checks():
         ((3, 0, 0), "touches qubit 3 of 2"),
         ((0, 0b100, 0), "touches qubit 3 of 2"),
         ((1, 0b101, 0), "touches qubit 3 of 2"),
-        ((-1, 0, 0), "touches qubit"),
+        ((-1, 0, 0), "target -1 is negative"),
+        ((1, -2, 0), "control mask -2 is negative"),
         ((1, 0b01, 0), "target cannot also be a control"),
         ((1, 0b10, 0b01), "polarity outside"),
         ((0, 0b10, 0b10), "polarity outside"),
@@ -94,6 +95,19 @@ def test_row_checks(row, message):
     good = np.array([[2, 0b01, 0b01]])
     with pytest.raises(ValueError, match=message):
         Circuit._from_rows(2, np.vstack([good, [row]]))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((2**64 - 1, 0, 0), "touches qubit 18446744073709551615 of 3"),
+        ((1, 2**64 - 2, 0), "touches qubit 64 of 3"),
+    ],
+)
+def test_uint64_rows_past_int64_are_named_as_given(row, message):
+    # Converted to int64 they would wrap to -1 and -2.
+    with pytest.raises(ValueError, match=message):
+        Circuit._from_rows(3, np.array([row], dtype=np.uint64))
 
 
 def test_gate_counts():
@@ -392,7 +406,7 @@ def test_long_export_matches_per_instruction_reference(n, data):
     if n > 1:
         pool.append(McNot(n, ((1, 0),)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    picks = np.random.default_rng(seed).integers(len(pool), size=_CHUNK_ROWS + 97)
+    picks = np.random.default_rng(seed).integers(len(pool), size=2 * _chunk_rows(n) + 97)
     c = Circuit(n, [pool[i] for i in picks])
     assert export_qasm(c) == reference_export_qasm(c)
 

@@ -235,7 +235,11 @@ def test_wide_export_matches_the_per_instruction_reference(name, width):
         target, mask, polarity = wide.rows.T
         flips = (mask & ~polarity)[target != 0]
         assert all(((flips >> (8 * j)) & 255).any() for j in range(8))
-    got, want = export_qasm(wide), reference_export_qasm(wide)
+    _assert_matches_reference(wide)
+
+
+def _assert_matches_reference(circuit):
+    got, want = export_qasm(circuit), reference_export_qasm(circuit)
     same = got == want  # no diff of megabytes of text on failure
     assert same, next(
         (
@@ -245,3 +249,77 @@ def test_wide_export_matches_the_per_instruction_reference(name, width):
         ),
         "line counts differ",
     )
+
+
+def test_open_control_bytes_differ_between_chunks():
+    # Byte 0 of the open-control mask is used only in the first chunk and
+    # byte 7 only in the third, so the chunks gather different columns.
+    rows = qasm._chunk_rows(63)
+    first = [McNot(63, ((1, 0), (2, 1))), ResetInstr((5, 63)), McNot(3)]
+    middle = [McNot(9, ((20, 1),)), McNot(20, ((9, 1), (40, 1)))]
+    last = [McNot(2, ((60, 0), (33, 1))), McNot(63, ((57, 0), (62, 0)))]
+    program = (
+        first * (rows // 3) + middle * (rows // 2) + last * (rows // 2 + 5)
+    )
+    c = Circuit(63, program)
+    assert len(c) > 2 * rows
+    target, mask, polarity = c.rows.T
+    opened = (mask & ~polarity) * (target != 0)
+    chunks = [opened[i : i + rows] for i in range(0, len(c), rows)]
+    assert (chunks[0] & 255).any() and not (chunks[0] >> 56).any()
+    assert not (chunks[-1] & 255).any() and (chunks[-1] >> 56).any()
+    _assert_matches_reference(c)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        Circuit(3),
+        Circuit(63),
+        Circuit(3, [ResetInstr((1, 3)), ResetInstr((2,))] * 3000),
+    ],
+    ids=["empty-n3", "empty-n63", "resets-only"],
+)
+def test_export_without_gates_matches_the_reference(circuit):
+    _assert_matches_reference(circuit)
+    stream = io.StringIO()
+    write_qasm(circuit, stream)
+    assert stream.getvalue() == export_qasm(circuit)
+
+
+def test_each_statement_is_formatted_once(monkeypatch):
+    # Minimal-work n = 12 spans many chunks, each using the same few
+    # (target, mask) pairs.
+    c = build_circuit(Dynamic(12))
+    assert len(c) > 4 * qasm._chunk_rows(12)
+    calls = []
+
+    def counted(target, mask):
+        calls.append((target, mask))
+        return statement(target, mask)
+
+    statement = qasm._statement
+    monkeypatch.setattr(qasm, "_statement", counted)
+    _assert_matches_reference(c)
+    assert sorted(calls) == sorted(set(map(tuple, c.rows[:, :2].tolist())))
+
+
+def test_statement_table_stays_under_its_cap(monkeypatch):
+    # Masks all distinct: past the cap the table starts again from the
+    # chunk's own statements instead of growing with the circuit.
+    rng = np.random.default_rng(7)
+    masks = rng.choice(1 << 20, size=3 * qasm._chunk_rows(21) + 5, replace=False)
+    c = Circuit._from_rows(21, np.stack([np.full_like(masks, 21), masks, masks & 0xF0F0], axis=1))
+    held = []
+
+    def recorded(*args):
+        keys, text = statements(*args)
+        held.append(len(text) - 1)
+        return keys, text
+
+    statements = qasm._statements
+    monkeypatch.setattr(qasm, "_statements", recorded)
+    monkeypatch.setattr(qasm, "_MAX_STATEMENTS", 3000)
+    _assert_matches_reference(c)
+    assert len(held) == 4 and max(held) < 3000
+    assert held[2] < held[1]
