@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import protocols, sim
+from . import chain, protocols, sim
 from .circuits import _MAX_WIDTH, Circuit, GateCounts, embed
 from .constants import DEFAULT_QUBIT_CAP, check_qubit_cap
 from .errors import ConfigError, PopulationInversionError, ResourceLimitError
@@ -638,11 +638,12 @@ def _walk(
     noise 0 is mixed with weight 0, which leaves its bits as they are.
 
     What a round needs is prepared once per plan entry.  A repeated
-    round runs as one linear map on the marginal it keeps, stacked over
-    the rows (see _repeat_map), where that costs less than its repeats;
-    otherwise each repeat runs only the resets, the permutation, the
-    energy dot products and the mix.  An entry whose cheaper way costs
-    more than _MAX_COST per row is refused before it runs.
+    round runs as one Markov chain on the marginal it keeps, stacked over
+    the rows (_round_chain builds it, chain.repeat runs it), where that
+    costs less than its repeats; otherwise each repeat runs only the
+    resets, the permutation, the energy dot products and the mix.  An
+    entry whose cheaper way costs more than _MAX_COST per row is refused
+    before it runs.
     """
     ps = np.asarray(p, dtype=np.float64)
     scalar, ps = ps.ndim == 0, ps.reshape(-1)
@@ -663,10 +664,11 @@ def _walk(
                 _check_cost(_map_cost(u.n_qubits, kept, repeat), "round map")
                 # Each row's map holds 2**kept times its vector's entries.
                 step = max(1, _MAX_BATCH >> (kept + u.n_qubits))
-                parts = [
-                    _repeat_map(u, weights, rnd.resets, ps[i:j], mixed[i:j], v[i:j], repeat)
-                    for i, j in ((i, i + step) for i in range(0, ps.size, step))
-                ]
+                parts = []
+                for part in (slice(i, i + step) for i in range(0, ps.size, step)):
+                    *stack, rows = _round_chain(u, weights, rnd.resets, ps[part], mixed[part], v[part])
+                    m, energy = chain.repeat(*stack, repeat)
+                    parts.append(((m.reshape(len(m), 1, -1) @ rows)[:, 0], energy))
                 v = np.concatenate([row for row, _ in parts])
                 work += copies * np.concatenate([e for _, e in parts])
                 repeat = 0
@@ -698,7 +700,8 @@ def _walk(
 
 
 def _map_pays(width: int, kept: int, repeats: int) -> bool:
-    """Whether _repeat_map costs less than walking the repeats.
+    """Whether the round map (_round_chain, chain.repeat) costs less than
+    walking the repeats.
 
     Costs count array entries, about 10 ns each (shared 2-vCPU Xeon),
     plus measured fixed costs in the same unit.  Each walked repeat
@@ -733,46 +736,13 @@ def _check_cost(cost: int, what: str) -> None:
         )
 
 
-_ULP = float(np.finfo(float).eps)
-
-
-def _repeat_map(
-    u: CoolingUnitary,
-    weights: np.ndarray,
-    resets: tuple[int, ...],
-    ps: np.ndarray,
-    mixed: np.ndarray,
-    v: np.ndarray,
-    repeats: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(vectors, works) after repeats of a round that resets qubits first.
-
-    v holds one row per point; ps (each row's bath) and mixed (its noise
-    weight, see _mixing) one entry per row.  Every product below is a
-    stacked matmul, one BLAS call per row on that row's own operands, so
-    each row keeps the bits it has alone, whatever rows share the stack;
-    a 2-D matrix-vector product would not, since BLAS blocks its rows.
-
-    The reset keeps only the marginal m of the k qubits it does not
-    reset and retensors the others with the bath, so one repeat is a
-    linear map m -> m P on 2**k entries, with row-stochastic P, and its
-    work is m . g.  Running one repeat on every kept basis state at once
-    gives P, g and the vector each kept state leaves behind.  The last
-    repeat starts from m P**(r-1), and the work is m . T with T the sum
-    of P**j g over j < r; both take one squaring per bit of r.
-
-    P and its powers are nonnegative, so m P**(r-1) subtracts nothing
-    and keeps its relative digits, for any P.  Each power's rows are
-    rescaled to sum 1, so that rounding does not compound over the
-    squarings.  The work cancels, by a few ulps of the energy the
-    repeats move.  That energy grows with r; so does the work unless
-    the steady work s = pi . g (pi stationary) is 0, as in noiseless
-    3-qubit HBAC.  An s within the rounding of its own dot product is
-    taken as 0: the work is then (m - pi) . T, and T is kept free of
-    the constant part pi . T = r s after each doubling, so no rounding
-    is multiplied by r and the error stays bounded as r grows.  A row
-    with no such pi runs on m itself, with pi 0, which subtracts
-    nothing.
+def _round_chain(u: CoolingUnitary, weights, resets, ps, mixed, v) -> tuple[np.ndarray, ...]:
+    """(P, g, moved, m, rows) for chain.repeat of a round that resets
+    qubits first, one chain per row of v at its bath ps and noise weight
+    mixed (see _mixing).  The reset keeps the marginal m of the qubits
+    it does not reset; one repeat run on every kept basis state at once
+    gives rows, the vector each leaves behind, and from those P, g and
+    the energy moved.  The vector after r repeats is m P**(r-1) @ rows.
     """
     shape, axes, factors = sim._reset_plan(u.n_qubits, resets, ps)
     m = v.reshape(shape).sum(axis=axes, keepdims=True)
@@ -787,68 +757,13 @@ def _repeat_map(
     # Each state's energy shift under the permutation, rather than the
     # energy after minus before, so states that stay put add nothing.
     shift = (weights - weights[u.indices])[:, None]
-    # Vectors are held as (rows, 1, 2**k) and columns as (rows, 2**k, 1),
-    # so that every product is a plain stacked matmul.
-    g = rows @ shift
-    moved = rows @ np.abs(shift)  # energy each kept state's repeat moves
+    g = (rows @ shift)[:, :, 0]
+    moved = (rows @ np.abs(shift))[:, :, 0]  # energy each kept state's repeat moves
     if mixed.any():
         column = mixed[:, None, None]
         rows = (1.0 - column) * rows + column / rows.shape[2]
     power = rows.reshape((len(v), size, *shape[1:])).sum(axis=tuple(a + 1 for a in axes))
-    power = power.reshape(len(v), size, size)  # P**(2**bit)
-    m, pi = m.reshape(len(v), 1, size), _stationary(power)[:, None, :]
-    # s = pi . g is a dot product of 2**k sums: within 8 * 2**k ulps of
-    # the energy moved at pi it cannot be told from 0 and is taken as 0.
-    # Otherwise, or without a pi, the series runs on m itself, with pi 0.
-    taken = np.abs(pi @ g) <= 8 * size * _ULP * (pi @ moved)  # False at NaN
-    pi[~taken[:, 0, 0]] = 0.0
-    anchored, x = pi.any(), m - pi  # x: the vectors the work series runs on
-    summed, work = g, np.zeros((len(v), 1, 1))  # summed: T over j < 2**bit
-    terms, left = repeats, repeats - 1
-    while terms:
-        if terms & 1:
-            work += x @ summed
-            x = x @ power
-        if left & 1:
-            m = m @ power
-        terms >>= 1
-        left >>= 1
-        if terms:
-            summed = summed + power @ summed
-            if anchored:
-                summed -= pi @ summed
-            power = power @ power
-            power /= power.sum(axis=2, keepdims=True)
-    return (m @ rows)[:, 0], work.ravel()
-
-
-def _stationary(chain: np.ndarray) -> np.ndarray:
-    """Stationary row vector of each row-stochastic chain of a stack.
-
-    Grassmann-Taksar-Heyman state reduction (Oper. Res. 33, 1985): each
-    state is folded into the ones before it with sums and products of
-    nonnegative entries only, so every entry keeps its relative digits.
-    A chain in which a state cannot reach the ones before it is
-    reducible, and its stationary vector may not be unique: its row is
-    NaN.
-    """
-    a = chain.copy()
-    reducible = np.zeros(len(a), dtype=bool)
-    for k in range(a.shape[1] - 1, 0, -1):
-        out = a[:, k, :k].sum(axis=1)
-        if not out.all():
-            reducible |= out == 0.0
-            if reducible.all():
-                return np.full(a.shape[:2], np.nan)
-            out[reducible] = 1.0  # any nonzero: those rows are dropped
-        a[:, :k, k] /= out[:, None]
-        a[:, :k, :k] += a[:, :k, k, None] * a[:, None, k, :k]
-    pi = np.ones((len(a), 1, a.shape[1]))
-    for k in range(1, a.shape[1]):
-        pi[:, :, k : k + 1] = pi[:, :, :k] @ a[:, :k, k : k + 1]
-    pi = pi[:, 0] / pi.sum(axis=2)
-    pi[reducible] = np.nan
-    return pi
+    return power.reshape(len(v), size, size), g, moved, m.reshape(len(v), size), rows
 
 
 def _mixing(gates: int, noise: float) -> float:
@@ -980,21 +895,12 @@ def noisy_final_probability(
     Equals marginal(simulate(build_circuit(config, p), thermal start,
     noise=noise, bath_excitation=p), 1) up to rounding, and at noise 0
     is final_probability(config, p) bit for bit.  Any other level is a
-    batch of one of _noisy_final_ps, and has the bits it has in any
-    batch.
+    batch of one of _noise_report, and has the bits it has in any batch.
     """
     p = check_excitation(p)
     if noise.probability == 0.0:
         return final_probability(config, p)
-    return _noisy_final_ps(config, p, [noise.probability], noise.placement)[0]
-
-
-def _noisy_final_ps(
-    config: MethodConfig, p: float, levels: Sequence[float], placement: str
-) -> list[float]:
-    """noisy_final_probability at each nonzero noise level, for a checked p
-    (see _noise_report)."""
-    return _noise_report(config, p, levels, placement)[1]
+    return _noise_report(config, p, [noise.probability], noise.placement)[1][0]
 
 
 def _live(config: MethodConfig, placement: str) -> bool:

@@ -16,7 +16,7 @@ One schedule (`_schedule`) and one kernel (`_run`) do every simulation:
 and per-layer noise rows run it on the live qubits only: the library's
 rows build the live program once per circuit (`methods._layer_program`
 calls `_live_program`) and run it once for all noise levels
-(`_run_live`); `_live_marginal` does both for one level.
+(`_run_live`).
 The public `apply_mcnot`, `depolarize` and `reset_qubits` run one kernel
 step on a copy of their input.
 """
@@ -293,40 +293,35 @@ def simulate(
     return _run(t, steps, np.array([p]), bath_excitation).ravel()
 
 
-def _live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
-    """marginal(simulate(circuit, thermal_product_vector(p, n), noise=noise,
-    bath_excitation=p), 1), holding only the live qubits.
-
-    The light cone of Markov and Shi (SIAM J. Comput. 38, 2008): a qubit
-    is tensored in at p at its first gate and summed out right after its
-    last one.  A reset discards its qubits; they come back at p when
-    next touched, which is exact because the start and the bath are
-    both at p.  Summing a qubit out commutes with the gates after it,
-    which do not touch it, and turns depolarizing a set that holds it
-    into depolarizing the rest of the set; so a layer's mix strikes only
-    its qubits that are still live.  Qubit 1 is kept to the end, as the
-    only live qubit; if it is untouched since the start or its last
-    reset, the result is p.  A schedule whose live width exceeds the
-    vector cap is refused before any array is built.
-    """
-    placement = noise.placement if noise.probability > 0.0 else None
-    program, _ = _live_program(circuit, placement)
-    return _run_live(program, p, np.array([noise.probability]))[0]
-
-
 def _run_live(program: tuple, p: float, levels: np.ndarray) -> list[float]:
-    """_live_marginal's result at each noise level, from the program
-    _live_program built, run once for all levels."""
+    """marginal(simulate(circuit, thermal_product_vector(p, n), noise=
+    NoiseModel(level, placement), bath_excitation=p), 1) at each noise
+    level, from the program _live_program(circuit, placement) built (with
+    placement None at noise 0), run once for all levels.
+
+    Only the live qubits are held, by the light cone of Markov and Shi
+    (SIAM J. Comput. 38, 2008): a qubit is tensored in at p at its first
+    gate and summed out right after its last one.  A reset discards its
+    qubits; they come back at p when next touched, which is exact
+    because the start and the bath are both at p.  Summing a qubit out
+    commutes with the gates after it, which do not touch it, and turns
+    depolarizing a set that holds it into depolarizing the rest of the
+    set; so a layer's mix strikes only its qubits that are still live.
+    Qubit 1 is kept to the end, as the only live qubit; if it is
+    untouched since the start or its last reset, the result is p.
+    """
     t = _run(np.ones(len(levels)), program, levels, p)
     return [p] * len(levels) if t.ndim == 1 else t[:, 1].tolist()
 
 
 def _live_program(circuit: Circuit, placement: str | None) -> tuple[tuple, int]:
     """_schedule's steps moved onto the live qubits' axes, and the most
-    qubits live at once.
+    qubits live at once (see _run_live).
 
     A gate tensors in the qubits it brings to life and sums out those
-    it touches last; resets, and mixes of no live qubit, drop out.
+    it touches last; resets, and mixes of no live qubit, drop out.  A
+    schedule whose live width exceeds the vector cap is refused before
+    any array is built.
     """
     steps = tuple(_schedule(circuit, placement))
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qcool.circuits import Circuit, McNot, ResetInstr
 from qcool.methods import dynamic_final_p
 from qcool.qasm import THERMAL_RESET_PRAGMA
-from qcool.sim import NoiseModel, marginal, reset_qubits
+from qcool.sim import NoiseModel, _live_program, _run_live, marginal, reset_qubits
 from qcool.thermo import thermal_product_vector
 
 
@@ -510,11 +510,19 @@ def _reference_walk(rounds, p: float, noise: float = 0.0) -> tuple[float, float]
     return t, work
 
 
+def live_marginal(circuit: Circuit, p: float, noise: NoiseModel) -> float:
+    """One noise level's row of the live kernel: the circuit's program,
+    scheduled without noise at level 0, run at that level alone."""
+    placement = noise.placement if noise.probability > 0.0 else None
+    program, _ = _live_program(circuit, placement)
+    return _run_live(program, p, np.array([noise.probability]))[0]
+
+
 def reference_noise_rows(config, p: float, levels, placement: str = "per-gate") -> list[float]:
     """Each level's noisy final_p, one level at a time: the noiseless
     final_p at 0, a per-level walk where each cluster runs alone, and a
     one-level live run where a layer spans several parallel copies."""
-    from qcool import methods, sim
+    from qcool import methods
 
     plan = _reference_plan(config, p)
     shared = placement == "per-layer" and any(len(r.clusters) > 1 for r in plan)
@@ -524,7 +532,7 @@ def reference_noise_rows(config, p: float, levels, placement: str = "per-gate") 
             out.append(reference_sweep_rows(config, [p])[0]["final_p"])
         elif shared:
             circuit = methods.build_circuit(config, p)
-            out.append(sim._live_marginal(circuit, p, NoiseModel(q, placement)))
+            out.append(live_marginal(circuit, p, NoiseModel(q, placement)))
         else:
             out.append(_reference_walk(plan, p, q)[0])
     return out
@@ -726,6 +734,20 @@ def _reference_gate_lines(gate: McNot) -> list[str]:
         lines.append(f"x {target};")
     lines.extend(f"x {c};" for c in reversed(open_controls))
     return lines
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """assert got == want, naming the first line that differs: pytest's
+    diff of two long texts can run for minutes."""
+    same = got == want
+    assert same, next(
+        (
+            (i, a, b)
+            for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()))
+            if a != b
+        ),
+        "line counts differ",
+    )
 
 
 def reference_export_qasm(circuit: Circuit) -> str:

@@ -17,9 +17,9 @@ import pytest
 
 from helpers import _reference_plan, _reference_walk, reference_noise_rows
 
-from qcool import HBAC, Dynamic, NoiseModel, SemiOpen, SubOptimal, build_circuit
+from qcool import HBAC, Dynamic, SemiOpen, SubOptimal, build_circuit
 from qcool import methods, sim, thermo
-from qcool.methods import _noisy_final_ps, _reports, _rounds, _walk
+from qcool.methods import _noise_report, _reports, _rounds, _walk
 
 LEVELS = (0.0, 1e-12, 1e-4, 1e-2, 0.5, 1.0)
 PLACEMENTS = ("per-gate", "per-layer")
@@ -53,7 +53,7 @@ def _hex(values):
 
 def _batch(config, p, levels, placement):
     """Every level's row through the one batched path, zeros included."""
-    noisy = iter(_noisy_final_ps(config, p, [q for q in levels if q], placement))
+    noisy = iter(_noise_report(config, p, [q for q in levels if q], placement)[1])
     return [
         methods.final_probability(config, p) if q == 0.0 else next(noisy)
         for q in levels
@@ -81,10 +81,10 @@ def test_noise_rows_do_not_depend_on_their_batch(config, placement):
     # of one.
     p, rng = 0.07, random.Random(5)
     nonzero = [q for q in LEVELS if q] + [3e-3, 0.2]
-    alone = {q: _noisy_final_ps(config, p, [q], placement)[0] for q in nonzero}
+    alone = {q: _noise_report(config, p, [q], placement)[1][0] for q in nonzero}
     for _ in range(4):
         levels = rng.sample(nonzero, len(nonzero)) + rng.choices(nonzero, k=5)
-        got = _noisy_final_ps(config, p, levels, placement)
+        got = _noise_report(config, p, levels, placement)[1]
         assert _hex(got) == _hex(alone[q] for q in levels)
 
 
@@ -127,12 +127,10 @@ def test_live_levels_match_their_one_level_runs(config):
     p = 0.07
     circuit = build_circuit(config, p)
     levels = [1e-12, 1e-4, 1e-2, 0.3, 0.5, 1.0, 1e-2]
-    want = [
-        sim._live_marginal(circuit, p, NoiseModel(q, "per-layer")) for q in levels
-    ]
     program, _ = sim._live_program(circuit, "per-layer")
+    want = [sim._run_live(program, p, np.array([q]))[0] for q in levels]
     assert _hex(sim._run_live(program, p, np.array(levels))) == _hex(want)
-    assert _hex(_noisy_final_ps(config, p, levels, "per-layer")) == _hex(want)
+    assert _hex(_noise_report(config, p, levels, "per-layer")[1]) == _hex(want)
 
 
 def test_wide_noise_batches_split_and_stay_bounded(monkeypatch):
@@ -141,7 +139,7 @@ def test_wide_noise_batches_split_and_stay_bounded(monkeypatch):
     # a one-level run.  The noiseless row leads the first batch.
     config, p = Dynamic(16), 0.07
     levels = [1e-6 * (i + 1) for i in range(512)]
-    _noisy_final_ps(config, p, levels[:1], "per-gate")  # count the gates once
+    _noise_report(config, p, levels[:1], "per-gate")  # count the gates once
     sizes = []
     real = methods._walk
     monkeypatch.setattr(
@@ -154,7 +152,7 @@ def test_wide_noise_batches_split_and_stay_bounded(monkeypatch):
         gc.collect()
         tracemalloc.start()
         try:
-            got = _noisy_final_ps(config, p, levels, "per-gate")
+            got = _noise_report(config, p, levels, "per-gate")[1]
             return got, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

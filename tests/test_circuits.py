@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_same_text,
     instructions,
     reference_embed,
     reference_export_qasm,
@@ -384,7 +385,7 @@ def test_rows_match_per_instruction_references(drawn, data):
     c = Circuit(n, program)
     assert c.instructions == tuple(program)
     assert len(c) == len(program)
-    assert export_qasm(c) == reference_export_qasm(c)
+    assert_same_text(export_qasm(c), reference_export_qasm(c))
     assert simplify_adjacent(c) == reference_simplify(c)
     extra = data.draw(st.integers(0, 2))
     qubit_map = data.draw(st.permutations(range(1, n + extra + 1)))[:n]
@@ -408,7 +409,7 @@ def test_long_export_matches_per_instruction_reference(n, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     picks = np.random.default_rng(seed).integers(len(pool), size=2 * _chunk_rows(n) + 97)
     c = Circuit(n, [pool[i] for i in picks])
-    assert export_qasm(c) == reference_export_qasm(c)
+    assert_same_text(export_qasm(c), reference_export_qasm(c))
 
 
 @settings(max_examples=60, deadline=None)

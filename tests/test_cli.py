@@ -224,6 +224,20 @@ def test_cap_applies_to_clusters_and_vectors(runner, tmp_path):
             assert message in result.stderr, (doc, args)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: the round map of HBAC 4 with resets {4} has no pi, "
+    "and its float work drifts linearly in the rounds",
+)
+def test_long_run_hbac_work_on_a_reducible_round_map(runner, tmp_path):
+    # helpers.exact_walk at 50 digits gives 0.16800000000000000577 at
+    # both 1,000 and 3,000 rounds: the steady work per round is 0.
+    doc = {"method": "hbac", "cluster_size": 4, "rounds": 10**18, "reset_qubits": [4]}
+    cfg = write_config(tmp_path, doc)
+    row = json.loads(run_ok(runner, ["analyze", "--config", cfg, "--initial-p", "0.3"]))[0]
+    assert row["work"] == pytest.approx(0.168, rel=1e-9, abs=0.0)
+
+
 def test_analyze_bad_probability_exit_2(runner, tmp_path):
     cfg = write_config(tmp_path, DYN3)
     result = runner.invoke(cli, ["analyze", "--config", cfg, "--initial-p", "0.6"])

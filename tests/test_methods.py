@@ -52,6 +52,7 @@ from qcool import (
     total_work_cost,
     work_cost,
 )
+from qcool.chain import stationary
 from qcool.constants import BOLTZMANN_J_PER_K
 from qcool import methods, protocols
 from qcool.methods import (
@@ -60,7 +61,6 @@ from qcool.methods import (
     _gate_counts,
     _map_pays,
     _rounds,
-    _stationary,
     _walk,
 )
 from qcool.synth import synthesized_gate_count
@@ -999,9 +999,9 @@ def test_stationary_vector_keeps_relative_digits():
     # The chains are stacked, and each row is the one it is alone.
     pairs = ((1e-24, 0.5), (0.3, 0.7), (1.0, 1.0))
     chains = np.array([[[1 - a, a], [b, 1 - b]] for a, b in pairs])
-    stacked = _stationary(chains)
+    stacked = stationary(chains)
     for (a, b), pi, chain in zip(pairs, stacked, chains):
-        assert pi.tobytes() == _stationary(chain[None])[0].tobytes()
+        assert pi.tobytes() == stationary(chain[None])[0].tobytes()
         exact = [Fraction(b) / (Fraction(a) + Fraction(b))]
         exact.append(1 - exact[0])
         for got, want in zip(pi, exact):
@@ -1010,12 +1010,12 @@ def test_stationary_vector_keeps_relative_digits():
     rng = np.random.default_rng(7)
     chain = rng.random((16, 16)) ** 8
     chain /= chain.sum(axis=1, keepdims=True)
-    (pi,) = _stationary(chain[None])
+    (pi,) = stationary(chain[None])
     assert np.all(np.abs(pi @ chain - pi) <= 64 * EPS * pi)
     assert abs(pi.sum() - 1.0) <= 16 * EPS
     # Two closed classes have no unique stationary vector: that row is
     # NaN, and a row stacked with it keeps its own vector.
-    both = _stationary(np.array([np.eye(3), chain[:3, :3] / chain[:3, :3].sum(1)[:, None]]))
+    both = stationary(np.array([np.eye(3), chain[:3, :3] / chain[:3, :3].sum(1)[:, None]]))
     assert np.isnan(both[0]).all() and not np.isnan(both[1]).any()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     QasmSyntaxError,
+    assert_same_text,
     circuit_permutation,
     count_ctrl_statements,
     parse_qasm,
@@ -159,7 +160,7 @@ def test_write_qasm(tmp_path):
     path = tmp_path / "circ.qasm"
     c = transposition_circuit(0, 3, 2)
     write_qasm(c, path)
-    assert path.read_text() == export_qasm(c)
+    assert_same_text(path.read_text(), export_qasm(c))
 
 
 def test_write_qasm_to_an_open_stream():
@@ -167,7 +168,8 @@ def test_write_qasm_to_an_open_stream():
     for c in (build_circuit(Dynamic(12)), build_circuit(HBAC(3, 3), 0.1)):
         stream = io.StringIO()
         write_qasm(c, stream)
-        assert not stream.closed and stream.getvalue() == export_qasm(c)
+        assert not stream.closed
+        assert_same_text(stream.getvalue(), export_qasm(c))
 
 
 # Circuits whose open controls span one or two flip bytes, and circuits
@@ -239,16 +241,7 @@ def test_wide_export_matches_the_per_instruction_reference(name, width):
 
 
 def _assert_matches_reference(circuit):
-    got, want = export_qasm(circuit), reference_export_qasm(circuit)
-    same = got == want  # no diff of megabytes of text on failure
-    assert same, next(
-        (
-            (i, a, b)
-            for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()))
-            if a != b
-        ),
-        "line counts differ",
-    )
+    assert_same_text(export_qasm(circuit), reference_export_qasm(circuit))
 
 
 def test_open_control_bytes_differ_between_chunks():
@@ -284,7 +277,7 @@ def test_export_without_gates_matches_the_reference(circuit):
     _assert_matches_reference(circuit)
     stream = io.StringIO()
     write_qasm(circuit, stream)
-    assert stream.getvalue() == export_qasm(circuit)
+    assert_same_text(stream.getvalue(), export_qasm(circuit))
 
 
 def test_each_statement_is_formatted_once(monkeypatch):

@@ -9,6 +9,7 @@ from helpers import (
     apply_mcnot_int,
     gates,
     instructions,
+    live_marginal,
     marginal_mask,
     simulate_stepwise,
 )
@@ -425,7 +426,7 @@ def test_live_marginal_matches_stepwise_oracle(data, n, noise_p, placement, p):
     noise = NoiseModel(noise_p, placement)
     v0 = thermal_product_vector(p, n)
     want = marginal_mask(simulate_stepwise(circuit, v0, noise, p), 1)
-    got = sim_module._live_marginal(circuit, p, noise)
+    got = live_marginal(circuit, p, noise)
     # Every step adds, scales or swaps nonnegative numbers, so each entry
     # keeps its relative digits; the two differ only in the order of
     # their sums, by a few ulps an instruction (5.25 at most over 3,000
@@ -440,7 +441,7 @@ def test_live_marginal_reads_p_for_an_untouched_target():
         (McNot(2, ((3, 0),)),),
         (McNot(1, ((2, 1),)), ResetInstr((1,))),
     ):
-        assert sim_module._live_marginal(Circuit(3, program), p, noise) == p
+        assert live_marginal(Circuit(3, program), p, noise) == p
 
 
 @pytest.mark.parametrize(
@@ -467,10 +468,7 @@ def test_per_layer_noise_levels_share_one_schedule(monkeypatch):
     config, p = SubOptimal(4, 2), 0.07
     levels = (1e-4, 1e-3, 1e-2, 0.3)
     circuit = build_circuit(config, p)
-    want = [
-        sim_module._live_marginal(circuit, p, NoiseModel(q, "per-layer"))
-        for q in levels
-    ]
+    want = [live_marginal(circuit, p, NoiseModel(q, "per-layer")) for q in levels]
     methods_module._layer_program.cache_clear()
     built = []
     real = methods_module._circuit
@@ -492,4 +490,4 @@ def test_live_width_past_the_cap_is_refused_before_allocating(monkeypatch):
     circuit, noise = Circuit(25, (gate,)), NoiseModel(0.01, "per-layer")
     monkeypatch.setattr(sim_module, "np", None)
     with pytest.raises(ResourceLimitError, match="25 qubits exceeds the cap of 24"):
-        sim_module._live_marginal(circuit, 0.1, noise)
+        live_marginal(circuit, 0.1, noise)
