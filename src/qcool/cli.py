@@ -25,27 +25,8 @@ from .errors import QcoolError, ResourceLimitError
 from .qasm import write_qasm
 from .sim import NoiseModel
 from .synth import synthesize_circuit
-from .thermo import (
-    EnergyGap,
-    Temperature,
-    probability_from_temperature,
-    temperature_from_probability,
-)
+from .thermo import EnergyGap, Temperature, probability_from_temperature
 from .unitary import unitary_from_json
-
-RESULT_COLUMNS = [
-    "method",
-    "total_qubits",
-    "initial_temp_mk",
-    "final_temp_mk",
-    "initial_p",
-    "final_p",
-    "noise_p",
-    "work",
-    "work_joules",
-    "total_gates",
-    "resets",
-]
 
 BENCH_COLUMNS = ["n", "sparse_bytes", "dense_bytes", "compose_seconds"]
 
@@ -94,77 +75,36 @@ def _resolve_initial(initial_p, temp_mk, freq_ghz, *, required=True):
     return None, gap
 
 
-def _mk(temperature: Temperature | None, p: float) -> float | None:
-    # Inverted or infinite-temperature populations have no finite kelvin
-    # value; sweeps keep going and leave the cell empty.
-    return None if temperature is None or p >= 0.5 else temperature.millikelvin
+# Encodes a flat list of scalars one a line: json escapes any newline
+# inside a string, so the lines are the values.
+_VALUES_JSON = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
-# Encodes one row of the JSON output at a time: see _emit.
-_ROW_JSON = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-
-
-def _emit(rows: list[dict], columns: list[str], as_csv: bool, out: str | None) -> None:
+def _emit(rows: list[tuple], columns: list[str], as_csv: bool, out: str | None) -> None:
+    """Write rows, each a tuple of values in columns order, as CSV or as
+    JSON objects."""
     if as_csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                "" if row[c] is None else row[c] for c in columns
-            )
+        writer.writerows(rows)  # None is written as an empty cell
         text = buf.getvalue()
     elif rows:
-        # json.dumps(rows, indent=2) + "\n", byte for byte: each row is a
-        # flat dict of scalars, so one pass of json's C encoder, with
-        # the indented separator, writes it whole, and json's own rules
-        # still format every value.
-        text = "[\n" + ",\n".join(
-            "  {\n    " + _ROW_JSON(row)[1:-1] + "\n  }" for row in rows
-        ) + "\n]\n"
+        # json.dumps([dict(zip(columns, row)) ...], indent=2) + "\n", byte
+        # for byte: one pass of json's C encoder formats every value by
+        # json's own rules, and a template, with each key encoded the
+        # same way, lays them out.
+        values = _VALUES_JSON([v for row in rows for v in row])[1:-1].split("\n")
+        template = "  {\n    " + ",\n    ".join(
+            json.dumps(c).replace("%", "%%") + ": %s" for c in columns
+        ) + "\n  }"
+        text = "[\n" + ",\n".join([template] * len(rows)) % tuple(values) + "\n]\n"
     else:
         text = "[]\n"
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
-
-
-def _rows(reports, gap, levels=(None,), noisy=None) -> list[dict]:
-    """One result row per report and noise level (None: noiseless).
-
-    A row's final_p is the noisy circuit's: noisy holds each report's
-    at the nonzero levels, in order.  At noise 0 that is the report's
-    final_excitation bit for bit.  Only noisy final temperatures are
-    converted here: the others are the report's.
-    """
-    physical = gap is not None and not gap.dimensionless
-    rows = []
-    for rep, finals in zip(reports, noisy or [()] * len(reports)):
-        finals = iter(finals)
-        for level in levels:
-            final_p, final_t = rep.final_excitation, rep.final_temperature
-            if level:
-                final_p = next(finals)
-                final_t = None
-                if physical and final_p < 0.5:
-                    final_t = temperature_from_probability(final_p, gap)
-            # Work is the noiseless driving cost; depolarizing exchanges
-            # heat, not work, in this model.
-            rows.append({
-                "method": rep.method,
-                "total_qubits": rep.total_qubits,
-                "initial_temp_mk": _mk(rep.initial_temperature, rep.initial_excitation),
-                "final_temp_mk": _mk(final_t, final_p),
-                "initial_p": rep.initial_excitation,
-                "final_p": final_p,
-                "noise_p": level,
-                "work": rep.work_in_gap_units,
-                "work_joules": rep.work_joules,
-                "total_gates": rep.gate_counts.total,
-                "resets": rep.gate_counts.resets,
-            })
-    return rows
 
 
 @click.group()
@@ -213,8 +153,8 @@ def analyze(config_path, initial_p, temp_mk, freq_ghz, as_csv, out):
     """Report final temperature, work, and circuit size for one config."""
     config = methods.config_from_json(config_path)
     p, gap = _resolve_initial(initial_p, temp_mk, freq_ghz)
-    rows = _rows([methods.report(config, initial_p=p, gap=gap)], gap)
-    _emit(rows, RESULT_COLUMNS, as_csv, out)
+    rows = list(methods._result_rows(config, [methods.check_excitation(p)], gap))
+    _emit(rows, methods.RESULT_COLUMNS, as_csv, out)
 
 
 @cli.command()
@@ -245,8 +185,8 @@ def sweep(config_paths, probs, temps_mk, freq_ghz, as_csv, out):
     # Checked here so a bad value exits 2 before any row is computed.
     ps = [methods.check_excitation(p) for p in ps]
     # Each config's points are planned and walked together.
-    rows = [row for c in configs for row in _rows(methods._reports(c, ps, gap), gap)]
-    _emit(rows, RESULT_COLUMNS, as_csv, out)
+    rows = [row for c in configs for row in methods._result_rows(c, ps, gap)]
+    _emit(rows, methods.RESULT_COLUMNS, as_csv, out)
 
 
 @cli.command("noise-sweep")
@@ -271,13 +211,13 @@ def noise_sweep(config_paths, initial_p, temp_mk, freq_ghz, noise_probs, placeme
         NoiseModel(q, placement).probability
         for q in _parse_float_list(noise_probs, "--noise-probs")
     ]
-    noisy, rows = [q for q in levels if q], []
-    for c in configs:
-        # One walk of the config's plan gives its report and every
-        # nonzero level's final_p.
-        rep, finals = methods._noise_report(c, p, noisy, placement, gap)
-        rows += _rows([rep], gap, levels, [finals])
-    _emit(rows, RESULT_COLUMNS, as_csv, out)
+    # One walk of each config's plan gives its noiseless row and every
+    # nonzero level's final_p.
+    rows = [
+        row for c in configs
+        for row in methods._result_rows(c, [p], gap, levels, placement)
+    ]
+    _emit(rows, methods.RESULT_COLUMNS, as_csv, out)
 
 
 @cli.command()
@@ -310,14 +250,8 @@ def bench(min_n, max_n, step, seed, compact, as_csv, out):
             t0 = time.perf_counter()
             u1.compose(u2)
             best = min(best, time.perf_counter() - t0)
-        rows.append(
-            {
-                "n": n,
-                "sparse_bytes": u1.memory_footprint() - (12 * u1.dim if compact else 0),
-                "dense_bytes": 4 * 4**n,
-                "compose_seconds": best,
-            }
-        )
+        sparse = u1.memory_footprint() - (12 * u1.dim if compact else 0)
+        rows.append((n, sparse, 4 * 4**n, best))
     _emit(rows, BENCH_COLUMNS, as_csv, out)
 
 

@@ -26,7 +26,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .thermo import (
     EnergyGap,
     Temperature,
     ThermalSpec,
+    _kelvin,
     probability_from_temperature,
     product_diagonal,
     temperature_from_probability,
@@ -933,6 +934,22 @@ def _layer_program(config: MethodConfig, p: float) -> tuple[tuple, int]:
 # -- reporting ------------------------------------------------------------
 
 
+# The columns of a result row, in the order _result_rows yields them.
+RESULT_COLUMNS = [
+    "method",
+    "total_qubits",
+    "initial_temp_mk",
+    "final_temp_mk",
+    "initial_p",
+    "final_p",
+    "noise_p",
+    "work",
+    "work_joules",
+    "total_gates",
+    "resets",
+]
+
+
 @dataclass(frozen=True)
 class CoolingReport:
     """Outcome of a method.  Temperatures are None without a physical gap;
@@ -974,53 +991,30 @@ def report(
     return _reports(config, [check_excitation(initial_p)], gap)[0]
 
 
-def _noise_report(
-    config: MethodConfig,
-    p: float,
-    levels: Sequence[float],
-    placement: str,
-    gap: EnergyGap | None = None,
-) -> tuple[CoolingReport, list[float]]:
-    """report at a checked p, and noisy_final_probability at each nonzero
-    noise level of levels.
-
-    The levels are rows of the report's own walk, after its noiseless
-    row (see _groups), on vectors only as wide as a cluster.  Where
-    noisy rows run live (_live), the synthesized circuit runs once for
-    all levels, after the report's walk, on its live qubits only
-    (sim._run_live), refused if more than 24 are live at once; its
-    program is kept for the next call (_layer_program).  A batch holds
-    at most _MAX_BATCH entries; more levels run in turn.
-    """
-    levels = tuple(levels)
-    if not _live(config, placement):
-        rep = _reports(config, (p,), gap, levels)[0]
-        # One point takes one plan, walked in row order.
-        return rep, [t for *_, ts, _ in _groups(config, (p,), levels) for t in ts][1:]
-    rep = _reports(config, (p,), gap)[0]
-    program, width = _layer_program(config, p)
-    step = max(1, _MAX_BATCH >> width)
-    return rep, [
-        t for lo in range(0, len(levels), step)
-        for t in sim._run_live(program, p, np.array(levels[lo : lo + step], dtype=np.float64))
-    ]
-
-
-def _reports(
-    config: MethodConfig,
-    ps: Sequence[float],
-    gap: EnergyGap | None = None,
-    levels: Sequence[float] = (),
-) -> list[CoolingReport]:
-    """report at each checked excitation of ps: one _groups evaluation,
-    which also walks each point at the nonzero noise levels of levels,
-    and one gate count per plan."""
+def _points(
+    config: MethodConfig, ps: Sequence[float], levels: Sequence[float] = ()
+) -> tuple[list[tuple], list[list[float]]]:
+    """(points, noisy): (final_p, work, gate counts) at each checked
+    excitation of ps, and each point's final_p at the nonzero noise
+    levels of levels.  One _groups evaluation walks every row, and each
+    plan's gates are counted once."""
     ps, levels = tuple(ps), tuple(levels)
     walked: dict[int, tuple] = {}
     for rows, rounds, t, work in _groups(config, ps, levels):
         counts = _gate_counts(rounds)
         walked.update(zip(rows.tolist(), zip(t, work, [counts] * len(t))))
-    t, work, counts = zip(*(walked[i] for i in range(0, len(walked), 1 + len(levels))))
+    size = 1 + len(levels)
+    rows = [walked[i] for i in range(len(walked))]
+    t, work, counts = zip(*rows[::size])
+    noisy = [[row[0] for row in rows[i + 1 : i + size]] for i in range(0, len(rows), size)]
+    return list(zip(_closed_form(config, ps) or t, work, counts)), noisy
+
+
+def _reports(
+    config: MethodConfig, ps: Sequence[float], gap: EnergyGap | None = None
+) -> list[CoolingReport]:
+    """report at each checked excitation of ps: the per-point view of
+    _points."""
     physical, label = gap is not None and not gap.dimensionless, method_label(config)
 
     def kelvin(p: float) -> Temperature | None:
@@ -1038,8 +1032,73 @@ def _reports(
             final_temperature=kelvin(final),
             gate_counts=c,
         )
-        for p, final, w, c in zip(ps, _closed_form(config, ps) or t, work, counts)
+        for p, (final, w, c) in zip(ps, _points(config, ps)[0])
     ]
+
+
+def _noise_report(
+    config: MethodConfig, p: float, levels: Sequence[float], placement: str
+) -> tuple[tuple, list[float]]:
+    """(final_p, work, gate counts) at a checked p, as _points gives
+    them, and noisy_final_probability at each nonzero noise level of
+    levels.
+
+    The levels are rows of the point's own walk, after its noiseless
+    row (see _groups), on vectors only as wide as a cluster.  Where
+    noisy rows run live (_live), the synthesized circuit runs once for
+    all levels, after the point's walk, on its live qubits only
+    (sim._run_live), refused if more than 24 are live at once; its
+    program is kept for the next call (_layer_program).  A batch holds
+    at most _MAX_BATCH entries; more levels run in turn.
+    """
+    levels = tuple(levels)
+    if not _live(config, placement):
+        points, noisy = _points(config, (p,), levels)
+        return points[0], noisy[0]
+    point = _points(config, (p,))[0][0]
+    program, width = _layer_program(config, p)
+    step = max(1, _MAX_BATCH >> width)
+    return point, [
+        t for lo in range(0, len(levels), step)
+        for t in sim._run_live(program, p, np.array(levels[lo : lo + step], dtype=np.float64))
+    ]
+
+
+def _result_rows(
+    config: MethodConfig,
+    ps: Sequence[float],
+    gap: EnergyGap | None = None,
+    levels: Sequence[float | None] = (None,),
+    placement: str | None = None,
+) -> Iterator[tuple]:
+    """config's result rows as plain values in RESULT_COLUMNS order: for
+    each checked excitation of ps, one row at each noise level of levels.
+
+    A sweep's row has level None and no placement.  A noise sweep's
+    rows (placement given) take their final_p at each nonzero level from
+    _noise_report, and the noiseless one at level 0.  Work is the
+    noiseless driving cost: depolarizing exchanges heat, not work, in
+    this model.  A temperature cell is None without a physical gap, and
+    for a population at 1/2 or above, which has no finite kelvin value.
+    """
+    if placement is None:
+        points, noisy = _points(config, ps)
+    else:
+        nonzero = [q for q in levels if q]
+        points, noisy = zip(*(_noise_report(config, p, nonzero, placement) for p in ps))
+    physical, label, width = (
+        gap is not None and not gap.dimensionless, method_label(config), config.width
+    )
+
+    def mk(x: float) -> float | None:
+        return _kelvin(x, gap) * 1e3 if physical and x < 0.5 else None
+
+    for p, (final, work, counts), finals in zip(ps, points, noisy):
+        finals, initial, total = iter(finals), mk(p), counts.total
+        joules = work * gap.value if physical else None
+        for level in levels:
+            t = next(finals) if level else final
+            yield (label, width, initial, mk(t), p, t, level, work, joules, total, counts.resets)
 
 
 # -- configuration documents ----------------------------------------------

@@ -211,10 +211,10 @@ class _Shared:
 
 # Every protocol and later-round unitary a sweep reuses.  At most 2**20
 # basis states besides the newest: a 20-qubit unitary on its own, or
-# 2**15 5-qubit ones.  A unitary keeps its int32 indices and, once
-# synthesized or counted, its transposition arrays: 5-13 bytes a state
-# (measured at 14 to 20 qubits), so the table keeps at most about
-# 13 MiB alive, plus 8 bytes a state for each ranking key.
+# 2**15 5-qubit ones.  A unitary keeps its int32 indices, its gate count
+# once counted, and its transposition arrays once synthesized: 5-13
+# bytes a state (measured at 14 to 20 qubits), so the table keeps at
+# most about 13 MiB alive, plus 8 bytes a state for each ranking key.
 _shared = _Shared(1 << 20)
 
 

@@ -158,8 +158,26 @@ def synthesized_gate_count(unitary: CoolingUnitary) -> int:
     """Gates synthesize_circuit emits for unitary, without building them.
 
     Every one is controlled on the other n - 1 qubits; the cycle
-    (s1 ... sm) costs 2 popcount(s1 ^ sk) - 1 gates for each k > 1, read
-    off the distance array synthesis sizes its rows by.
+    (s1 ... sm) costs 2 popcount(s1 ^ sk) - 1 gates for each k > 1.  The
+    count is summed in one walk of the permutation, which builds no
+    cycles, and the unitary keeps only the int.
     """
-    distance = unitary._cycle_transpositions[2]
-    return 2 * int(distance.sum()) - distance.size
+    if unitary._gates is None:
+        unitary._gates = _walked_gate_count(unitary.indices.tolist())
+    return unitary._gates
+
+
+def _walked_gate_count(perm: list[int]) -> int:
+    """synthesized_gate_count of the permutation perm, walked in place.
+
+    Each cycle is met first at its smallest state s1, and walked from
+    there; every state it passes is made a fixed point, so no cycle is
+    walked twice.  A permutation and its inverse (the unitary's indices)
+    have the same cycles as sets, so either gives the same count.
+    """
+    gates = 0
+    for start, cur in enumerate(perm):
+        while cur != start:
+            gates += 2 * (start ^ cur).bit_count() - 1
+            perm[cur], cur = cur, perm[cur]
+    return gates

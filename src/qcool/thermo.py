@@ -112,6 +112,12 @@ def temperature_from_probability(p: float, gap: EnergyGap) -> Temperature:
     Raises PopulationInversionError for p > 1/2 (negative-temperature
     regime).  p = 1/2 maps to infinite temperature, p = 0 to 0 K.
     """
+    return Temperature(_kelvin(p, gap))
+
+
+def _kelvin(p: float, gap: EnergyGap) -> float:
+    """temperature_from_probability(p, gap).kelvin, with its checks,
+    without building the Temperature."""
     gap._require_physical()
     if not 0.0 <= p <= 1.0 or math.isnan(p):
         raise ValueError("probability must lie in [0, 1]")
@@ -120,13 +126,11 @@ def temperature_from_probability(p: float, gap: EnergyGap) -> Temperature:
             f"population inversion (p = {p}), no nonnegative temperature"
         )
     if p == 0.5:
-        return Temperature(math.inf)
+        return math.inf
     if p == 0.0:
-        return Temperature(0.0)
+        return 0.0
     # log1p keeps precision for small p.
-    return Temperature(
-        gap.value / (BOLTZMANN_J_PER_K * (math.log1p(-p) - math.log(p)))
-    )
+    return gap.value / (BOLTZMANN_J_PER_K * (math.log1p(-p) - math.log(p)))
 
 
 @dataclass(frozen=True)

@@ -238,7 +238,9 @@ class CoolingUnitary:
     """
 
     # _phases holds one phase a row, or is None when every phase is 1.
-    __slots__ = ("_n", "_indices", "_phases", "_pairs")
+    # _pairs and _gates cache synthesis's transpositions and gate count
+    # (see synth), each None until first asked for.
+    __slots__ = ("_n", "_indices", "_phases", "_pairs", "_gates")
 
     def __init__(
         self,
@@ -261,6 +263,7 @@ class CoolingUnitary:
         indices.flags.writeable = False
         self._phases = None if phases is None or np.all(phases == 1) else phases
         self._pairs = None
+        self._gates = None
 
     @classmethod
     def _from_rows(
@@ -371,7 +374,7 @@ class CoolingUnitary:
 
     @property
     def _cycle_transpositions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_transpositions(self.cycles): the one derived form kept, read-only."""
+        """_transpositions(self.cycles), kept read-only for synthesis."""
         if self._pairs is None:
             self._pairs = _transpositions(self.cycles)
             for arr in self._pairs:

@@ -230,6 +230,17 @@ def reference_cycles(perm) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def reference_gate_count(perm) -> int:
+    """Gates Gray-code synthesis emits for a forward permutation, cycle by
+    cycle from reference_cycles: 2 popcount(s1 ^ sk) - 1 for each later
+    state sk of the cycle (s1 ... sm)."""
+    return sum(
+        2 * bin(first ^ s).count("1") - 1
+        for first, *others in reference_cycles(perm)
+        for s in others
+    )
+
+
 def pairing_work_values(n: int, p: float) -> list[float]:
     """Work of every transposition pairing of must-move states.
 
@@ -589,6 +600,64 @@ def reference_sweep_rows(config, ps, gap=None) -> list[dict]:
             "resets": counts.resets,
         })
     return rows
+
+
+# -- result rows as the CLI once wrote them ----------------------------------
+
+
+def reference_result_rows(reports, gap, levels=(None,), noisy=None) -> list[dict]:
+    """One dict row per CoolingReport and noise level (None: noiseless),
+    as the CLI built them from reports: noisy holds each report's final_p
+    at the nonzero levels, in order.  Temperatures come from the
+    report's Temperature objects, and noisy finals below 1/2 are
+    converted here."""
+    from qcool.thermo import temperature_from_probability
+
+    def mk(temperature, p):
+        return None if temperature is None or p >= 0.5 else temperature.millikelvin
+
+    physical = gap is not None and not gap.dimensionless
+    rows = []
+    for rep, finals in zip(reports, noisy or [()] * len(reports)):
+        finals = iter(finals)
+        for level in levels:
+            final_p, final_t = rep.final_excitation, rep.final_temperature
+            if level:
+                final_p = next(finals)
+                final_t = None
+                if physical and final_p < 0.5:
+                    final_t = temperature_from_probability(final_p, gap)
+            rows.append({
+                "method": rep.method,
+                "total_qubits": rep.total_qubits,
+                "initial_temp_mk": mk(rep.initial_temperature, rep.initial_excitation),
+                "final_temp_mk": mk(final_t, final_p),
+                "initial_p": rep.initial_excitation,
+                "final_p": final_p,
+                "noise_p": level,
+                "work": rep.work_in_gap_units,
+                "work_joules": rep.work_joules,
+                "total_gates": rep.gate_counts.total,
+                "resets": rep.gate_counts.resets,
+            })
+    return rows
+
+
+def reference_emit(rows: list[dict], columns, as_csv: bool) -> str:
+    """The CLI's text of dict rows: CSV written cell by cell (None as an
+    empty cell), or json.dumps(rows, indent=2) with a final newline."""
+    import csv
+    import io
+    import json
+
+    if not as_csv:
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow("" if row[c] is None else row[c] for c in columns)
+    return buf.getvalue()
 
 
 # -- strict OpenQASM 3 checker ---------------------------------------------

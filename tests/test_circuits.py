@@ -1,5 +1,9 @@
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,3 +424,20 @@ def test_simplify_adjacent_matches_reference_on_long_programs(drawn):
     n, program = drawn
     c = Circuit(n, program)
     assert simplify_adjacent(c) == reference_simplify(c)
+
+
+def test_gate_counts_leave_numpy_ma_unimported():
+    # np.unique without return_counts reads np.ma.is_masked, and the
+    # first read imports numpy.ma, about 15 ms in a fresh process.
+    src = str(Path(circuits.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = """
+import sys
+from qcool import HBAC, Circuit, Dynamic, GateCounts, build_circuit, gate_counts
+assert gate_counts(build_circuit(HBAC(3, 4))) == GateCounts({2: 20}, 3)
+assert gate_counts(build_circuit(Dynamic(6))).by_controls == {5: 110}
+assert gate_counts(Circuit(4, [])) == GateCounts({}, 0)
+assert "numpy.ma" not in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

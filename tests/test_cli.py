@@ -20,9 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_same_text,
     count_ctrl_statements,
     marginal_mask,
     parse_qasm,
+    reference_emit,
+    reference_result_rows,
     reference_sweep_rows,
     simulate_stepwise,
 )
@@ -41,6 +44,7 @@ from qcool import (
     config_from_json,
     dynamic_final_p,
     load_cycles_json,
+    noisy_final_probability,
     probability_from_temperature,
     report,
     sub_optimal_final_p,
@@ -748,28 +752,28 @@ def test_noise_one_rows_reach_one_half_and_hot_starts_still_fail(
             assert "excitation 0.748" in result.stderr, (doc, levels)
 
 
-def test_rows_convert_only_noisy_final_temperatures(runner, tmp_path, monkeypatch):
-    # Initial and noiseless final temperatures are read off the report;
-    # the rows convert only noisy finals below 1/2 (noise 1 reaches 1/2
-    # exactly, an empty cell).
-    import qcool.cli
+def test_rows_convert_each_temperature_once(runner, tmp_path, monkeypatch):
+    # A point's initial temperature is converted once for all its rows,
+    # and each row's final one once; a final at 1/2 (noise 1) has no
+    # finite temperature and is not converted: an empty cell.
+    import qcool.methods
 
     calls = []
-    real = qcool.cli.temperature_from_probability
+    real = qcool.methods._kelvin
     monkeypatch.setattr(
-        qcool.cli, "temperature_from_probability",
-        lambda p, gap: calls.append(p) or real(p, gap),
+        qcool.methods, "_kelvin", lambda p, gap: calls.append(p) or real(p, gap)
     )
     cfg = write_config(tmp_path, ROW_CONFIGS[2])
     rows = json.loads(run_ok(runner, [
         "sweep", "--config", cfg, "--temps-mk", "30,40,50", "--freq-ghz", "5",
     ]))
-    assert len(rows) == 3 and calls == []
+    assert calls == [x for row in rows for x in (row["initial_p"], row["final_p"])]
+    calls.clear()
     rows = json.loads(run_ok(runner, [
         "noise-sweep", "--config", cfg, "--initial-p", "0.07", "--freq-ghz", "5",
         "--noise-probs", "0,1e-3,1",
     ]))
-    assert calls == [rows[1]["final_p"]]
+    assert calls == [0.07, rows[0]["final_p"], rows[1]["final_p"]]
     assert rows[2]["final_p"] == 0.5 and rows[2]["final_temp_mk"] is None
     assert None not in (rows[0]["final_temp_mk"], rows[1]["final_temp_mk"])
 
@@ -809,27 +813,125 @@ def test_noise_sweep_rows_equal_per_row_reports(runner, tmp_path, doc, placement
         assert json.dumps(row) == json.dumps(want), level
 
 
-def test_sweep_rows_find_each_round_cycles_once(runner, tmp_path, monkeypatch):
+def test_sweep_rows_count_each_round_unitary_once(runner, tmp_path, monkeypatch):
     # Sixteen semi-open rows share three distinct round unitaries (the
     # first round's, and two rankings of the later rounds), so each one's
-    # transpositions are listed once, not once per row.
-    import qcool.methods
+    # gates are counted once, not once per row, and no row builds the
+    # transpositions that only synthesis needs.
     import qcool.protocols
+    import qcool.synth
     import qcool.unitary
 
     monkeypatch.setattr(
         qcool.protocols, "_shared", qcool.protocols._Shared(1 << 20)
     )
-    calls = []
+    counted, listed = [], []
+    walk = qcool.synth._walked_gate_count
+    monkeypatch.setattr(
+        qcool.synth, "_walked_gate_count", lambda perm: counted.append(1) or walk(perm)
+    )
     real = qcool.unitary._transpositions
     monkeypatch.setattr(
-        qcool.unitary, "_transpositions", lambda c: calls.append(c) or real(c)
+        qcool.unitary, "_transpositions", lambda c: listed.append(c) or real(c)
     )
     cfg = write_config(tmp_path, {"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]})
     probs = ",".join(repr(0.04 + 0.004 * i) for i in range(16))
     out = run_ok(runner, ["sweep", "--config", cfg, "--probs", probs, "--csv"])
     assert len(out.splitlines()) == 17
-    assert len(calls) == 3
+    assert len(counted) == 3 and listed == []
+
+
+# Configs whose rows the emission tests write: a custom protocol, and
+# semi-open 5+5+5+5, which takes four plans over EMIT_PROBS.
+EMIT_CONFIGS = (
+    {"method": "dynamic", "n_qubits": 3, "protocol": "custom",
+     "cycles": [["011", "100"], [1, 6, 5]]},
+    {"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]},
+    {"method": "hbac", "cluster_size": 3, "rounds": 20, "reset_qubits": [3]},
+    {"method": "suboptimal", "cluster_size": 3, "rounds": 2},
+)
+EMIT_PROBS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.2, 0.3, 0.4)
+
+
+def _emit_cases(tmp_path):
+    """(args, want) of analyze, sweep and noise-sweep calls, want built
+    from CoolingReports by the dict-row writers in helpers."""
+    from qcool.methods import RESULT_COLUMNS
+
+    paths = [write_config(tmp_path, doc, f"e{i}.json") for i, doc in enumerate(EMIT_CONFIGS)]
+    configs = [config_from_json(doc) for doc in EMIT_CONFIGS]
+    config_args = [x for path in paths for x in ("--config", path)]
+    cases = []
+    for freq in (None, 5.0):
+        gap = None if freq is None else EnergyGap.from_frequency_ghz(freq)
+        flags = [] if freq is None else ["--freq-ghz", repr(freq)]
+        for path, config in zip(paths, configs):
+            for p in (0.0, 0.07):
+                cases.append((
+                    ["analyze", "--config", path, "--initial-p", repr(p), *flags],
+                    reference_result_rows([report(config, initial_p=p, gap=gap)], gap),
+                ))
+        cases.append((
+            ["sweep", *config_args, "--probs", ",".join(map(repr, EMIT_PROBS)), *flags],
+            reference_result_rows(
+                [report(c, initial_p=p, gap=gap) for c in configs for p in EMIT_PROBS], gap
+            ),
+        ))
+        levels = (0.0, 1e-3, 1.0)
+        for placement in ("per-gate", "per-layer"):
+            reps = [report(c, initial_p=0.07, gap=gap) for c in configs]
+            noisy = [
+                [noisy_final_probability(c, 0.07, NoiseModel(q, placement)) for q in levels[1:]]
+                for c in configs
+            ]
+            cases.append((
+                ["noise-sweep", *config_args, "--initial-p", "0.07", *flags,
+                 "--noise-probs", ",".join(map(repr, levels)), "--placement", placement],
+                reference_result_rows(reps, gap, levels, noisy),
+            ))
+    gap = EnergyGap.from_frequency_ghz(5.0)
+    temps = (0.0, 30.0, 55.0)
+    ps = [probability_from_temperature(Temperature.from_millikelvin(t), gap) for t in temps]
+    cases.append((
+        ["sweep", *config_args, "--temps-mk", ",".join(map(repr, temps)), "--freq-ghz", "5"],
+        reference_result_rows([report(c, initial_p=p, gap=gap) for c in configs for p in ps], gap),
+    ))
+    return [(args, rows, RESULT_COLUMNS) for args, rows in cases]
+
+
+def test_result_rows_match_the_dict_row_writers(runner, tmp_path):
+    # Rows are tuples of plain values written by one writerows or one
+    # encoder pass, yet every byte is that of the dict rows built from
+    # per-point reports: p = 0 reads 0.0 mK, no --freq-ghz leaves the
+    # temperature cells empty, and noise 1 leaves final_p at 1/2.
+    cases = _emit_cases(tmp_path)
+    seen = {"zero_mk": False, "empty": False, "half": False}
+    for args, rows, columns in cases:
+        for as_csv in (False, True):
+            got = run_ok(runner, args + (["--csv"] if as_csv else []))
+            assert_same_text(got, reference_emit(rows, columns, as_csv))
+        seen["zero_mk"] |= any(row["initial_temp_mk"] == 0.0 for row in rows)
+        seen["empty"] |= any(row["final_temp_mk"] is None for row in rows)
+        seen["half"] |= any(row["final_p"] == 0.5 for row in rows)
+    assert all(seen.values()), seen
+
+
+def test_sweep_rows_build_no_report(runner, tmp_path, monkeypatch):
+    # A row is plain values; only report() builds the per-point view.
+    import qcool.methods
+
+    cases = _emit_cases(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a result row built a CoolingReport")
+
+    monkeypatch.setattr(qcool.methods, "CoolingReport", refuse)
+    for args, rows, columns in cases:
+        for as_csv in (False, True):
+            got = run_ok(runner, args + (["--csv"] if as_csv else []))
+            assert_same_text(got, reference_emit(rows, columns, as_csv))
+    with pytest.raises(AssertionError, match="built a CoolingReport"):
+        report(config_from_json(EMIT_CONFIGS[0]), initial_p=0.1)
 
 
 def test_noise_sweep_placement_changes_result(runner, tmp_path):
@@ -1435,8 +1537,9 @@ def test_unreadable_documents_exit_2(runner, tmp_path):
 
 
 def test_json_rows_are_json_dumps_indent_2(tmp_path):
-    # Rows are written one C-encoded row at a time; every value still
-    # takes json's own form, byte for byte.
+    # Every value of the output is C-encoded in one pass and laid out
+    # by a template; each value and key still takes json's own form,
+    # byte for byte, a % or a newline included.
     from qcool.cli import _emit
 
     row = {
@@ -1444,8 +1547,10 @@ def test_json_rows_are_json_dumps_indent_2(tmp_path):
         "nan": math.nan, "inf": math.inf, "minus_inf": -math.inf,
         "flag": True, "big": 10**30, "zero": 0,
         "label": 'a "quoted", comma\\separated label: café ∂   \U0001f9ca',
+        '100% "key"\n': "%s %(key)s\n",
     }
     out = tmp_path / "rows.json"
     for rows in ([], [row], [row, {**row, "flag": False, "none": 1.5}], [{"only": 1}] * 3):
-        _emit(rows, list(row), False, str(out))
+        columns = list(rows[0]) if rows else []
+        _emit([tuple(r.values()) for r in rows], columns, False, str(out))
         assert out.read_text() == json.dumps(rows, indent=2) + "\n", rows

@@ -12,6 +12,7 @@ from helpers import (
     circuit_permutation,
     circuit_permutation_array,
     reference_cycles_circuit,
+    reference_gate_count,
 )
 
 from qcool import (
@@ -28,6 +29,8 @@ from qcool import (
     gate_counts,
     gray_path,
     minimal_work_protocol,
+    mirror_protocol,
+    ppa_protocol,
     random_permutation_unitary,
     report,
     synthesize_circuit,
@@ -362,3 +365,99 @@ def test_ladders_at_distance_1_and_63_match_per_gate_reference(cycles):
     pairs = _transpositions(cycles)
     assert set(pairs[2].tolist()) <= {1, 63}
     assert _cycles_circuit(63, pairs) == reference_cycles_circuit(63, cycles)
+
+
+# -- gate counts walked from the permutation -----------------------------------
+
+
+def _walked_count(u):
+    """synthesized_gate_count of a unitary never synthesized nor counted:
+    the walk, which keeps only its int."""
+    assert u._pairs is None and u._gates is None
+    count = synthesized_gate_count(u)
+    assert type(count) is int and u._pairs is None and u._gates == count
+    return count
+
+
+def _fresh(u):
+    """A new unitary of u's permutation, with nothing cached."""
+    return CoolingUnitary.from_permutation(u.permutation, u.n_qubits)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+@pytest.mark.parametrize("build", [ppa_protocol, mirror_protocol, minimal_work_protocol])
+def test_walked_count_matches_per_cycle_reference_on_protocols(build, n):
+    u = build(n)
+    assert _walked_count(u) == reference_gate_count(u.permutation)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.1, 0.4999])
+@pytest.mark.parametrize("sizes", [(3, 5, 7), (4, 9, 11), (2, 12)])
+def test_walked_count_matches_per_cycle_reference_on_semiopen_rounds(sizes, p):
+    # Later rounds are re-derived for the (t, p, ..., p) profile they see.
+    for rnd in _rounds(SemiOpen(sizes), p):
+        u = _fresh(rnd.unitary)
+        assert _walked_count(u) == reference_gate_count(u.permutation)
+        assert synthesized_gate_count(rnd.unitary) == u._gates
+
+
+@pytest.mark.parametrize("n, count", [(3, 3), (8, 40), (12, 900), (14, 5000)])
+def test_walked_count_matches_per_cycle_reference_on_custom_cycles(n, count):
+    cycles = _cycles_of(n, count, np.random.default_rng(n))
+    u = CoolingUnitary(n, cycles)
+    assert _walked_count(u) == reference_gate_count(u.permutation)
+
+
+def _random_permutations(n, rng):
+    """The identity, one transposition, one cycle through every state,
+    every state in a 2-cycle, and a uniformly random permutation."""
+    dim = 1 << n
+    swap = np.arange(dim)
+    a, b = rng.choice(dim, size=2, replace=False)
+    swap[[a, b]] = swap[[b, a]]
+    order = rng.permutation(dim)
+    full = np.empty(dim, dtype=np.int64)
+    full[order] = np.roll(order, -1)
+    pairs = np.empty(dim, dtype=np.int64)
+    pairs[order[0::2]], pairs[order[1::2]] = order[1::2], order[0::2]
+    return {
+        "identity": np.arange(dim),
+        "transposition": swap,
+        "full-cycle": full,
+        "2-cycles": pairs,
+        "random": rng.permutation(dim),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_walked_count_matches_per_cycle_reference_on_random_permutations(n):
+    rng = np.random.default_rng(100 + n)
+    for name, perm in _random_permutations(n, rng).items():
+        u = CoolingUnitary.from_permutation(perm, n)
+        assert _walked_count(u) == reference_gate_count(perm), name
+    assert reference_gate_count(np.arange(1 << n)) == 0
+
+
+@pytest.mark.parametrize("n", [3, 9, 12])
+def test_circuits_synthesized_after_counting_are_unchanged(n):
+    for name, perm in _random_permutations(n, np.random.default_rng(n)).items():
+        counted = CoolingUnitary.from_permutation(perm, n)
+        count = _walked_count(counted)
+        circuit = synthesize_circuit(counted)
+        assert circuit == synthesize_circuit(_fresh(counted)), name
+        assert len(circuit) == count == synthesized_gate_count(counted), name
+    for build in (ppa_protocol, mirror_protocol, minimal_work_protocol):
+        counted = build(n)
+        count = _walked_count(counted)
+        circuit = synthesize_circuit(counted)
+        assert circuit == synthesize_circuit(build(n)) and len(circuit) == count
+
+
+def test_counts_after_synthesis_are_ints():
+    # A count taken after synthesis, beside the NumPy transposition
+    # arrays, must still be an int, as json refuses NumPy integers.
+    u = minimal_work_protocol(9)
+    synthesize_circuit(u)
+    count = synthesized_gate_count(u)
+    assert type(count) is int and count == reference_gate_count(u.permutation)
+    assert type(report(Dynamic(9), initial_p=0.1).gate_counts.total) is int

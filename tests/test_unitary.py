@@ -407,7 +407,8 @@ def test_random_cycles_match_reference_walk(n):
 
 
 @pytest.mark.parametrize(
-    "n, gates", [(12, 29_234), (14, 147_816), (16, 719_573), (18, 3_432_308)]
+    "n, gates",
+    [(12, 29_234), (14, 147_816), (16, 719_573), (18, 3_432_308), (20, 16_014_580)],
 )
 def test_minimal_work_gate_counts(n, gates):
     assert synthesized_gate_count(minimal_work_protocol(n)) == gates
@@ -425,11 +426,10 @@ def test_permutation_and_cycles_are_fresh_and_equal():
 
 @pytest.mark.parametrize("n", [14, 16])
 @pytest.mark.parametrize("build", BUILT_IN)
-def test_counted_unitary_keeps_only_its_transpositions(build, n):
-    # The indices hold 4 bytes a state and the transposition arrays 9
-    # bytes a transposition, at most one a state; neither the CSR values
-    # and offsets, nor the forward permutation, nor the cycle tuples
-    # stay alive.
+def test_counted_unitary_keeps_only_its_indices(build, n):
+    # The indices hold 4 bytes a state and the count is one int; neither
+    # the CSR values and offsets, nor the forward permutation, nor the
+    # cycle tuples, nor the transposition arrays stay alive.
     gc.collect()
     tracemalloc.start()
     try:
@@ -439,7 +439,8 @@ def test_counted_unitary_keeps_only_its_transpositions(build, n):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= 16 * u.dim, kept / u.dim
+    assert u._pairs is None
+    assert kept <= 4 * u.dim + 4096, kept - 4 * u.dim
 
 
 def test_transposition_dtypes_follow_the_largest_state():
