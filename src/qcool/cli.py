@@ -131,7 +131,9 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
             raise click.UsageError(
                 "--cycles-file takes no --initial-p, --temp-mk or --freq-ghz"
             )
-        circuit = synthesize_circuit(unitary_from_json(cycles_file))
+        unitary = unitary_from_json(cycles_file)
+        methods._check_size(methods._synthesis_walk(unitary))
+        circuit = synthesize_circuit(unitary)
     else:
         config = methods.config_from_json(config_path)
         p, _ = _resolve_initial(initial_p, temp_mk, freq_ghz, required=False)

@@ -823,20 +823,38 @@ _MAX_BATCH = 1 << 20
 _MAX_COST = 1 << 30
 
 
-def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
-    """Synthesize each distinct unitary once and embed it per cluster.
-
-    A repeated round's rows (each copy's reset, then its gates) are
-    built once and tiled.  A circuit past _MAX_INSTRUCTIONS is refused,
-    from the counts in the plan, before anything is synthesized.
-    """
-    counts = _gate_counts(rounds)
-    size = counts.total + counts.resets
+def _check_size(size: int) -> None:
+    """Refuse a circuit of size instructions past _MAX_INSTRUCTIONS."""
     if size > _MAX_INSTRUCTIONS:
         raise ResourceLimitError(
             f"circuit of {size} instructions exceeds the cap of "
             f"{_MAX_INSTRUCTIONS}"
         )
+
+
+def _synthesis_walk(unitary: CoolingUnitary) -> int:
+    """synthesized_gate_count(unitary), from the one walk that also takes
+    the transpositions synthesize_circuit reads.
+
+    They are at most 2**n - 1 pairs of 9 bytes, less than the walk's
+    own list of 2**n states, so taking them before a cap check costs
+    little; the rows the cap protects (24 bytes a gate) come after it.
+    """
+    unitary._cycle_transpositions
+    return synthesized_gate_count(unitary)
+
+
+def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
+    """Synthesize each distinct unitary once and embed it per cluster.
+
+    A repeated round's rows (each copy's reset, then its gates) are
+    built once and tiled.  A circuit past _MAX_INSTRUCTIONS is refused,
+    from the counts in the plan, before any row is built.
+    """
+    for rnd in rounds:
+        _synthesis_walk(rnd.unitary)
+    counts = _gate_counts(rounds)
+    _check_size(counts.total + counts.resets)
     synthesized: dict[int, Circuit] = {}
     blocks: list[np.ndarray] = []
     for rnd in rounds:
@@ -1048,11 +1066,12 @@ def _noise_report(
     noisy rows run live (_live), the synthesized circuit runs once for
     all levels, after the point's walk, on its live qubits only
     (sim._run_live), refused if more than 24 are live at once; its
-    program is kept for the next call (_layer_program).  A batch holds
-    at most _MAX_BATCH entries; more levels run in turn.
+    program is kept for the next call (_layer_program).  Without a
+    nonzero level no circuit is built, whatever the placement.  A batch
+    holds at most _MAX_BATCH entries; more levels run in turn.
     """
     levels = tuple(levels)
-    if not _live(config, placement):
+    if not levels or not _live(config, placement):
         points, noisy = _points(config, (p,), levels)
         return points[0], noisy[0]
     point = _points(config, (p,))[0][0]

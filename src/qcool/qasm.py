@@ -32,11 +32,11 @@ THERMAL_RESET_PRAGMA = "// @thermal_reset"
 # objects and their list, 8 bytes a piece of text (_chunk_rows).  Under
 # glibc's 128 KiB mmap threshold the allocator reuses their heap blocks
 # from chunk to chunk and export to export, where larger buffers fault
-# in freshly mapped pages: a fresh-process export of minimal-work
-# n = 8-11 takes 334 minor faults, against 1,159 with 4,096-row chunks.
-# Smaller chunks fault less still but cost more in per-chunk calls than
-# they save.  A chunk's text is about 260 KB at n = 11 and 440 KB at
-# n = 16.
+# in freshly mapped pages: with 8-qubit flip tables, a fresh-process
+# export of minimal-work n = 8-11 took 334 minor faults, against 1,159
+# with 4,096-row chunks.  Smaller chunks fault less still but cost more
+# in per-chunk calls than they save.  A chunk's text is about 460 KB at
+# n = 11 (2,730 rows) and n = 16 (1,638 rows).
 _CHUNK_BYTES = 64 * 1024
 
 # Formatted statements one export holds at most; a chunk whose new ones
@@ -68,26 +68,59 @@ def _operands(mask: int) -> str:
     return ", ".join(f"q[{q - 1}]" for q in _qubits(mask))
 
 
-@functools.lru_cache(maxsize=8)
-def _byte_flips(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(up, down): for each byte value b, the x statements on q[8j + i]
-    for the set bits i of b, by ascending and by descending qubit, as
-    ASCII bytes.
+# Most qubits a flip table covers: a row on up to 11 qubits gathers its
+# text as 3 pieces (its statement between its flips), and one on up to
+# 22 as 5.
+_WORD = 11
 
-    Built in one pass: b's lowest set bit i leads its ascending text and
-    ends its descending one, around the text of b without that bit.
+
+# Keyed by (first qubit, width); a table also keeps each narrower one
+# it doubled, and the widths one process exports need a few dozen.
+@functools.lru_cache(maxsize=128)
+def _word_flips(first: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down): for each value w < 2**bits, the x statements on
+    q[first + i] for the set bits i of w, by ascending and by descending
+    qubit, as ASCII bytes.
+
+    Each table doubles the one a bit narrower: a value with bit
+    bits - 1 set is the one without it, with that qubit's statement last
+    going up and first going down.
     """
-    lines = [f"x q[{8 * j + i}];\n".encode() for i in range(8)]
-    up = [b""] * 256
-    down = [b""] * 256
-    for b in range(1, 256):
-        rest = b & (b - 1)
-        line = lines[(b ^ rest).bit_length() - 1]
-        up[b] = line + up[rest]
-        down[b] = down[rest] + line
-    up, down = np.array(up, dtype=object), np.array(down, dtype=object)
+    if not bits:
+        up = down = np.array([b""], dtype=object)
+    else:
+        up, down = _word_flips(first, bits - 1)
+        line = f"x q[{first + bits - 1}];\n".encode()
+        up, down = np.concatenate((up, up + line)), np.concatenate((down, line + down))
     up.flags.writeable = down.flags.writeable = False
     return up, down
+
+
+def _word_bits(n_qubits: int) -> int:
+    """Qubits a word covers on n_qubits qubits: as few words as _WORD
+    allows, split as evenly as they go.
+
+    A row's pieces depend only on how many words there are, and smaller
+    tables stay in cache: at n = 12-16 two words of 6-8 qubits export
+    faster than 11 qubits and the rest.
+    """
+    return -(-n_qubits // -(-n_qubits // _WORD))
+
+
+def _flip_tables(n_qubits: int) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """(flips, words): the _word_flips of each word of n_qubits qubits,
+    up then down, word after word, in one array, the last word only as
+    wide as the qubits it holds; and for each word its first qubit, the
+    mask of a word's bits, and where its up and its down table start in
+    flips."""
+    bits = _word_bits(n_qubits)
+    tables, words, at = [], [], 0
+    for first in range(0, n_qubits, bits):
+        up, down = _word_flips(first, min(bits, n_qubits - first))
+        tables += [up, down]
+        words.append((first, (1 << bits) - 1, at, at + len(up)))
+        at += len(up) + len(down)
+    return np.concatenate(tables), words
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -99,9 +132,9 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _chunk_rows(n_qubits: int) -> int:
     """Rows per chunk: _CHUNK_BYTES over 8 bytes for each piece of a row
-    on n_qubits qubits at most, its statement and the flips of each byte
+    on n_qubits qubits at most, its statement and the flips of each word
     of its open controls, before and after it."""
-    return _CHUNK_BYTES // (8 * (2 * ((n_qubits + 7) // 8) + 1))
+    return _CHUNK_BYTES // (8 * (2 * -(-n_qubits // _WORD) + 1))
 
 
 def _statements(
@@ -127,20 +160,23 @@ def _statements(
     return np.insert(keys, at, new), np.insert(text, at, formatted)
 
 
-def _chunk_text(table: np.ndarray, statement: np.ndarray, opened: np.ndarray) -> bytes:
+def _chunk_text(
+    table: np.ndarray, words: list[tuple[int, int, int, int]], statement: np.ndarray,
+    opened: np.ndarray,
+) -> bytes:
     """The text of a run of rows as ASCII bytes, gathered at once from
-    table, which begins with the _byte_flips tables of every byte of
-    the width: each row's statement table[statement], between the x
+    table, which begins with the flips of _flip_tables, laid out as
+    words says: each row's statement table[statement], between the x
     flips of its open controls opened (zero on resets), by ascending
     qubit before it and by descending qubit after it.
     """
     used = int(np.bitwise_or.reduce(opened))
     before, after = [], []
-    for j in range((used.bit_length() + 7) // 8):
-        if (used >> (8 * j)) & 255:
-            byte = ((opened >> (8 * j)) & 255) + 512 * j
-            before.append(byte)
-            after.insert(0, byte + 256)
+    for first, mask, up, down in words:
+        if (used >> first) & mask:
+            word = (opened >> first) & mask
+            before.append(word + up)
+            after.insert(0, word + down)
     index = np.stack([*before, statement, *after], axis=1)
     return b"".join(table.take(index).ravel().tolist())
 
@@ -167,7 +203,7 @@ def _chunks(circuit: Circuit) -> Iterator[bytes]:
         rows[:0, 1],
         *(_distinct(rows[s : s + 8 * size, 1]) for s in range(0, len(rows), 8 * size)),
     ]))
-    flips = np.concatenate([t for j in range((n + 7) // 8) for t in _byte_flips(j)])
+    flips, words = _flip_tables(n)
     keys, text = _NO_STATEMENTS
     table = flips
     for start in range(0, len(rows), size):
@@ -179,7 +215,7 @@ def _chunks(circuit: Circuit) -> Iterator[bytes]:
             table = np.concatenate((flips, text))
             at = np.searchsorted(keys, key)
         opened = (mask & ~polarity) * (target != 0)
-        yield _chunk_text(table, at + len(flips), opened)
+        yield _chunk_text(table, words, at + len(flips), opened)
 
 
 def export_qasm(circuit: Circuit) -> str:

@@ -229,6 +229,30 @@ def _transpositions(
     return first.astype(np.int32), other.astype(np.int32), distance
 
 
+def _walked_transpositions(perm: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_transpositions of the canonical cycles of the forward permutation
+    perm, walked in place, as int32, int32 and uint8 arrays.
+
+    Each cycle is met first at its smallest state s1 and walked from
+    there in the permutation's direction, s2 = perm[s1] first; every
+    state it passes is made a fixed point, so no cycle is walked twice.
+    The walk keeps only each cycle's s1, the states after it and where
+    it ends, and np.repeat spreads each s1 over its cycle's
+    transpositions.
+    """
+    starts, ends, other = [], [], []
+    for start, cur in enumerate(perm):
+        if cur != start:
+            starts.append(start)
+            while cur != start:
+                other.append(cur)
+                perm[cur], cur = cur, perm[cur]
+            ends.append(len(other))
+    other = np.array(other, np.int32)
+    first = np.repeat(np.array(starts, np.int32), np.diff([0, *ends]))
+    return first, other, np.bitwise_count(first ^ other)
+
+
 class CoolingUnitary:
     """Permutation of basis states, optionally with unit-modulus phases.
 
@@ -239,7 +263,8 @@ class CoolingUnitary:
 
     # _phases holds one phase a row, or is None when every phase is 1.
     # _pairs and _gates cache synthesis's transpositions and gate count
-    # (see synth), each None until first asked for.
+    # (see synth), each None until first asked for; the walk that takes
+    # the transpositions sets the count too.
     __slots__ = ("_n", "_indices", "_phases", "_pairs", "_gates")
 
     def __init__(
@@ -374,11 +399,17 @@ class CoolingUnitary:
 
     @property
     def _cycle_transpositions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_transpositions(self.cycles), kept read-only for synthesis."""
+        """_transpositions(self.cycles), kept read-only for synthesis.
+
+        They come from one walk of the permutation, which also sets the
+        gate count: 2 popcount(s1 ^ sk) - 1 for each (s1 sk).
+        """
         if self._pairs is None:
-            self._pairs = _transpositions(self.cycles)
+            self._pairs = _walked_transpositions(self.permutation.tolist())
             for arr in self._pairs:
                 arr.flags.writeable = False
+            distance = self._pairs[2]
+            self._gates = 2 * int(distance.sum(dtype=np.int64)) - len(distance)
         return self._pairs
 
     @property

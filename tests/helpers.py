@@ -61,6 +61,35 @@ def circuit_permutation(circuit: Circuit) -> list[int]:
     return out
 
 
+def swapped_permutation(circuit: Circuit) -> np.ndarray:
+    """The forward permutation of a circuit whose every gate is
+    controlled on all its other qubits, composed one swap a gate.
+
+    Such a gate swaps exactly two basis states: its polarity pattern
+    with the target bit 0 and with it 1 (in mask order, bit q - 1 for
+    qubit q).  Swapping the two entries of a list of where each start
+    state now sits is linear in the gates, where pushing every state
+    through every gate costs gates x 2**n.  Qubit 1 is the label's most
+    significant bit, as in CoolingUnitary.permutation.
+    """
+    n = circuit.n_qubits
+    full = (1 << n) - 1
+    at = list(range(1 << n))
+    for lo in range(0, len(circuit.rows), 1 << 16):
+        target, mask, polarity = circuit.rows[lo : lo + (1 << 16)].T
+        bit = np.left_shift(1, target - 1)
+        assert ((target >= 1) & (mask == full ^ bit)).all(), "every gate has n - 1 controls"
+        for b, zero in zip(bit.tolist(), polarity.tolist()):
+            at[zero], at[zero | b] = at[zero | b], at[zero]
+    states = np.arange(1 << n, dtype=np.int64)
+    label = sum(((states >> (q - 1)) & 1) << (n - q) for q in range(1, n + 1))
+    forward = np.empty_like(states)
+    forward[np.array(at, dtype=np.int64)] = states
+    perm = np.empty_like(states)
+    perm[label] = label[forward]
+    return perm
+
+
 # -- stepwise simulation oracle ----------------------------------------------
 #
 # The mask-over-all-states kernels the package used before it moved to

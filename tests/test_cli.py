@@ -52,7 +52,7 @@ from qcool import (
     total_work_cost,
 )
 from qcool.cli import cli
-from qcool.methods import _METHODS
+from qcool.methods import _METHODS, _rounds
 
 DYN3 = {"method": "dynamic", "n_qubits": 3}
 SUBOPT = {"method": "suboptimal", "cluster_size": 3, "rounds": 2}
@@ -700,6 +700,38 @@ def test_noise_sweep_reports_once_per_config(runner, tmp_path, monkeypatch):
         assert (walks, live) == (want_walks, want_live), placement
 
 
+def test_per_layer_noise_sweep_without_a_nonzero_level_builds_no_circuit(
+    runner, tmp_path, monkeypatch
+):
+    # Every row of a noise sweep at level 0 alone is the noiseless walk's,
+    # so per-layer placement writes the per-gate text and schedules
+    # nothing, on configs whose noisy rows would run live.
+    import qcool.methods
+    import qcool.sim
+
+    programs = []
+    real = qcool.sim._live_program
+    monkeypatch.setattr(
+        qcool.sim, "_live_program", lambda *a: programs.append(1) or real(*a)
+    )
+    paths = [
+        write_config(tmp_path, doc, f"c{i}.json") for i, doc in enumerate(ROW_CONFIGS)
+    ]
+    paths.append(write_config(tmp_path, {**SUBOPT, "rounds": 3}, "s33.json"))
+    for levels in ("0", "0,0"):
+        args = ["noise-sweep", "--initial-p", "0.07", "--noise-probs", levels]
+        for path in paths:
+            args += ["--config", path]
+        qcool.methods._layer_program.cache_clear()
+        per_gate = run_ok(runner, args + ["--placement", "per-gate"])
+        assert run_ok(runner, args + ["--placement", "per-layer"]) == per_gate
+    assert programs == []
+    # A nonzero level still runs the circuit live, once per config.
+    run_ok(runner, ["noise-sweep", "--config", paths[-1], "--initial-p", "0.07",
+                    "--noise-probs", "0,0.01", "--placement", "per-layer"])
+    assert programs == [1]
+
+
 @pytest.mark.parametrize("placement", ["per-gate", "per-layer"])
 def test_noise_sweep_noiseless_rows_are_the_analyze_rows(runner, tmp_path, placement):
     # The noise-0 row is a row of the noisy levels' walk, yet it is the
@@ -830,15 +862,47 @@ def test_sweep_rows_count_each_round_unitary_once(runner, tmp_path, monkeypatch)
     monkeypatch.setattr(
         qcool.synth, "_walked_gate_count", lambda perm: counted.append(1) or walk(perm)
     )
-    real = qcool.unitary._transpositions
+    real = qcool.unitary._walked_transpositions
     monkeypatch.setattr(
-        qcool.unitary, "_transpositions", lambda c: listed.append(c) or real(c)
+        qcool.unitary, "_walked_transpositions", lambda p: listed.append(1) or real(p)
     )
     cfg = write_config(tmp_path, {"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]})
     probs = ",".join(repr(0.04 + 0.004 * i) for i in range(16))
     out = run_ok(runner, ["sweep", "--config", cfg, "--probs", probs, "--csv"])
     assert len(out.splitlines()) == 17
     assert len(counted) == 3 and listed == []
+
+
+def test_generate_walks_each_permutation_once(runner, tmp_path, monkeypatch):
+    # The walk that takes a unitary's transpositions also gives the count
+    # that the instruction cap reads: no count-only walk runs first.
+    import qcool.protocols
+    import qcool.synth
+    import qcool.unitary
+
+    counted, walked = [], []
+    count = qcool.synth._walked_gate_count
+    monkeypatch.setattr(
+        qcool.synth, "_walked_gate_count", lambda perm: counted.append(1) or count(perm)
+    )
+    real = qcool.unitary._walked_transpositions
+    monkeypatch.setattr(
+        qcool.unitary, "_walked_transpositions", lambda p: walked.append(1) or real(p)
+    )
+    for doc, p in (
+        ({"method": "dynamic", "n_qubits": 11}, None),
+        ({"method": "semiopen", "cluster_sizes": [5, 5, 5, 5]}, 0.07),
+        ({"method": "hbac", "cluster_size": 3, "rounds": 200}, 0.07),
+    ):
+        monkeypatch.setattr(
+            qcool.protocols, "_shared", qcool.protocols._Shared(1 << 20)
+        )
+        walked.clear()
+        args = ["generate", "--config", write_config(tmp_path, doc)]
+        run_ok(runner, args + ([] if p is None else ["--initial-p", repr(p)]))
+        distinct = {id(rnd.unitary) for rnd in _rounds(config_from_json(doc), p)}
+        assert len(walked) == len(distinct), doc
+    assert counted == []
 
 
 # Configs whose rows the emission tests write: a custom protocol, and
@@ -1215,6 +1279,33 @@ def test_generate_refuses_oversized_circuit(runner, tmp_path, monkeypatch):
     assert "circuit of 5999999999 instructions exceeds the cap of 4194304" in (
         result.stderr
     )
+
+
+def test_generate_refuses_an_oversized_cycles_file_before_any_row(
+    runner, tmp_path, monkeypatch
+):
+    # 2**17 transpositions at distance 20 take 39 gates each, 5,111,808
+    # in all, past the cap that --config meets: the walk that takes the
+    # transpositions counts them, and no row is built.
+    import qcool.synth
+    import qcool.unitary
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built the rows of a refused circuit")
+
+    monkeypatch.setattr(qcool.synth, "_cycles_circuit", forbidden)
+    walks = []
+    real = qcool.unitary._walked_transpositions
+    monkeypatch.setattr(
+        qcool.unitary, "_walked_transpositions", lambda p: walks.append(1) or real(p)
+    )
+    full = (1 << 20) - 1
+    path = tmp_path / "pairs20.json"
+    path.write_text(json.dumps({"n": 20, "cycles": [[x, x ^ full] for x in range(1 << 17)]}))
+    result = runner.invoke(cli, ["generate", "--cycles-file", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "circuit of 5111808 instructions exceeds the cap of 4194304" in result.stderr
+    assert walks == [1]
 
 
 def test_analyze_prints_the_report_of_a_billion_rounds(runner, tmp_path):

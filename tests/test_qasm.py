@@ -57,15 +57,39 @@ def test_open_controls_conjugated():
     ]
 
 
-@pytest.mark.parametrize("j", range(8))
-def test_byte_flip_tables(j):
-    # Each entry spelled out bit by bit, in both orders.
-    lines = [f"x q[{8 * j + i}];\n".encode() for i in range(8)]
-    up, down = qasm._byte_flips(j)
-    for b in range(256):
-        bits = [i for i in range(8) if b >> i & 1]
-        assert up[b] == b"".join(lines[i] for i in bits)
-        assert down[b] == b"".join(lines[i] for i in reversed(bits))
+@pytest.mark.parametrize("first", [0, 6, 8, 11, 22, 52])
+def test_word_flip_tables(first):
+    # Each entry spelled out bit by bit, in both orders, at every width
+    # of the word.
+    lines = [f"x q[{first + i}];\n".encode() for i in range(qasm._WORD)]
+    for bits in range(qasm._WORD + 1):
+        up, down = qasm._word_flips(first, bits)
+        assert len(up) == len(down) == 1 << bits
+        assert not up.flags.writeable and not down.flags.writeable
+        for w in range(1 << bits):
+            set_bits = [i for i in range(bits) if w >> i & 1]
+            assert up[w] == b"".join(lines[i] for i in set_bits)
+            assert down[w] == b"".join(lines[i] for i in reversed(set_bits))
+
+
+@pytest.mark.parametrize("n", range(1, 64))
+def test_flip_tables_cover_the_width(n):
+    # As few words as 11-qubit words allow, as even as they split, each
+    # word's tables laid out up then down, one word after the other.
+    flips, words = qasm._flip_tables(n)
+    count = -(-n // qasm._WORD)
+    assert len(words) == count
+    bits = [bin(mask).count("1") for _, mask, _, _ in words]
+    assert max(bits) <= qasm._WORD and max(bits) == -(-n // count)
+    assert [first for first, _, _, _ in words] == list(range(0, n, bits[0]))
+    at = 0
+    for first, mask, up, down in words:
+        width = min(bits[0], n - first)
+        assert (up, down) == (at, at + (1 << width))
+        assert flips[up : down].tolist() == qasm._word_flips(first, width)[0].tolist()
+        assert flips[down : down + (1 << width)].tolist() == qasm._word_flips(first, width)[1].tolist()
+        at = down + (1 << width)
+    assert at == len(flips)
 
 
 def test_bare_not_gate():
@@ -172,8 +196,8 @@ def test_write_qasm_to_an_open_stream():
         assert_same_text(stream.getvalue(), export_qasm(c))
 
 
-# Circuits whose open controls span one or two flip bytes, and circuits
-# with resets.
+# Circuits whose open controls span one or two flip words, or sit near a
+# word's top qubit, and circuits with resets.
 FLIP_CIRCUITS = {
     **{
         f"{protocol}-n{n}": (Dynamic(n, protocol), None)
@@ -204,10 +228,10 @@ def test_flip_count_matches_the_rows(name):
     circuit = build_circuit(config, p)
     text = export_qasm(circuit)
     assert text.count("\nx q[") == _expected_flips(circuit)
-    if config.width >= 9 and "semiopen" not in name:
-        # Some open control sits in the second flip byte.
+    if config.width > qasm._WORD and "semiopen" not in name:
+        # Some open control sits in the second flip word.
         target, mask, polarity = circuit.rows.T
-        assert ((mask & ~polarity)[target != 0] >> 8).any()
+        assert ((mask & ~polarity)[target != 0] >> qasm._WORD).any()
 
 
 EMBED_CIRCUITS = [
@@ -234,9 +258,11 @@ def test_wide_export_matches_the_per_instruction_reference(name, width):
     qubit_map[~opened] = rng.choice(rest, (~opened).sum(), replace=False)
     wide = embed(circuit, width, qubit_map.tolist())
     if width == 63 and opened.sum() >= 8:
+        # Spread over 1..63, eight qubits fall in all six words.
         target, mask, polarity = wide.rows.T
         flips = (mask & ~polarity)[target != 0]
-        assert all(((flips >> (8 * j)) & 255).any() for j in range(8))
+        word = (1 << qasm._WORD) - 1
+        assert all(((flips >> (qasm._WORD * j)) & word).any() for j in range(6))
     _assert_matches_reference(wide)
 
 
@@ -244,9 +270,46 @@ def _assert_matches_reference(circuit):
     assert_same_text(export_qasm(circuit), reference_export_qasm(circuit))
 
 
-def test_open_control_bytes_differ_between_chunks():
-    # Byte 0 of the open-control mask is used only in the first chunk and
-    # byte 7 only in the third, so the chunks gather different columns.
+def _random_circuit(width, count, rng):
+    """count random rows on width qubits, with controls and polarities
+    drawn sparse, even or dense and one row in eight a reset, then one
+    gate for each qubit, opening it alone."""
+    weights = np.left_shift(1, np.arange(width, dtype=np.int64))
+    density = rng.choice([0.05, 0.5, 0.95], count)[:, None]
+    mask = (rng.random((count, width)) < density) @ weights
+    polarity = (rng.random((count, width)) < density) @ weights & mask
+    target = rng.integers(1, width + 1, count)
+    bit = np.left_shift(1, target - 1)
+    reset = rng.random(count) < 1 / 8
+    rows = np.stack([
+        np.where(reset, 0, target),
+        np.where(reset, mask | bit, mask & ~bit),
+        np.where(reset, 0, polarity & ~bit),
+    ], axis=1)
+    edges = [(2 if q == 1 else 1, 1 << (q - 1), 0) for q in range(1, width + 1)]
+    return Circuit._from_rows(width, np.concatenate((rows, edges)))
+
+
+@pytest.mark.parametrize("width", [11, 12, 22, 23, 63])
+def test_export_at_the_word_edges_matches_the_reference(width):
+    # Widths that fill a word, and that spill one qubit into the next,
+    # over several chunks.
+    rng = np.random.default_rng(1000 + width)
+    _assert_matches_reference(_random_circuit(width, 2 * qasm._chunk_rows(width) + 17, rng))
+
+
+@pytest.mark.parametrize(
+    "config, p",
+    [(Dynamic(11), None), (Dynamic(12), None), (SemiOpen((5, 5, 5, 5)), 0.07)],
+    ids=["minimal-work-n11", "minimal-work-n12", "semiopen-5+5+5+5"],
+)
+def test_built_circuits_at_the_word_edges_match_the_reference(config, p):
+    _assert_matches_reference(build_circuit(config, p))
+
+
+def test_open_control_words_differ_between_chunks():
+    # Word 0 of the open-control mask is used only in the first chunk and
+    # word 5 only in the last, so the chunks gather different columns.
     rows = qasm._chunk_rows(63)
     first = [McNot(63, ((1, 0), (2, 1))), ResetInstr((5, 63)), McNot(3)]
     middle = [McNot(9, ((20, 1),)), McNot(20, ((9, 1), (40, 1)))]
@@ -259,8 +322,9 @@ def test_open_control_bytes_differ_between_chunks():
     target, mask, polarity = c.rows.T
     opened = (mask & ~polarity) * (target != 0)
     chunks = [opened[i : i + rows] for i in range(0, len(c), rows)]
-    assert (chunks[0] & 255).any() and not (chunks[0] >> 56).any()
-    assert not (chunks[-1] & 255).any() and (chunks[-1] >> 56).any()
+    word = (1 << qasm._WORD) - 1
+    assert (chunks[0] & word).any() and not (chunks[0] >> 5 * qasm._WORD).any()
+    assert not (chunks[-1] & word).any() and (chunks[-1] >> 5 * qasm._WORD).any()
     _assert_matches_reference(c)
 
 
@@ -300,8 +364,10 @@ def test_each_statement_is_formatted_once(monkeypatch):
 def test_statement_table_stays_under_its_cap(monkeypatch):
     # Masks all distinct: past the cap the table starts again from the
     # chunk's own statements instead of growing with the circuit.
+    rows = qasm._chunk_rows(21)
+    cap = 2 * rows + rows // 2
     rng = np.random.default_rng(7)
-    masks = rng.choice(1 << 20, size=3 * qasm._chunk_rows(21) + 5, replace=False)
+    masks = rng.choice(1 << 20, size=3 * rows + 5, replace=False)
     c = Circuit._from_rows(21, np.stack([np.full_like(masks, 21), masks, masks & 0xF0F0], axis=1))
     held = []
 
@@ -312,7 +378,9 @@ def test_statement_table_stays_under_its_cap(monkeypatch):
 
     statements = qasm._statements
     monkeypatch.setattr(qasm, "_statements", recorded)
-    monkeypatch.setattr(qasm, "_MAX_STATEMENTS", 3000)
+    monkeypatch.setattr(qasm, "_MAX_STATEMENTS", cap)
     _assert_matches_reference(c)
-    assert len(held) == 4 and max(held) < 3000
-    assert held[2] < held[1]
+    # Two chunks fit under the cap; the third starts the table again,
+    # and the short last chunk adds to it.
+    assert held == [rows, 2 * rows, rows, rows + 5]
+    assert max(held) < cap

@@ -11,8 +11,10 @@ from helpers import (
     apply_mcnot_int,
     circuit_permutation,
     circuit_permutation_array,
+    reference_cycles,
     reference_cycles_circuit,
     reference_gate_count,
+    swapped_permutation,
 )
 
 from qcool import (
@@ -38,7 +40,7 @@ from qcool import (
     transposition_circuit,
 )
 from qcool.methods import _rounds
-from qcool.synth import _BLOCK, _cycles_circuit
+from qcool.synth import _BLOCK, _cycles_circuit, _walked_gate_count
 from qcool.unitary import _transpositions
 
 
@@ -438,6 +440,22 @@ def test_walked_count_matches_per_cycle_reference_on_random_permutations(n):
     assert reference_gate_count(np.arange(1 << n)) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_transposition_walk_sets_the_walked_count(n):
+    # One walk gives synthesis its transpositions, in the canonical
+    # cycles' order, and the count the count-only walk gives.
+    for name, perm in _random_permutations(n, np.random.default_rng(200 + n)).items():
+        u = CoolingUnitary.from_permutation(perm, n)
+        first, other, distance = u._cycle_transpositions
+        assert [a.dtype for a in (first, other, distance)] == [np.int32, np.int32, np.uint8]
+        assert not any(a.flags.writeable for a in (first, other, distance))
+        cycles = reference_cycles(perm)
+        assert first.tolist() == [c[0] for c in cycles for _ in c[1:]], name
+        assert other.tolist() == [s for c in cycles for s in c[1:]], name
+        assert type(u._gates) is int
+        assert u._gates == reference_gate_count(perm) == _walked_count(_fresh(u)), name
+
+
 @pytest.mark.parametrize("n", [3, 9, 12])
 def test_circuits_synthesized_after_counting_are_unchanged(n):
     for name, perm in _random_permutations(n, np.random.default_rng(n)).items():
@@ -461,3 +479,30 @@ def test_counts_after_synthesis_are_ints():
     count = synthesized_gate_count(u)
     assert type(count) is int and count == reference_gate_count(u.permutation)
     assert type(report(Dynamic(9), initial_p=0.1).gate_counts.total) is int
+
+
+# -- synthesis at the sizes the benchmark and CI run ---------------------------
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+@pytest.mark.parametrize("build", [ppa_protocol, mirror_protocol, minimal_work_protocol])
+def test_synthesis_is_the_permutation_gate_by_gate(build, n):
+    # Up to 4,455,550 gates (ppa, n = 18), each one swap of two states.
+    u = build(n)
+    circuit = synthesize_circuit(u)
+    assert np.array_equal(swapped_permutation(circuit), u.permutation)
+    # The count the transposition walk sets is the count walk's.
+    assert len(circuit) == u._gates == _walked_gate_count(u.indices.tolist())
+
+
+def test_swapped_permutation_matches_the_state_by_state_oracle():
+    # The gate-by-gate oracle agrees with pushing every state through,
+    # on random permutations and on circuits that are not synthesized.
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 9):
+        circuit = synthesize_circuit(random_permutation_unitary(n, rng))
+        assert swapped_permutation(circuit).tolist() == list(circuit_permutation_array(circuit))
+    full = Circuit(3, [McNot(q, tuple((c, int(rng.integers(2))) for c in (1, 2, 3) if c != q))
+                       for q in rng.integers(1, 4, 40).tolist()])
+    assert swapped_permutation(full).tolist() == circuit_permutation(full)
+
