@@ -24,7 +24,6 @@ from .constants import check_qubit_cap
 from .errors import QcoolError, ResourceLimitError
 from .qasm import write_qasm
 from .sim import NoiseModel
-from .synth import synthesize_circuit
 from .thermo import EnergyGap, Temperature, probability_from_temperature
 from .unitary import unitary_from_json
 
@@ -132,8 +131,9 @@ def generate(config_path, cycles_file, initial_p, temp_mk, freq_ghz, simplify, o
                 "--cycles-file takes no --initial-p, --temp-mk or --freq-ghz"
             )
         unitary = unitary_from_json(cycles_file)
-        methods._check_size(methods._synthesis_walk(unitary))
-        circuit = synthesize_circuit(unitary)
+        # A one-round plan, capped and synthesized as a config's is.
+        qubits = tuple(range(1, unitary.n_qubits + 1))
+        circuit = methods._circuit(unitary.n_qubits, [methods._Round(unitary, (qubits,))])
     else:
         config = methods.config_from_json(config_path)
         p, _ = _resolve_initial(initial_p, temp_mk, freq_ghz, required=False)

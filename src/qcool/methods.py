@@ -134,7 +134,8 @@ def _check_protocol(choice: ProtocolChoice, n_qubits: int) -> None:
 
 def _resolve_protocol(choice: ProtocolChoice, n_qubits: int) -> CoolingUnitary:
     # Kept in protocols._shared so that sweeps build each unitary, and
-    # its transpositions, once per process while it stays in the table.
+    # count its gates, once per process while it stays in the table;
+    # only synthesis takes its transpositions.
     if isinstance(choice, CustomProtocol):
         build = functools.partial(
             CoolingUnitary._from_cycles, n_qubits, *choice._states(n_qubits)
@@ -542,15 +543,13 @@ def _targets(v: np.ndarray) -> list[float]:
     return np.add.reduce(v[:, v.shape[1] // 2 :], axis=1).tolist()
 
 
-@functools.lru_cache(maxsize=1)
 def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
     """The method as a sequence of rounds at bath excitation p.
 
     With p None the rounds are planned without checking that each starts
     cold, which suffices for circuits unless the unitaries depend on p;
-    with p they are the plan _groups walked.  The last plan is kept, for
-    the circuit and live noisy rows of the same point; plans are
-    immutable.
+    with p they are the plan _groups walked, read from its kept last
+    evaluation.
     """
     if p is None:
         check_qubit_cap(config.width, _MAX_WIDTH)
@@ -823,27 +822,6 @@ _MAX_BATCH = 1 << 20
 _MAX_COST = 1 << 30
 
 
-def _check_size(size: int) -> None:
-    """Refuse a circuit of size instructions past _MAX_INSTRUCTIONS."""
-    if size > _MAX_INSTRUCTIONS:
-        raise ResourceLimitError(
-            f"circuit of {size} instructions exceeds the cap of "
-            f"{_MAX_INSTRUCTIONS}"
-        )
-
-
-def _synthesis_walk(unitary: CoolingUnitary) -> int:
-    """synthesized_gate_count(unitary), from the one walk that also takes
-    the transpositions synthesize_circuit reads.
-
-    They are at most 2**n - 1 pairs of 9 bytes, less than the walk's
-    own list of 2**n states, so taking them before a cap check costs
-    little; the rows the cap protects (24 bytes a gate) come after it.
-    """
-    unitary._cycle_transpositions
-    return synthesized_gate_count(unitary)
-
-
 def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
     """Synthesize each distinct unitary once and embed it per cluster.
 
@@ -851,10 +829,16 @@ def _circuit(width: int, rounds: Sequence[_Round]) -> Circuit:
     built once and tiled.  A circuit past _MAX_INSTRUCTIONS is refused,
     from the counts in the plan, before any row is built.
     """
+    # One walk a distinct unitary takes the transpositions synthesis reads
+    # (9 bytes a pair) and the count the cap reads (rows: 24 bytes a gate).
     for rnd in rounds:
-        _synthesis_walk(rnd.unitary)
+        rnd.unitary._cycle_transpositions
     counts = _gate_counts(rounds)
-    _check_size(counts.total + counts.resets)
+    size = counts.total + counts.resets
+    if size > _MAX_INSTRUCTIONS:
+        raise ResourceLimitError(
+            f"circuit of {size} instructions exceeds the cap of {_MAX_INSTRUCTIONS}"
+        )
     synthesized: dict[int, Circuit] = {}
     blocks: list[np.ndarray] = []
     for rnd in rounds:
@@ -1074,8 +1058,10 @@ def _noise_report(
     if not levels or not _live(config, placement):
         points, noisy = _points(config, (p,), levels)
         return points[0], noisy[0]
-    point = _points(config, (p,))[0][0]
+    # The program first: synthesis's walk sets the gate counts the row
+    # reads, so no count-only walk runs.
     program, width = _layer_program(config, p)
+    point = _points(config, (p,))[0][0]
     step = max(1, _MAX_BATCH >> width)
     return point, [
         t for lo in range(0, len(levels), step)

@@ -263,8 +263,9 @@ class CoolingUnitary:
 
     # _phases holds one phase a row, or is None when every phase is 1.
     # _pairs and _gates cache synthesis's transpositions and gate count
-    # (see synth), each None until first asked for; the walk that takes
-    # the transpositions sets the count too.
+    # (see synth), each None until first asked for.  The walk that takes
+    # the transpositions sets the count too; synthesis and cycles take
+    # them, and a count alone takes a walk that keeps only the int.
     __slots__ = ("_n", "_indices", "_phases", "_pairs", "_gates")
 
     def __init__(
@@ -381,21 +382,15 @@ class CoolingUnitary:
         """Canonical cycle decomposition of the induced permutation.
 
         Each cycle starts at its smallest state; cycles are ordered by
-        that state; fixed points are omitted.  Recomputed on each call.
+        that state; fixed points are omitted.  Read from the
+        transpositions (s1 sk) of synthesis's walk, which the unitary
+        keeps: a cycle ends where s1 changes.
         """
-        perm = self.permutation.tolist()
-        seen = bytearray(len(perm))
-        out: list[tuple[int, ...]] = []
-        for start, cur in enumerate(perm):
-            if seen[start] or cur == start:
-                continue
-            cyc = [start]
-            while cur != start:
-                cyc.append(cur)
-                seen[cur] = 1
-                cur = perm[cur]
-            out.append(tuple(cyc))
-        return tuple(out)
+        first, other, _ = self._cycle_transpositions
+        starts = np.flatnonzero(np.diff(first, prepend=-1)).tolist()
+        first, other = first.tolist(), other.tolist()
+        ends = starts[1:] + [len(other)]
+        return tuple((first[a], *other[a:b]) for a, b in zip(starts, ends))
 
     @property
     def _cycle_transpositions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

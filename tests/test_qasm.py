@@ -149,6 +149,46 @@ def test_round_trip_mixed_instructions():
         )
 
 
+def _merged_resets(circuit: Circuit) -> list[list[int]]:
+    """circuit's rows, each run of adjacent reset rows (target 0) merged
+    into one: the parser gives one reset row a qubit, where a circuit
+    resets a copy's qubits in one row."""
+    rows: list[list[int]] = []
+    for row in circuit.rows.tolist():
+        if rows and row[0] == 0 == rows[-1][0]:
+            rows[-1][1] |= row[1]
+        else:
+            rows.append(row)
+    return rows
+
+
+def _assert_round_trip(circuit: Circuit) -> None:
+    parsed = parse_qasm(export_qasm(circuit))
+    assert parsed.n_qubits == circuit.n_qubits
+    assert _merged_resets(parsed) == _merged_resets(circuit)
+
+
+# Synthesized circuits past 11 qubits, whose open controls span two
+# words of the export's flip tables; n = 13 and 14 (about 36 s in all)
+# run in CI's slow step.
+ROUND_TRIP_SIZES = [
+    pytest.param(n, marks=[pytest.mark.slow] if n > 12 else []) for n in (12, 13, 14)
+]
+
+
+@pytest.mark.parametrize("n", ROUND_TRIP_SIZES)
+@pytest.mark.parametrize("protocol", ["ppa", "mirror", "minimal-work"])
+def test_round_trip_rows_past_one_word(protocol, n):
+    _assert_round_trip(build_circuit(Dynamic(n, protocol)))
+
+
+@pytest.mark.parametrize(
+    "config", [HBAC(3, 200), HBAC(5, 50, (2, 3))], ids=["hbac3x200", "hbac5x50-r23"]
+)
+def test_round_trip_rows_with_resets(config):
+    _assert_round_trip(build_circuit(config, 0.07))
+
+
 def test_ctrl_statement_count():
     text = export_qasm(build_circuit(Dynamic(3)))
     assert count_ctrl_statements(text) == 5

@@ -443,9 +443,11 @@ def test_walked_count_matches_per_cycle_reference_on_random_permutations(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_transposition_walk_sets_the_walked_count(n):
     # One walk gives synthesis its transpositions, in the canonical
-    # cycles' order, and the count the count-only walk gives.
+    # cycles' order, and the count the count-only walk gives; the
+    # unitary's cycles are read back from them.
     for name, perm in _random_permutations(n, np.random.default_rng(200 + n)).items():
         u = CoolingUnitary.from_permutation(perm, n)
+        assert u.cycles == reference_cycles(perm), name
         first, other, distance = u._cycle_transpositions
         assert [a.dtype for a in (first, other, distance)] == [np.int32, np.int32, np.uint8]
         assert not any(a.flags.writeable for a in (first, other, distance))
