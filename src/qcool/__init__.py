@@ -16,6 +16,19 @@ Conventions used throughout:
   supplied, in which case joules and kelvin are available.
 """
 
+import os
+
+# On the benchmark's workloads qcool's float products are stacked
+# matrices of at most 8x8, so NumPy's OpenBLAS workers get no work, yet
+# each spins 2**28 cycles (about 0.1 s) after NumPy loads before it
+# sleeps.  OpenBLAS reads this variable once, as it loads (the next
+# import loads NumPy).  2**4 cycles, the minimum, lets an idle worker
+# sleep at once, and the workers stay for large products.  On a shared
+# 2-vCPU Xeon a benchmark pass's CPU time fell from 2.0x its wall time
+# to 1.0x, and a fresh 1000x1000 product took 12.5 ms against 12.2 ms
+# by default and 22.1 ms with one thread.  A value already set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .circuits import (
     Circuit,
     GateCounts,
