@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for usage or configuration problems, 3 when a
-size cap would be exceeded.  Every command is deterministic for fixed
-flags except the timing column of `bench`.
+Exit codes: 0 on success, 2 for usage or configuration problems and for
+a file that cannot be read or written, 3 when a size cap would be
+exceeded.  Every command is deterministic for fixed flags except the
+timing column of `bench`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _handled(f):
         except ResourceLimitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
-        except (QcoolError, ValueError) as exc:
+        except (QcoolError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 

@@ -365,8 +365,11 @@ def method_label(config: MethodConfig) -> str:
 
 
 def check_excitation(p: float) -> float:
-    """Return p as a float, or raise ValueError unless 0 <= p < 1/2."""
-    p = float(p)
+    """Return p as a float, or raise ValueError unless 0 <= p < 1/2.
+
+    -0.0 is returned as 0.0, so that no row prints it.
+    """
+    p = float(p) + 0.0
     if not 0.0 <= p < 0.5 or math.isnan(p):
         raise ValueError(f"excitation probability {p} outside [0, 1/2)")
     return p
@@ -543,24 +546,22 @@ def _targets(v: np.ndarray) -> list[float]:
     return np.add.reduce(v[:, v.shape[1] // 2 :], axis=1).tolist()
 
 
-def _rounds(config: MethodConfig, p: float | None) -> tuple[_Round, ...]:
+def _rounds(config: MethodConfig, p: float | None) -> list[_Round]:
     """The method as a sequence of rounds at bath excitation p.
 
     With p None the rounds are planned without checking that each starts
     cold, which suffices for circuits unless the unitaries depend on p;
-    with p they are the plan _groups walked, read from its kept last
-    evaluation.
+    with p they are the plan _groups walks.
     """
     if p is None:
         check_qubit_cap(config.width, _MAX_WIDTH)
-        return tuple(config.plan(None))
-    return _groups(config, (p,), ())[0][1]
+        return config.plan(None)
+    return _groups(config, [p])[0][1]
 
 
-@functools.lru_cache(maxsize=1)
 def _groups(
-    config: MethodConfig, ps: tuple[float, ...], levels: tuple[float, ...]
-) -> tuple[tuple, ...]:
+    config: MethodConfig, ps: Sequence[float], levels: Sequence[float] = ()
+) -> list[tuple]:
     """(rows, rounds, t, work) for each batch of rows that share a plan.
 
     Row i * (1 + len(levels)) + j is point ps[i], noiseless at j = 0 and
@@ -568,15 +569,13 @@ def _groups(
     depend on p; a point's noisy rows take its plan.  Rows that share a
     plan are walked as one array, at most _MAX_BATCH vector entries at a
     time, which checks that each round of a noiseless row starts cold;
-    the error raised is the first failing point's own.  The last
-    evaluation is kept for the circuit and noisy rows of its point, so
-    every caller passes levels, () without noise, to share one key.
-    Vectors are capped at cluster width by the plans; the register
-    needs only its qubit maps and circuit rows.
+    the error raised is the first failing point's own.  Vectors are
+    capped at cluster width by the plans; the register needs only its
+    qubit maps and circuit rows.
     """
     check_qubit_cap(config.width, _MAX_WIDTH)
     # Other methods run one protocol unitary at cluster width.
-    plan = None if isinstance(config, SemiOpen) else tuple(config.plan(None))
+    plan = None if isinstance(config, SemiOpen) else config.plan(None)
     width = max(config.cluster_sizes) if plan is None else plan[0].unitary.n_qubits
     step, label, out = max(1, _MAX_BATCH >> width), method_label(config), []
     noise, size = np.array((0.0, *levels)), 1 + len(levels)
@@ -591,12 +590,12 @@ def _groups(
                 for i in range(0, rows.size, step):
                     part = slice(i, i + step)
                     t, work = _walk(rounds, row_ps[part], row_noise[part], label)
-                    out.append((rows[part], tuple(rounds), tuple(t), tuple(work)))
-        return tuple(out)
+                    out.append((rows[part], rounds, t, work))
+        return out
     except PopulationInversionError:
         if len(ps) > 1:
             for p in ps:
-                _groups(config, (p,), ())
+                _groups(config, [p])
         raise
 
 
@@ -795,7 +794,7 @@ def final_probability(config: MethodConfig, p: float) -> float:
     closed = _closed_form(config, [p])
     if closed is not None:
         return closed[0]
-    return _groups(config, (p,), ())[0][2][0]
+    return _groups(config, [p])[0][2][0]
 
 
 def total_work_cost(
@@ -803,7 +802,7 @@ def total_work_cost(
 ) -> float:
     """Work drawn over every unitary the method applies."""
     p = check_excitation(p)
-    return gap.value * _groups(config, (p,), ())[0][3][0]
+    return gap.value * _groups(config, [p])[0][3][0]
 
 
 # -- circuits -------------------------------------------------------------
@@ -898,39 +897,25 @@ def noisy_final_probability(
     Equals marginal(simulate(build_circuit(config, p), thermal start,
     noise=noise, bath_excitation=p), 1) up to rounding, and at noise 0
     is final_probability(config, p) bit for bit.  Any other level is a
-    batch of one of _noise_report, and has the bits it has in any batch.
+    batch of one of _points, and has the bits it has in any batch.
     """
     p = check_excitation(p)
     if noise.probability == 0.0:
         return final_probability(config, p)
-    return _noise_report(config, p, [noise.probability], noise.placement)[1][0]
-
-
-def _live(config: MethodConfig, placement: str) -> bool:
-    """Whether noisy rows run config's circuit on its live qubits.
-
-    They do for per-layer noise on a plan with a round of several
-    parallel copies, where gates of neighbouring copies share a layer;
-    every other noisy row is a row of the plan's walk.  Semi-open rounds
-    are one copy each, and any other plan is config.plan(None), so this
-    is decided before anything is walked.
-    """
-    if placement != "per-layer" or isinstance(config, SemiOpen):
-        return False
-    check_qubit_cap(config.width, _MAX_WIDTH)
-    return any(len(rnd.clusters) > 1 for rnd in config.plan(None))
+    return _points(config, [p], [noise.probability], noise.placement)[1][0][0]
 
 
 @functools.lru_cache(maxsize=1)
-def _layer_program(config: MethodConfig, p: float) -> tuple[tuple, int]:
-    """sim._live_program of the method's circuit at p, per-layer noise.
+def _layer_program(width: int, rounds: tuple[_Round, ...]) -> tuple[tuple, int]:
+    """sim._live_program of the rounds' circuit on width qubits, per-layer
+    noise.
 
-    The steps do not depend on the noise strength, so the last program
-    is kept: the noise levels of one noise sweep synthesize, embed and
-    schedule the circuit once.  Programs are immutable.
+    The steps depend on neither the point nor the noise strength, so the
+    last program is kept: per-level calls of noisy_final_probability on
+    one config synthesize, embed and schedule its circuit once.  Programs
+    are immutable.
     """
-    circuit = _circuit(config.width, _rounds(config, p))
-    return sim._live_program(circuit, "per-layer")
+    return sim._live_program(_circuit(width, rounds), "per-layer")
 
 
 # -- reporting ------------------------------------------------------------
@@ -994,21 +979,54 @@ def report(
 
 
 def _points(
-    config: MethodConfig, ps: Sequence[float], levels: Sequence[float] = ()
+    config: MethodConfig,
+    ps: Sequence[float],
+    levels: Sequence[float] = (),
+    placement: str | None = None,
 ) -> tuple[list[tuple], list[list[float]]]:
     """(points, noisy): (final_p, work, gate counts) at each checked
     excitation of ps, and each point's final_p at the nonzero noise
-    levels of levels.  One _groups evaluation walks every row, and each
-    plan's gates are counted once."""
-    ps, levels = tuple(ps), tuple(levels)
-    walked: dict[int, tuple] = {}
-    for rows, rounds, t, work in _groups(config, ps, levels):
+    levels of levels, placed by placement.
+
+    One _groups evaluation walks every row, and each plan's gates are
+    counted once.  A point's levels are rows of its own walk, after its
+    noiseless row, on vectors only as wide as a cluster, except for
+    per-layer noise on a plan with a round of several parallel copies,
+    where gates of neighbouring copies share a layer.  There the walk
+    holds the noiseless rows alone, and the synthesized circuit runs
+    once per point for all levels on its live qubits only
+    (sim._run_live), refused if more than 24 are live at once.
+    Semi-open rounds are one copy each, and any other plan is
+    config.plan(None), so the way is chosen before anything is walked;
+    without a nonzero level no circuit is built.  A batch holds at most
+    _MAX_BATCH entries; more levels run in turn.
+    """
+    live = (
+        bool(levels) and placement == "per-layer" and not isinstance(config, SemiOpen)
+        and any(len(rnd.clusters) > 1 for rnd in _rounds(config, None))
+    )
+    walked = () if live else levels
+    groups = _groups(config, ps, walked)
+    if live:
+        # The program first: synthesis's walk sets the gate counts the
+        # rows read, so no count-only walk runs.
+        program, width = _layer_program(config.width, tuple(groups[0][1]))
+    by_row: dict[int, tuple] = {}
+    for rows, rounds, t, work in groups:
         counts = _gate_counts(rounds)
-        walked.update(zip(rows.tolist(), zip(t, work, [counts] * len(t))))
-    size = 1 + len(levels)
-    rows = [walked[i] for i in range(len(walked))]
+        by_row.update(zip(rows.tolist(), zip(t, work, [counts] * len(t))))
+    size = 1 + len(walked)
+    rows = [by_row[i] for i in range(len(by_row))]
     t, work, counts = zip(*rows[::size])
-    noisy = [[row[0] for row in rows[i + 1 : i + size]] for i in range(0, len(rows), size)]
+    if live:
+        step = max(1, _MAX_BATCH >> width)
+        runs = [
+            np.array(levels[lo : lo + step], dtype=np.float64)
+            for lo in range(0, len(levels), step)
+        ]
+        noisy = [[x for run in runs for x in sim._run_live(program, p, run)] for p in ps]
+    else:
+        noisy = [[row[0] for row in rows[i + 1 : i + size]] for i in range(0, len(rows), size)]
     return list(zip(_closed_form(config, ps) or t, work, counts)), noisy
 
 
@@ -1038,37 +1056,6 @@ def _reports(
     ]
 
 
-def _noise_report(
-    config: MethodConfig, p: float, levels: Sequence[float], placement: str
-) -> tuple[tuple, list[float]]:
-    """(final_p, work, gate counts) at a checked p, as _points gives
-    them, and noisy_final_probability at each nonzero noise level of
-    levels.
-
-    The levels are rows of the point's own walk, after its noiseless
-    row (see _groups), on vectors only as wide as a cluster.  Where
-    noisy rows run live (_live), the synthesized circuit runs once for
-    all levels, after the point's walk, on its live qubits only
-    (sim._run_live), refused if more than 24 are live at once; its
-    program is kept for the next call (_layer_program).  Without a
-    nonzero level no circuit is built, whatever the placement.  A batch
-    holds at most _MAX_BATCH entries; more levels run in turn.
-    """
-    levels = tuple(levels)
-    if not levels or not _live(config, placement):
-        points, noisy = _points(config, (p,), levels)
-        return points[0], noisy[0]
-    # The program first: synthesis's walk sets the gate counts the row
-    # reads, so no count-only walk runs.
-    program, width = _layer_program(config, p)
-    point = _points(config, (p,))[0][0]
-    step = max(1, _MAX_BATCH >> width)
-    return point, [
-        t for lo in range(0, len(levels), step)
-        for t in sim._run_live(program, p, np.array(levels[lo : lo + step], dtype=np.float64))
-    ]
-
-
 def _result_rows(
     config: MethodConfig,
     ps: Sequence[float],
@@ -1081,16 +1068,12 @@ def _result_rows(
 
     A sweep's row has level None and no placement.  A noise sweep's
     rows (placement given) take their final_p at each nonzero level from
-    _noise_report, and the noiseless one at level 0.  Work is the
+    _points, and the noiseless one at level 0.  Work is the
     noiseless driving cost: depolarizing exchanges heat, not work, in
     this model.  A temperature cell is None without a physical gap, and
     for a population at 1/2 or above, which has no finite kelvin value.
     """
-    if placement is None:
-        points, noisy = _points(config, ps)
-    else:
-        nonzero = [q for q in levels if q]
-        points, noisy = zip(*(_noise_report(config, p, nonzero, placement) for p in ps))
+    points, noisy = _points(config, ps, [q for q in levels if q], placement)
     physical, label, width = (
         gap is not None and not gap.dimensionless, method_label(config), config.width
     )

@@ -216,7 +216,9 @@ class _Shared:
 # One that was synthesized, or asked for its cycles, also keeps its
 # transposition arrays: 5-13 bytes a state in all (measured at 14 to 20
 # qubits), so the table keeps at most about 13 MiB alive, plus 8 bytes
-# a state for each ranking key.
+# a state for each ranking key.  No walk's plan outlives its call, so an
+# evicted unitary is freed, unless it is in the rounds of the last
+# per-layer live program (methods._layer_program).
 _shared = _Shared(1 << 20)
 
 

@@ -80,6 +80,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("noise probability must lie in [0, 1]")
+        # -0.0 is stored as 0.0, so that no row prints it.
+        object.__setattr__(self, "probability", self.probability + 0.0)
         if self.placement not in ("per-gate", "per-layer"):
             raise ValueError(f"unknown placement {self.placement!r}")
 

@@ -324,7 +324,7 @@ class CoolingUnitary:
         if n_qubits is None:
             n_qubits = int(dim).bit_length() - 1
         check_qubit_cap(n_qubits)
-        if dim != (1 << n_qubits) or dim < 2:
+        if n_qubits < 1 or dim != 1 << n_qubits:
             raise ValueError("permutation length must be 2**n_qubits")
         if (
             perm.min(initial=0) < 0

@@ -52,7 +52,7 @@ from qcool import (
     total_work_cost,
 )
 from qcool.cli import cli
-from qcool.methods import _METHODS, _rounds
+from qcool.methods import _METHODS, _rounds, check_excitation
 
 DYN3 = {"method": "dynamic", "n_qubits": 3}
 SUBOPT = {"method": "suboptimal", "cluster_size": 3, "rounds": 2}
@@ -565,7 +565,6 @@ def test_sweep_batches_stay_within_their_memory_bound(runner, tmp_path):
         ["sweep", "--config", cfg, "--probs", probs],
     ):
         run_ok(runner, args)  # count the gates before measuring
-        qcool.methods._groups.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -668,6 +667,8 @@ def test_noise_sweep_reports_once_per_config(runner, tmp_path, monkeypatch):
     # Each config's plan is walked once: its noiseless row and its rows at
     # every nonzero level are rows of one walk, except per-layer
     # suboptimal 3x2, whose levels run the live kernel once after it.
+    # Each placement runs twice in one process, with nothing cleared in
+    # between: what earlier calls left behind changes no row and no count.
     import qcool.methods
     import qcool.sim
 
@@ -691,13 +692,14 @@ def test_noise_sweep_reports_once_per_config(runner, tmp_path, monkeypatch):
         ("per-gate", [4, 4, 4, 4], []),
         ("per-layer", [4, 1, 4, 4], [3]),
     ):
-        qcool.methods._groups.cache_clear()
-        qcool.methods._layer_program.cache_clear()
-        walks.clear()
-        live.clear()
-        rows = json.loads(run_ok(runner, args + ["--placement", placement]))
-        assert len(rows) == 4 * len(ROW_CONFIGS)
-        assert (walks, live) == (want_walks, want_live), placement
+        runs = []
+        for _ in range(2):
+            walks.clear()
+            live.clear()
+            runs.append(run_ok(runner, args + ["--placement", placement]))
+            assert len(json.loads(runs[-1])) == 4 * len(ROW_CONFIGS)
+            assert (walks, live) == (want_walks, want_live), placement
+        assert runs[0] == runs[1], placement
 
 
 def test_per_layer_noise_sweep_without_a_nonzero_level_builds_no_circuit(
@@ -917,7 +919,6 @@ def test_per_layer_live_rows_walk_each_permutation_once(runner, tmp_path, monkey
     monkeypatch.setattr(
         qcool.protocols, "_shared", qcool.protocols._Shared(1 << 20)
     )
-    qcool.methods._groups.cache_clear()
     qcool.methods._layer_program.cache_clear()
     counted, walked = [], []
     count = qcool.synth._walked_gate_count
@@ -1149,6 +1150,8 @@ def test_sweep_rows_never_synthesize_or_simulate(runner, tmp_path, monkeypatch):
         noise = ["noise-sweep", "--config", cfg, "--initial-p", "0.1",
                  "--noise-probs", "0,1e-3,1"]
         run_ok(runner, noise + ["--placement", "per-gate"])
+        # A kept program of the same rounds would stand in for synthesis.
+        qcool.methods._layer_program.cache_clear()
         layered = runner.invoke(cli, noise + ["--placement", "per-layer"])
         # Parallel suboptimal copies share layers; only they need the circuit.
         if ORACLE_CONFIGS[name]["method"] == "suboptimal":
@@ -1688,6 +1691,64 @@ def test_unreadable_documents_exit_2(runner, tmp_path):
             result = runner.invoke(cli, args)
             assert result.exit_code == 2, (args, result.exception)
             assert result.stderr.startswith("error: cannot read ")
+
+
+def test_unwritable_out_exits_2(runner, tmp_path):
+    # An --out in a missing directory is one error line and exit 2, for
+    # every command that takes --out.
+    cfg = write_config(tmp_path, DYN3)
+    out = str(tmp_path / "missing" / "out.txt")
+    for args in (
+        ["generate", "--config", cfg],
+        ["analyze", "--config", cfg, "--initial-p", "0.1"],
+        ["sweep", "--config", cfg, "--probs", "0.1"],
+        ["noise-sweep", "--config", cfg, "--initial-p", "0.1", "--noise-probs", "0"],
+        ["bench", "--min-n", "2", "--max-n", "2"],
+    ):
+        result = runner.invoke(cli, args + ["--out", out])
+        assert result.exit_code == 2, (args, result.exception)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
+        assert out in lines[0], args
+
+
+def test_refused_runs_leave_an_existing_out_untouched(runner, tmp_path):
+    # Nothing is opened for writing before the rows or the circuit are
+    # made: a run refused at the instruction cap (exit 3) or for a bad
+    # value (exit 2) keeps the file as it was.
+    cfg = write_config(tmp_path, DYN3)
+    huge = write_config(
+        tmp_path, {"method": "hbac", "cluster_size": 3, "rounds": 10**9}, "huge.json"
+    )
+    out = tmp_path / "kept.txt"
+    out.write_text("kept\n")
+    for args, code in (
+        (["generate", "--config", huge], 3),
+        (["analyze", "--config", cfg, "--initial-p", "0.6"], 2),
+        (["sweep", "--config", cfg, "--probs", "0.1,0.6"], 2),
+        (["noise-sweep", "--config", cfg, "--initial-p", "0.1", "--noise-probs", "0,2"], 2),
+    ):
+        result = runner.invoke(cli, args + ["--out", str(out)])
+        assert result.exit_code == code, (args, result.output)
+        assert out.read_text() == "kept\n", args
+
+
+def test_negative_zero_is_read_as_zero(runner, tmp_path):
+    # -0.0 as p or as a noise level gives the rows of 0.0, byte for byte.
+    assert math.copysign(1.0, check_excitation(-0.0)) == 1.0
+    assert math.copysign(1.0, NoiseModel(-0.0).probability) == 1.0
+    cfg = write_config(tmp_path, DYN3)
+    for args in (
+        ["analyze", "--config", cfg, "--initial-p", "-0.0"],
+        ["sweep", "--config", cfg, "--probs", "-0.0,0.1"],
+        ["noise-sweep", "--config", cfg, "--initial-p", "0.1", "--noise-probs", "-0.0,0"],
+        ["noise-sweep", "--config", cfg, "--initial-p", "-0.0", "--noise-probs", "-0.0",
+         "--placement", "per-layer"],
+    ):
+        for form in ([], ["--csv"]):
+            want = run_ok(runner, [a.replace("-0.0", "0.0") for a in args] + form)
+            got = run_ok(runner, args + form)
+            assert got == want and "-0.0" not in got, args + form
 
 
 def test_json_rows_are_json_dumps_indent_2(tmp_path):

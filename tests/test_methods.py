@@ -1167,14 +1167,12 @@ def test_reports_keep_at_most_the_shared_cap_of_unitaries(monkeypatch):
     # nine would hold about 24 MiB.
     table = protocols._Shared(1 << 15)
     monkeypatch.setattr(protocols, "_shared", table)
-    methods._groups.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         for n in (14, 15, 16):
             for protocol in ("ppa", "mirror", "minimal-work"):
                 report(Dynamic(n, protocol), initial_p=0.1)
-        methods._groups.cache_clear()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:

@@ -99,6 +99,10 @@ def test_from_permutation_validation():
         CoolingUnitary.from_permutation([0, 1, 2])  # not a power of two
     with pytest.raises(ValueError):
         CoolingUnitary.from_permutation([0.5, 1.0])
+    # No qubit count fits an empty array, nor a negative one any array.
+    for perm, n in ((np.array([], dtype=np.int64), None), ([0, 1], -1)):
+        with pytest.raises(ValueError, match=r"permutation length must be 2\*\*n_qubits"):
+            CoolingUnitary.from_permutation(perm, n)
 
 
 def test_apply_dimension_mismatch():
